@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import construction, formats, lattices, ramsey
@@ -195,7 +194,7 @@ def cmd_dichotomy(args) -> int:
 
 
 def cmd_mn_search(args) -> int:
-    result = ramsey.estimate_min_m(args.n, args.max_size, jobs=args.jobs)
+    result = ramsey.estimate_min_m(args.n, args.max_size)
     payload = {
         "n": result.n,
         "sizes": [
@@ -208,6 +207,7 @@ def cmd_mn_search(args) -> int:
             for c in result.sizes
         ],
         "empirical_lower_bound": result.empirical_lower_bound,
+        "exact_threshold": result.exact_threshold,
     }
     with open(args.report, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -216,7 +216,6 @@ def cmd_mn_search(args) -> int:
     parameters = {
         "n": args.n,
         "max_size": args.max_size,
-        "jobs": args.jobs,
         "report": args.report,
     }
     report = _report("mn-search", parameters, payload, checks)
@@ -303,7 +302,6 @@ def cmd_lattice_fences(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    default_jobs = int(os.environ.get("GRS_LAB_JOBS", "1"))
     parser = argparse.ArgumentParser(
         prog="chordlab",
         description="Staged graph constructions, the finite K22/chordless-path "
@@ -317,14 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output graph JSON path")
     p.add_argument("--dot", help="also write a DOT rendering")
     p.add_argument("--trace-stages", action="store_true")
-    p.add_argument("--jobs", type=int, default=default_jobs)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="check per-stage invariants of a run")
     p.add_argument("--f", required=True)
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--exhaustive-chordless", action="store_true")
-    p.add_argument("--jobs", type=int, default=default_jobs)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decode", help="decode value membership from an embedding")
@@ -332,27 +328,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--pattern", required=True, help="A:k or Kkk:k")
     p.add_argument("--query", required=True, help="comma list of values")
-    p.add_argument("--jobs", type=int, default=default_jobs)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("dichotomy", help="chordless n-path or K22 copy")
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--witness", help="write the witness JSON here")
-    p.add_argument("--jobs", type=int, default=default_jobs)
     p.set_defaults(func=cmd_dichotomy)
 
-    p = sub.add_parser("mn-search", help="exhaustive threshold lower-bound search")
+    p = sub.add_parser("mn-search", help="exact m(n) threshold search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--jobs", type=int, default=default_jobs)
     p.set_defaults(func=cmd_mn_search)
 
     p = sub.add_parser("pipeline", help="table, coloring, homogeneous search, extraction")
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=default_jobs)
     p.set_defaults(func=cmd_pipeline)
 
     lat = sub.add_parser("lattice", help="lattice validation and fence search")
@@ -360,14 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = lat_sub.add_parser("verify", help="axioms, length-3, double-cover scan")
     p.add_argument("--lattice", required=True)
-    p.add_argument("--jobs", type=int, default=default_jobs)
     p.set_defaults(func=cmd_lattice_verify)
 
     p = lat_sub.add_parser("fences", help="extract a fence through the tree pipeline")
     p.add_argument("--lattice", required=True)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--dot", help="write the Hasse diagram DOT here")
-    p.add_argument("--jobs", type=int, default=default_jobs)
     p.set_defaults(func=cmd_lattice_fences)
 
     return parser

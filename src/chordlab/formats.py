@@ -9,6 +9,19 @@ from .graphs import Graph
 from .lattices import BoundedPoset, FiniteLattice
 
 
+def _int_entry(value, what: str) -> int:
+    # JSON true/false decode to bool, a subclass of int
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError("%s must be an integer: %r" % (what, value))
+    return value
+
+
+def _json_list(value) -> list:
+    if not isinstance(value, list):
+        raise InvalidInputError("expected a JSON list, got %r" % (value,))
+    return value
+
+
 def graph_to_json_obj(g: Graph) -> dict:
     return {
         "vertices": sorted(g.vertices),
@@ -23,15 +36,16 @@ def graph_to_json(g: Graph) -> str:
 def graph_from_json_obj(obj) -> Graph:
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise InvalidInputError("graph JSON needs 'vertices' and 'edges'")
-    vertices = obj["vertices"]
-    if vertices != sorted(set(int(v) for v in vertices)):
+    vertices = [_int_entry(v, "graph JSON vertex") for v in _json_list(obj["vertices"])]
+    if vertices != sorted(set(vertices)):
         raise InvalidInputError("graph JSON vertices must be ascending, no duplicates")
     edges = []
     seen = set()
-    for pair in obj["edges"]:
-        if len(pair) != 2:
+    for pair in _json_list(obj["edges"]):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise InvalidInputError("graph JSON edge must be a pair: %r" % (pair,))
-        u, v = int(pair[0]), int(pair[1])
+        u = _int_entry(pair[0], "graph JSON edge entry")
+        v = _int_entry(pair[1], "graph JSON edge entry")
         if not u < v:
             raise InvalidInputError("graph JSON edges must satisfy u < v: %r" % (pair,))
         if (u, v) in seen:
@@ -88,15 +102,15 @@ def lattice_from_json_obj(obj):
     """
     if not isinstance(obj, dict) or "n" not in obj or "leq" not in obj:
         raise InvalidInputError("lattice JSON needs 'n' and 'leq'")
-    n = int(obj["n"])
+    n = _int_entry(obj["n"], "lattice JSON n")
     pairs = []
-    for pair in obj["leq"]:
-        if len(pair) != 2:
+    for pair in _json_list(obj["leq"]):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise InvalidInputError("lattice JSON leq entry must be a pair: %r" % (pair,))
-        pairs.append((int(pair[0]), int(pair[1])))
+        pairs.append(tuple(_int_entry(x, "lattice JSON element") for x in pair))
     gens = obj.get("generators")
     if gens is not None:
-        gens = tuple(int(g) for g in gens)
+        gens = tuple(_int_entry(g, "lattice JSON generator") for g in _json_list(gens))
     return n, pairs, gens
 
 

@@ -22,6 +22,7 @@ from .errors import (
     ExtractionError,
     InvalidInputError,
     ResourceLimitError,
+    StructuralError,
 )
 from .graphs import (
     K22,
@@ -426,47 +427,12 @@ def proof_pipeline(g: Graph, n: int) -> PipelineTrace:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration of small traceable hosts
+# Exact threshold search by hereditary extension
 
 
 def chord_slots(size: int):
     """Non-consecutive vertex pairs of the fixed path 0 - 1 - ... - size-1."""
     return [(i, j) for i in range(size) for j in range(i + 2, size)]
-
-
-def iter_traceable_masks(size: int):
-    """All traceable graphs on ``size`` vertices as adjacency bitmask lists.
-
-    Fixed Hamiltonian path plus every chord subset, enumerated in Gray-code
-    order so one chord is toggled per step.  Yields (masks, chord_bits); the
-    masks list is reused between iterations and must not be stored.
-    """
-    masks = [0] * size
-    for i in range(size - 1):
-        masks[i] |= 1 << (i + 1)
-        masks[i + 1] |= 1 << i
-    slots = chord_slots(size)
-    yield masks, 0
-    prev_gray = 0
-    for counter in range(1, 1 << len(slots)):
-        gray = counter ^ (counter >> 1)
-        changed = gray ^ prev_gray
-        prev_gray = gray
-        u, v = slots[changed.bit_length() - 1]
-        masks[u] ^= 1 << v
-        masks[v] ^= 1 << u
-        yield masks, gray
-
-
-def masks_to_graph(masks, size: int) -> Graph:
-    edges = []
-    for u in range(size):
-        above = masks[u] >> (u + 1)
-        while above:
-            bit = above & -above
-            above ^= bit
-            edges.append((u, u + 1 + bit.bit_length() - 1))
-    return Graph(range(size), edges)
 
 
 def has_k22_masks(masks, size: int):
@@ -488,7 +454,7 @@ class SizeCount:
     size: int
     graphs: int
     neither: int
-    example: tuple | None  # edge list of the first neither instance
+    example: tuple | None  # edge list of the neither instance with least chord bits
 
 
 @dataclass(frozen=True)
@@ -504,119 +470,127 @@ class MnReport:
             return None
         return self.largest_neither + 1
 
+    @property
+    def exact_threshold(self):
+        """m(n) when the search reached an empty level, else None.
 
-MAX_ENUMERATION_SIZE = 9
+        An empty level stays empty at every larger size, so the threshold is
+        one past the last non-empty level.
+        """
+        if self.sizes[-1].neither:
+            return None
+        return (self.largest_neither or 0) + 1
 
 
-def estimate_min_m(n: int, size_bound: int, jobs: int = 1) -> MnReport:
-    """Exhaustively count, per size, hosts with neither witness for ``n``.
+# Candidate extensions one search may examine: about twice the 26,387 that
+# m(7) needs.  An n = 8 search runs out of it at size 11, within seconds.
+EXTENSION_BUDGET = 50_000
+# The report prints 2^((s-1)(s-2)/2) for every size s up to the bound.
+MAX_SIZE_BOUND = 64
 
-    Every traceable graph on up to ``size_bound`` vertices is enumerated
-    (fixed Hamiltonian path, every chord subset) and the dichotomy evaluated;
-    the largest size with a neither instance gives the empirical lower bound
-    largest+1 for the threshold.
+
+def estimate_min_m(n: int, size_bound: int) -> MnReport:
+    """Count, per size, the traceable hosts with neither witness for ``n``.
+
+    Hosts are labelled: the path 0 - 1 - ... - size-1 plus any chord set, so
+    there are 2^((size-1)(size-2)/2) of them.  Deleting the last vertex of a
+    neither instance leaves a neither instance, so those on s+1 vertices are
+    exactly the extensions of those on s vertices by a vertex s, joined to
+    s-1 and to a subset of 0..s-2, that stay K22-free and close no chordless
+    n-path.  Once a level is empty every larger one is, which makes the
+    threshold exact.
     """
-    if size_bound > MAX_ENUMERATION_SIZE:
+    if n < 1:
+        raise InvalidInputError("path length must be >= 1, got %d" % n)
+    if size_bound < 1:
+        raise InvalidInputError("size bound must be >= 1, got %d" % size_bound)
+    if size_bound > MAX_SIZE_BOUND:
         raise ResourceLimitError(
-            "size bound %d exceeds the exhaustive-search budget (max %d)"
-            % (size_bound, MAX_ENUMERATION_SIZE)
+            "size bound %d exceeds the report limit (max %d)"
+            % (size_bound, MAX_SIZE_BOUND)
         )
+    budget = EXTENSION_BUDGET
+    level = [(0,)] if n > 1 else []  # one vertex holds only a 1-path
     counts = []
     largest = None
     for size in range(1, size_bound + 1):
-        if jobs > 1 and size >= 6:
-            total, neither, best_bits = _count_neither_parallel(size, n, jobs)
-        else:
-            total, neither, best_bits = _count_neither_range(size, n, 0, None)
+        if size > 1:
+            grown = []
+            for rows in level:
+                for ext in _k22_free_extensions(rows):
+                    budget -= 1
+                    if budget < 0:
+                        raise ResourceLimitError(
+                            "m(%d) search passed its budget of %d candidate "
+                            "extensions at size %d" % (n, EXTENSION_BUDGET, size)
+                        )
+                    if size < n or find_chordless_positions(ext, size, n) is None:
+                        grown.append(ext)
+            level = grown
+        example = None
+        if level:
+            largest = size
+            example = _verified_example(level, size, n)
         counts.append(
             SizeCount(
                 size=size,
-                graphs=total,
-                neither=neither,
-                example=_example_edges(size, best_bits),
+                graphs=1 << ((size - 1) * (size - 2) // 2),
+                neither=len(level),
+                example=example,
             )
         )
-        if neither:
-            largest = size
     return MnReport(
         n=n, size_bound=size_bound, sizes=tuple(counts), largest_neither=largest
     )
 
 
-def _count_neither_range(size: int, n: int, prefix_bits: int, prefix_width):
-    """Count neither instances; optionally fix the top chord bits to a prefix.
+def _k22_free_extensions(rows):
+    """Rows of every K22-free host adding vertex s = len(rows) to ``rows``.
 
-    Returns (total, neither, best_bits) where best_bits is the smallest chord
-    bitmask among neither instances, making the reported example canonical no
-    matter how the enumeration is partitioned.
+    The new vertex is joined to s-1 and to a subset of 0..s-2.  A C4 through
+    it pairs it with a vertex holding two of its neighbours, so on a K22-free
+    host the extension stays K22-free exactly when no two of its neighbours
+    share a neighbour.  Neighbours are added in increasing order, each one
+    banning every vertex it shares a neighbour with.
     """
-    total = 0
-    neither = 0
-    best_bits = None
-    if prefix_width is None:
-        iterator = iter_traceable_masks(size)
-    else:
-        iterator = _iter_prefixed_masks(size, prefix_bits, prefix_width)
-    for masks, bits in iterator:
-        total += 1
-        if find_chordless_positions(masks, size, n) is not None:
-            continue
-        if has_k22_masks(masks, size) is not None:
-            continue
-        neither += 1
-        if best_bits is None or bits < best_bits:
-            best_bits = bits
-    return total, neither, best_bits
+    s = len(rows)
+    reach = []  # reach[v]: every vertex sharing a neighbour with v
+    for row in rows:
+        shared = 0
+        while row:
+            bit = row & -row
+            row ^= bit
+            shared |= rows[bit.bit_length() - 1]
+        reach.append(shared)
+    new_bit = 1 << s
+    stack = [(0, 1 << (s - 1), reach[s - 1])]
+    while stack:
+        start, nbrs, banned = stack.pop()
+        yield tuple(
+            row | new_bit if nbrs >> v & 1 else row for v, row in enumerate(rows)
+        ) + (nbrs,)
+        for v in range(start, s - 1):
+            if not banned >> v & 1:
+                stack.append((v + 1, nbrs | 1 << v, banned | reach[v]))
 
 
-def _example_edges(size: int, bits):
-    if bits is None:
-        return None
+def _verified_example(level, size: int, n: int):
+    """Edges of the instance with the least chord bitmask, re-checked."""
     slots = chord_slots(size)
-    edges = [(i, i + 1) for i in range(size - 1)]
-    edges += [slots[b] for b in range(len(slots)) if (bits >> b) & 1]
-    return tuple(sorted(edges))
-
-
-def _iter_prefixed_masks(size: int, prefix_bits: int, prefix_width: int):
-    """Gray-code enumeration over the low chord bits with fixed high bits."""
-    slots = chord_slots(size)
-    low = len(slots) - prefix_width
-    masks = [0] * size
-    for i in range(size - 1):
-        masks[i] |= 1 << (i + 1)
-        masks[i + 1] |= 1 << i
-    base = prefix_bits << low
-    for b in range(prefix_width):
-        if (prefix_bits >> b) & 1:
-            u, v = slots[low + b]
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-    yield masks, base
-    prev_gray = 0
-    for counter in range(1, 1 << low):
-        gray = counter ^ (counter >> 1)
-        changed = gray ^ prev_gray
-        prev_gray = gray
-        u, v = slots[changed.bit_length() - 1]
-        masks[u] ^= 1 << v
-        masks[v] ^= 1 << u
-        yield masks, base | gray
-
-
-def _count_neither_parallel(size: int, n: int, jobs: int):
-    import multiprocessing
-
-    prefix_width = min(2 * max(1, jobs.bit_length()), len(chord_slots(size)))
-    tasks = [
-        (size, n, prefix, prefix_width) for prefix in range(1 << prefix_width)
-    ]
-    with multiprocessing.Pool(jobs) as pool:
-        parts = pool.starmap(_count_neither_range, tasks)
-    total = sum(p[0] for p in parts)
-    neither = sum(p[1] for p in parts)
-    candidates = [p[2] for p in parts if p[2] is not None]
-    return total, neither, min(candidates) if candidates else None
+    best = min(
+        level,
+        key=lambda rows: sum(1 << b for b, (i, j) in enumerate(slots) if rows[i] >> j & 1),
+    )
+    if (
+        find_chordless_positions(best, size, n) is not None
+        or has_k22_masks(best, size) is not None
+    ):
+        raise StructuralError(
+            "m(%d) example on %d vertices is not a neither instance" % (n, size)
+        )
+    return tuple(
+        (i, j) for i in range(size) for j in range(i + 1, size) if best[i] >> j & 1
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,42 @@ def random_graph(rng, size, p=0.4):
     return Graph(range(size), edges)
 
 
+def iter_traceable_masks(size):
+    """All traceable graphs on ``size`` vertices as adjacency bitmask lists.
+
+    Fixed Hamiltonian path plus every chord subset, enumerated in Gray-code
+    order so one chord is toggled per step.  Yields (masks, chord_bits), bit b
+    standing for the b-th pair (i, j), j > i + 1, in lexicographic order; the
+    masks list is reused between iterations and must not be stored.
+    """
+    masks = [0] * size
+    for i in range(size - 1):
+        masks[i] |= 1 << (i + 1)
+        masks[i + 1] |= 1 << i
+    slots = [(i, j) for i in range(size) for j in range(i + 2, size)]
+    yield masks, 0
+    prev_gray = 0
+    for counter in range(1, 1 << len(slots)):
+        gray = counter ^ (counter >> 1)
+        changed = gray ^ prev_gray
+        prev_gray = gray
+        u, v = slots[changed.bit_length() - 1]
+        masks[u] ^= 1 << v
+        masks[v] ^= 1 << u
+        yield masks, gray
+
+
+def masks_to_graph(masks, size):
+    edges = []
+    for u in range(size):
+        above = masks[u] >> (u + 1)
+        while above:
+            bit = above & -above
+            above ^= bit
+            edges.append((u, u + 1 + bit.bit_length() - 1))
+    return Graph(range(size), edges)
+
+
 def random_traceable_graph(rng, size, p=0.3):
     edges = set((i, i + 1) for i in range(size - 1))
     edges.update(

@@ -45,8 +45,6 @@ from chordlab.ramsey import (
     RESIDUAL,
     dichotomy,
     estimate_min_m,
-    iter_traceable_masks,
-    masks_to_graph,
     proof_pipeline,
     tower,
 )
@@ -55,6 +53,8 @@ from oracles import (
     brute_chordless_path,
     brute_embedding_exists,
     generating_set,
+    iter_traceable_masks,
+    masks_to_graph,
     random_length3_lattice,
     random_no_c5_host,
 )

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from chordlab import formats
+from chordlab import formats, ramsey
 from chordlab.cli import main
 from chordlab.lattices import fence_lattice
 
@@ -108,6 +108,61 @@ def test_mn_search_command(tmp_path, capsys):
     payload = json.loads(report_path.read_text())
     assert payload["empirical_lower_bound"] == 6
     assert payload["sizes"][4]["neither"] == 1
+
+
+def test_mn_search_reports_exact_threshold(tmp_path, capsys):
+    report_path = tmp_path / "mn.json"
+    code, out = run_cli(
+        capsys, "mn-search", "--n", "4", "--max-size", "7",
+        "--report", str(report_path),
+    )
+    assert code == 0
+    report = last_json(out)
+    assert report["schema"] == 1
+    assert "jobs" not in report["parameters"]
+    assert report["results"]["exact_threshold"] == 6
+    assert report["results"]["empirical_lower_bound"] == 6
+    assert json.loads(report_path.read_text()) == report["results"]
+    with pytest.raises(SystemExit) as exc:
+        main(["mn-search", "--n", "4", "--max-size", "7",
+              "--report", str(report_path), "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+def assert_input_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
+@pytest.mark.parametrize("n, max_size", [("0", "5"), ("-1", "5"), ("4", "0")])
+def test_mn_search_rejects_bad_bounds(tmp_path, capsys, n, max_size):
+    report_path = tmp_path / "mn.json"
+    assert_input_error(capsys, [
+        "mn-search", "--n", n, "--max-size", max_size, "--report", str(report_path),
+    ])
+    assert not report_path.exists()
+
+
+def test_mn_search_budget_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ramsey, "EXTENSION_BUDGET", 1000)
+    assert_input_error(capsys, [
+        "mn-search", "--n", "7", "--max-size", "16", "--report", str(tmp_path / "mn.json"),
+    ])
+
+
+@pytest.mark.parametrize("text", [
+    '{"vertices": ["a"], "edges": []}',
+    '{"vertices": [0, 1], "edges": [["0", 1]]}',
+    '{"vertices": [0, 1], "edges": [5]}',
+    '{"vertices": 3, "edges": []}',
+])
+def test_dichotomy_rejects_non_integer_graph_json(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert_input_error(capsys, ["dichotomy", "--graph", str(path), "--n", "4"])
 
 
 def test_pipeline_command(tmp_path, capsys):

@@ -40,6 +40,29 @@ def test_graph_json_validation():
         graph_from_json('{"vertices": [0, 1], "edges": [[0, 2]]}')
 
 
+@pytest.mark.parametrize("text", [
+    '{"vertices": ["a"], "edges": []}',
+    '{"vertices": [0, true], "edges": []}',
+    '{"vertices": [0, 1], "edges": [[0, null]]}',
+    '{"vertices": [0, 1], "edges": [[0.0, 1]]}',
+    '{"vertices": [0, 1], "edges": [7]}',
+])
+def test_graph_json_rejects_non_integer_entries(text):
+    with pytest.raises(InvalidInputError):
+        graph_from_json(text)
+
+
+@pytest.mark.parametrize("obj", [
+    {"n": "3", "leq": []},
+    {"n": 3, "leq": [[0, "x"]]},
+    {"n": 3, "leq": [0]},
+    {"n": 3, "leq": [], "generators": [1.5]},
+])
+def test_lattice_json_rejects_non_integer_entries(obj):
+    with pytest.raises(InvalidInputError):
+        lattice_from_json_obj(obj)
+
+
 def test_dot_output_is_deterministic_and_ordered():
     g = Graph([3, 1, 0, 2], [(1, 3), (0, 1), (2, 3)])
     dot = graph_to_dot(g)

@@ -5,13 +5,20 @@ import random
 
 import pytest
 
-from chordlab.errors import ExtractionError, InvalidInputError, ResourceLimitError
+from chordlab import ramsey
+from chordlab.errors import (
+    ExtractionError,
+    InvalidInputError,
+    ResourceLimitError,
+    StructuralError,
+)
 from chordlab.graphs import (
     K22,
     Graph,
     check_traceable,
     embedding_is_valid,
     find_chordless_path,
+    find_chordless_positions,
     is_chordless,
     path_graph,
 )
@@ -27,6 +34,7 @@ from chordlab.ramsey import (
     extract_chordless,
     extract_k22,
     find_homogeneous,
+    has_k22_masks,
     homogeneous_size_for,
     proof_pipeline,
     tower,
@@ -37,6 +45,8 @@ from oracles import (
     brute_chordless_path,
     brute_embedding_exists,
     brute_homogeneous,
+    iter_traceable_masks,
+    masks_to_graph,
     random_no_c5_host,
     random_traceable_graph,
 )
@@ -302,8 +312,6 @@ def test_estimate_min_m_n2_no_neither_beyond_trivial():
 
 
 def test_estimate_min_m_counts_match_dichotomy():
-    from chordlab.ramsey import iter_traceable_masks, masks_to_graph
-
     for size in range(1, 6):
         slow = 0
         for masks, _ in iter_traceable_masks(size):
@@ -314,9 +322,71 @@ def test_estimate_min_m_counts_match_dichotomy():
         assert rep.sizes[size - 1].neither == slow
 
 
-def test_estimate_min_m_resource_limit():
+def test_estimate_min_m_matches_gray_code_enumeration():
+    # Every labelled host up to 7 vertices, checked for each n in 2..6.
+    max_size = 7
+    brute = {}  # (n, size) -> (neither count, least chord bitmask)
+    for size in range(1, max_size + 1):
+        for masks, bits in iter_traceable_masks(size):
+            if has_k22_masks(masks, size) is not None:
+                continue
+            for n in range(2, 7):
+                if find_chordless_positions(masks, size, n) is None:
+                    count, least = brute.get((n, size), (0, bits))
+                    brute[n, size] = (count + 1, min(least, bits))
+    for n in range(2, 7):
+        rep = estimate_min_m(n, max_size)
+        for c in rep.sizes:
+            count, least = brute.get((n, c.size), (0, None))
+            assert c.graphs == 1 << ((c.size - 1) * (c.size - 2) // 2)
+            assert c.neither == count
+            if least is None:
+                assert c.example is None
+            else:
+                slots = [(i, j) for i in range(c.size) for j in range(i + 2, c.size)]
+                path = [(i, i + 1) for i in range(c.size - 1)]
+                chords = [slots[b] for b in range(len(slots)) if (least >> b) & 1]
+                assert c.example == tuple(sorted(path + chords))
+
+
+def test_estimate_min_m_exact_thresholds():
+    thresholds = {
+        n: estimate_min_m(n, size).exact_threshold
+        for n, size in ((4, 8), (5, 10), (6, 12), (7, 16))
+    }
+    assert thresholds == {4: 6, 5: 8, 6: 11, 7: 15}
+    assert estimate_min_m(2, 3).exact_threshold == 2
+    open_ended = estimate_min_m(5, 7)  # size 7 still holds a neither instance
+    assert open_ended.exact_threshold is None
+    assert open_ended.empirical_lower_bound == 8
+
+
+def test_estimate_min_m_n4_size12_is_cheap_and_exact():
+    rep = estimate_min_m(4, 12)
+    assert rep.exact_threshold == 6
+    assert rep.empirical_lower_bound == 6
+    assert [c.neither for c in rep.sizes[5:]] == [0] * 7
+
+
+def test_estimate_min_m_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(ramsey, "EXTENSION_BUDGET", 1000)
     with pytest.raises(ResourceLimitError):
-        estimate_min_m(4, 12)
+        estimate_min_m(7, 16)
+
+
+def test_estimate_min_m_input_limits():
+    with pytest.raises(InvalidInputError):
+        estimate_min_m(0, 5)
+    with pytest.raises(InvalidInputError):
+        estimate_min_m(4, 0)
+    with pytest.raises(ResourceLimitError):
+        estimate_min_m(4, ramsey.MAX_SIZE_BOUND + 1)
+
+
+def test_estimate_min_m_reverifies_its_examples(monkeypatch):
+    monkeypatch.setattr(ramsey, "has_k22_masks", lambda masks, size: (0, 1, 2, 3))
+    with pytest.raises(StructuralError):
+        estimate_min_m(4, 4)
 
 
 def test_tower_values():
