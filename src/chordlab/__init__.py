@@ -15,7 +15,6 @@ from .construction import (
     StageState,
     build_decode_context,
     check_history_lemmas,
-    check_no_chordless4,
     check_stage_lemmas,
     coding_change_law,
     decode_range,

@@ -56,6 +56,14 @@ def parse_f(spec: str):
     return values, {"values": list(values)}
 
 
+def parse_query(spec: str):
+    """Comma-separated integers, as ``decode --query`` takes them."""
+    try:
+        return [int(tok) for tok in spec.split(",") if tok != ""]
+    except ValueError:
+        raise ChordlabError("bad query %r; expected comma-separated integers" % spec)
+
+
 def parse_pattern(spec: str) -> Pattern:
     try:
         kind, k = spec.split(":", 1)
@@ -138,9 +146,9 @@ def cmd_verify(args) -> int:
 def cmd_decode(args) -> int:
     f, f_echo = parse_f(args.f)
     pattern = parse_pattern(args.pattern)
+    queries = parse_query(args.query)
     history = construction.run(f, args.stages)
     ctx = construction.build_decode_context(history, pattern)
-    queries = [int(tok) for tok in args.query.split(",") if tok != ""]
     consumed = history.consumed
     rows = []
     first_bad = None

@@ -33,6 +33,7 @@ from .graphs import (
     Graph,
     Pattern,
     embedding_is_valid,
+    iter_bits,
 )
 
 
@@ -44,13 +45,6 @@ def _bits_below(m: int) -> int:
 def _bits_through(v: int) -> int:
     """Mask with bits 0..v set."""
     return (1 << (v + 1)) - 1
-
-
-def _iter_bits(mask: int):
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -81,20 +75,8 @@ class StageState:
             lo = c + 1
         return out
 
-    def has_edge(self, x: int, y: int) -> bool:
-        return x != y and 0 <= x <= self.k and 0 <= y <= self.k and (
-            self.rows[x] >> y
-        ) & 1 == 1
-
-    def edges(self):
-        out = []
-        for x in range(self.k + 1):
-            for y in _iter_bits(self.rows[x] >> (x + 1)):
-                out.append((x, y + x + 1))
-        return out
-
     def graph(self) -> Graph:
-        return Graph(range(self.k + 1), self.edges())
+        return Graph.from_rows(self.rows)
 
 
 def init() -> StageState:
@@ -167,6 +149,8 @@ class StagedHistory:
 
     def __init__(self, f, stages: int):
         f = tuple(int(v) for v in f)
+        if stages < 0:
+            raise InvalidInputError("stages must be a natural number, got %d" % stages)
         if len(f) < stages:
             raise InvalidInputError(
                 "need at least %d entries of f, got %d" % (stages, len(f))
@@ -230,7 +214,7 @@ class StagedHistory:
         k, coding = self._snapshots[s]
         new_edges = []
         for v in range(prev_k + 1, k + 1):
-            for x in _iter_bits(self._rows[v] & _bits_below(v)):
+            for x in iter_bits(self._rows[v] & _bits_below(v)):
                 new_edges.append([x, v])
         new_edges.sort()
         return {"stage": s, "k": k, "coding": list(coding), "new_edges": new_edges}
@@ -468,7 +452,7 @@ def find_chordless_4path(rows, k: int):
     """
     for x1 in range(k + 1):
         a1 = rows[x1]
-        for x2 in _iter_bits(a1):
+        for x2 in iter_bits(a1):
             a2 = rows[x2]
             c0 = a1 & ~a2 & ~(1 << x2)
             if not c0:
@@ -476,7 +460,7 @@ def find_chordless_4path(rows, k: int):
             c3 = a2 & ~a1 & ~(1 << x1)
             if not c3:
                 continue
-            for x0 in _iter_bits(c0):
+            for x0 in iter_bits(c0):
                 rest = c3 & ~rows[x0] & ~(1 << x0)
                 if rest:
                     x3 = (rest & -rest).bit_length() - 1
@@ -484,19 +468,13 @@ def find_chordless_4path(rows, k: int):
     return None
 
 
-def check_no_chordless4(state: StageState):
-    """None when the stage has no chordless 4-path, else the violating path."""
-    return find_chordless_4path(state.rows, state.k)
-
-
 def history_has_no_chordless4(history: StagedHistory) -> bool:
-    """Exhaustive per-stage check across a whole history."""
-    rows = history._rows
-    for s, (k, _) in enumerate(history._snapshots):
-        mask = _bits_through(k)
-        if find_chordless_4path([r & mask for r in rows[: k + 1]], k) is not None:
-            return False
-    return True
+    """True iff no stage has a chordless 4-path.
+
+    Every stage graph is an induced subgraph of the final one, so one scan of
+    the final host decides every stage.
+    """
+    return find_chordless_4path(history._rows, history.final_k) is None
 
 
 # ---------------------------------------------------------------------------
@@ -576,12 +554,17 @@ class DecodeContext:
 
     ``gprime[n]`` is the largest host vertex used by the first n+1 a-side
     pattern vertices; querying whether some value k was ever consumed only
-    requires scanning stages up to ``gprime[k]``.
+    requires scanning stages up to ``gprime[k]``.  The embedding is validated
+    against ``host`` once, here: an invalid one raises InvalidContextError.
     """
 
     embedding: Embedding
     gprime: tuple
     host: Graph
+
+    def __post_init__(self):
+        if not embedding_is_valid(self.host, self.embedding):
+            raise InvalidContextError("decode context embedding fails validation")
 
 
 def build_decode_context(history: StagedHistory, pattern: Pattern) -> DecodeContext:
@@ -596,8 +579,6 @@ def build_decode_context(history: StagedHistory, pattern: Pattern) -> DecodeCont
 
 def decode_range(ctx: DecodeContext, f, k: int) -> bool:
     """True iff some stage x <= gprime[k] consumed the value k."""
-    if not embedding_is_valid(ctx.host, ctx.embedding):
-        raise InvalidContextError("decode context embedding fails validation")
     if k < 0 or k >= len(ctx.gprime):
         raise InvalidInputError(
             "query %d outside the context's table (holds 0..%d)"

@@ -17,10 +17,21 @@ from .errors import InvalidInputError
 PathSeq = tuple
 
 
-class Graph:
-    """Immutable undirected simple graph over integer vertices."""
+def iter_bits(mask: int):
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit.bit_length() - 1
 
-    __slots__ = ("vertices", "_pos", "_adj", "_masks")
+
+class Graph:
+    """Immutable undirected simple graph over integer vertices.
+
+    ``rows[i]`` is the neighbour bitmask of the vertex at position i.
+    """
+
+    __slots__ = ("vertices", "_pos", "rows")
 
     def __init__(self, vertices, edges):
         verts = tuple(int(v) for v in vertices)
@@ -29,24 +40,31 @@ class Graph:
         if any(v < 0 for v in verts):
             raise InvalidInputError("vertices must be natural numbers")
         pos = {v: i for i, v in enumerate(verts)}
-        adj = {v: set() for v in verts}
+        rows = [0] * len(verts)
         for u, v in edges:
             if u == v:
                 raise InvalidInputError("self-loop at %r" % (u,))
             if u not in pos or v not in pos:
                 raise InvalidInputError("edge endpoint outside vertex set: %r" % ((u, v),))
-            adj[u].add(v)
-            adj[v].add(u)
-        masks = [0] * len(verts)
-        for v, nbrs in adj.items():
-            m = 0
-            for w in nbrs:
-                m |= 1 << pos[w]
-            masks[pos[v]] = m
+            i, j = pos[u], pos[v]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
         self.vertices = verts
         self._pos = pos
-        self._adj = {v: frozenset(nbrs) for v, nbrs in adj.items()}
-        self._masks = tuple(masks)
+        self.rows = tuple(rows)
+
+    @classmethod
+    def from_rows(cls, rows) -> "Graph":
+        """Graph on vertices ``0..len(rows)-1``, wrapping ``rows`` with no edge list.
+
+        Unchecked precondition: the rows are symmetric and loop-free, and set
+        no bit at or above ``len(rows)``.
+        """
+        g = cls.__new__(cls)
+        g.vertices = tuple(range(len(rows)))
+        g._pos = {v: v for v in g.vertices}
+        g.rows = tuple(rows)
+        return g
 
     def __len__(self):
         return len(self.vertices)
@@ -55,35 +73,34 @@ class Graph:
         return v in self._pos
 
     def has_edge(self, u, v) -> bool:
-        return v in self._adj.get(u, frozenset())
+        i = self._pos.get(u)
+        j = self._pos.get(v)
+        return i is not None and j is not None and (self.rows[i] >> j) & 1 == 1
 
     def neighbors(self, v) -> frozenset:
         if v not in self._pos:
             raise InvalidInputError("vertex %r not in graph" % (v,))
-        return self._adj[v]
+        return frozenset(self.vertices[j] for j in iter_bits(self.rows[self._pos[v]]))
 
     def degree(self, v) -> int:
         return len(self.neighbors(v))
 
     def edges(self):
         """Edge list as sorted (u, v) pairs with u < v."""
+        verts = self.vertices
         out = []
-        for v in self.vertices:
-            for w in self._adj[v]:
-                if v < w:
-                    out.append((v, w))
+        for i, row in enumerate(self.rows):
+            for j in iter_bits(row >> (i + 1)):
+                u, v = verts[i], verts[i + 1 + j]
+                out.append((u, v) if u < v else (v, u))
         out.sort()
         return out
 
     def edge_count(self) -> int:
-        return sum(len(s) for s in self._adj.values()) // 2
+        return sum(row.bit_count() for row in self.rows) // 2
 
     def position(self, v) -> int:
         return self._pos[v]
-
-    def adjacency_mask(self, i: int) -> int:
-        """Neighbour bitmask of the vertex at position ``i`` (bits are positions)."""
-        return self._masks[i]
 
     def __repr__(self):
         return "Graph(%d vertices, %d edges)" % (len(self.vertices), self.edge_count())
@@ -170,7 +187,7 @@ def find_chordless_path(g: Graph, n: int):
     size = len(g)
     if n > size:
         return None
-    found = find_chordless_positions(g._masks, size, n)
+    found = find_chordless_positions(g.rows, size, n)
     if found is None:
         return None
     return tuple(g.vertices[i] for i in found)
@@ -263,7 +280,7 @@ def find_embedding(g: Graph, pattern: Pattern):
     size = len(g)
     if 2 * k > size:
         return None
-    masks = g._masks
+    masks = g.rows
     verts = g.vertices
     names = pattern.vertex_names
     # Pattern adjacency in search order: edges from each vertex to earlier ones.

@@ -16,6 +16,7 @@ vertex order, which is required to be a tracing function here.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -85,7 +86,7 @@ def build_increasing_paths(g: Graph, n: int | None = None) -> IncreasingPathTabl
     if not check_traceable(g):
         raise InvalidInputError("host is not traceable in its stored order")
     size = len(g)
-    masks = [g.adjacency_mask(i) for i in range(size)]
+    masks = g.rows
     verts = g.vertices
 
     # dist_to[y][v]: fewest increasing edges from v up to y.
@@ -190,8 +191,19 @@ def color_4subset(table: IncreasingPathTable, quad, n: int):
     return RESIDUAL
 
 
+# 4-subsets one coloring may hold, at about 167 bytes each (some 330 MB);
+# hosts of up to 84 vertices fit.
+MAX_COLORED_QUADS = 2_000_000
+
+
 def build_coloring(table: IncreasingPathTable, n: int) -> FourColoring:
     verts = table.graph.vertices
+    quads = math.comb(len(verts), 4)
+    if quads > MAX_COLORED_QUADS:
+        raise ResourceLimitError(
+            "coloring %d vertices needs %d 4-subsets, over the budget of %d"
+            % (len(verts), quads, MAX_COLORED_QUADS)
+        )
     assignment = {}
     for quad in itertools.combinations(verts, 4):
         assignment[quad] = color_4subset(table, quad, n)

@@ -8,6 +8,7 @@ something honest to be compared against.
 import itertools
 import random
 
+from chordlab.construction import find_chordless_4path
 from chordlab.graphs import Graph
 from chordlab.lattices import FiniteLattice, closure_and_rank
 from chordlab.errors import CoverageError
@@ -53,36 +54,57 @@ def naive_stage_lemmas(state):
     blocks = [list(b) for b in state.blocks()]
     coding = state.coding
     k = state.k
+    g = state.graph()
     failures = []
     for j, block in enumerate(blocks):
         c = coding[j]
         for x in block:
             if x > c:
                 failures.append(("greatest", (j, x, c)))
-            if x != c and not state.has_edge(x, c):
+            if x != c and not g.has_edge(x, c):
                 failures.append(("greatest", (j, x, c)))
     for i, j in itertools.combinations(range(len(coding)), 2):
-        if not state.has_edge(coding[i], coding[j]):
+        if not g.has_edge(coding[i], coding[j]):
             failures.append(("codeconnection", (coding[i], coding[j])))
     for d in range(k):
-        if not state.has_edge(d, d + 1):
+        if not g.has_edge(d, d + 1):
             failures.append(("tracing", (d, d + 1)))
     block_of = {}
     for j, block in enumerate(blocks):
         for x in block:
             block_of[x] = j
     coding_set = set(coding)
-    for x, y in state.edges():
+    for x, y in g.edges():
         if block_of[x] != block_of[y] and x not in coding_set:
             failures.append(("components", (x, y)))
-    for x, y in state.edges():
+    for x, y in g.edges():
         j = block_of[y]
         if block_of[x] == j:
             continue
         for z in blocks[j]:
-            if z != x and not state.has_edge(x, z):
+            if z != x and not g.has_edge(x, z):
                 failures.append(("goup", (x, y, z)))
     return failures
+
+
+def per_stage_no_chordless4(history):
+    """"No chordless 4-path at any stage", scanning every stage on its own."""
+    rows = history._rows
+    for k, _ in history._snapshots:
+        mask = (1 << (k + 1)) - 1
+        if find_chordless_4path([r & mask for r in rows[: k + 1]], k) is not None:
+            return False
+    return True
+
+
+def edges_from_rows(rows):
+    """(x, y) pairs with x < y, read off the rows one bit at a time."""
+    return [
+        (x, y)
+        for x, row in enumerate(rows)
+        for y in range(x + 1, len(rows))
+        if (row >> y) & 1
+    ]
 
 
 def naive_lattice_axioms(n, leq_pairs):

@@ -214,6 +214,24 @@ def test_lattice_verify_fails_on_non_lattice(tmp_path, capsys):
     assert not checks["lattice-axioms"]["pass"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "--out", "never.json"],
+    ["verify"],
+    ["decode", "--pattern", "A:1", "--query", "0"],
+])
+def test_negative_stages_exit_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert_input_error(capsys, argv + ["--f", "0,1,2", "--stages", "-1"])
+    assert not (tmp_path / "never.json").exists()
+
+
+def test_decode_rejects_non_integer_query(capsys):
+    assert_input_error(capsys, [
+        "decode", "--f", "seed:2,len:30", "--stages", "30",
+        "--pattern", "A:4", "--query", "0,a",
+    ])
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     assert main(["dichotomy", "--graph", str(tmp_path / "nope.json"), "--n", "4"]) == 2
     capsys.readouterr()

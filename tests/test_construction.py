@@ -3,10 +3,10 @@
 import pytest
 
 from chordlab.construction import (
+    DecodeContext,
     StageState,
     build_decode_context,
     check_history_lemmas,
-    check_no_chordless4,
     check_stage_lemmas,
     coding_change_law,
     decode_range,
@@ -20,10 +20,22 @@ from chordlab.construction import (
     stable_coding_prefix,
     step,
 )
-from chordlab.errors import CapacityError, InvalidInputError
-from chordlab.graphs import check_traceable, pattern_A, pattern_Kkk, embedding_is_valid
+from chordlab.errors import CapacityError, InvalidContextError, InvalidInputError
+from chordlab.graphs import (
+    Embedding,
+    Graph,
+    check_traceable,
+    embedding_is_valid,
+    pattern_A,
+    pattern_Kkk,
+)
 
-from oracles import naive_stage_lemmas, seeded_permutation
+from oracles import (
+    edges_from_rows,
+    naive_stage_lemmas,
+    per_stage_no_chordless4,
+    seeded_permutation,
+)
 
 
 def test_init():
@@ -36,13 +48,13 @@ def test_init():
 def test_step_large_case():
     s1 = step(init(), 5)
     assert (s1.stage, s1.k, s1.coding) == (1, 1, (0, 1))
-    assert s1.edges() == [(0, 1)]
+    assert s1.graph().edges() == [(0, 1)]
 
 
 def test_step_small_case_dumps():
     s2 = step(step(init(), 5), 0)
     assert (s2.stage, s2.k, s2.coding) == (2, 4, (2, 3, 4))
-    assert sorted(s2.edges()) == [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
+    assert sorted(s2.graph().edges()) == [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
     assert [list(b) for b in s2.blocks()] == [[0, 1, 2], [3], [4]]
 
 
@@ -73,6 +85,8 @@ def test_run_rejects_bad_f():
         run([1, 1], 2)
     with pytest.raises(InvalidInputError):
         run([1], 2)
+    with pytest.raises(InvalidInputError):
+        run([0, 1, 2], -1)
 
 
 def test_every_stage_is_traceable():
@@ -118,7 +132,7 @@ def test_stage2_components_cross_block_edges_only_from_coding():
     blocks = [list(b) for b in s2.blocks()]
     coding = set(s2.coding)
     block_of = {x: j for j, b in enumerate(blocks) for x in b}
-    cross = [(x, y) for x, y in s2.edges() if block_of[x] != block_of[y]]
+    cross = [(x, y) for x, y in s2.graph().edges() if block_of[x] != block_of[y]]
     assert cross and all(x in coding for x, y in cross)
 
 
@@ -126,7 +140,31 @@ def test_no_chordless4_on_construction_states():
     for seed in range(6):
         h = run(seeded_injective(seed, 20), 20)
         assert history_has_no_chordless4(h)
-        assert check_no_chordless4(h.state(20)) is None
+        final = h.state(20)
+        assert find_chordless_4path(final.rows, final.k) is None
+
+
+def test_final_scan_agrees_with_per_stage_oracle():
+    for seed in range(8):
+        for T in (0, 1, 5, 17, 30):
+            h = run(seeded_injective(seed, T), T)
+            assert history_has_no_chordless4(h) == per_stage_no_chordless4(h)
+            assert history_has_no_chordless4(h)
+
+
+def test_final_scan_sees_a_tampered_chordless_4path():
+    h = run(seeded_injective(3, 12), 12)
+    rows = h._rows
+    # make the last four vertices an induced path, present only at the last stage
+    top = range(h.final_k - 3, h.final_k + 1)
+    for x in top:
+        for y in top:
+            rows[x] &= ~(1 << y)
+    for x, y in zip(top, top[1:]):
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+    assert not per_stage_no_chordless4(h)
+    assert not history_has_no_chordless4(h)
 
 
 def test_chordless4_found_on_plain_path():
@@ -136,7 +174,7 @@ def test_chordless4_found_on_plain_path():
         coding=(3,),
         rows=(0b0010, 0b0101, 0b1010, 0b0100),
     )
-    assert check_no_chordless4(s) == (0, 1, 2, 3)
+    assert find_chordless_4path(s.rows, s.k) == (0, 1, 2, 3)
 
 
 def test_find_chordless_4path_direct():
@@ -145,12 +183,23 @@ def test_find_chordless_4path_direct():
     assert find_chordless_4path(rows, 3) is None
 
 
+def test_stage_graph_edges_match_rows():
+    for seed in range(4):
+        h = run(seeded_injective(seed, 15), 15)
+        for s in range(16):
+            rows = h.state(s).rows
+            g = Graph.from_rows(rows)
+            assert g.edges() == edges_from_rows(rows)
+            assert g.edge_count() == len(g.edges())
+            assert g.rows == rows
+
+
 def test_monotone_growth_and_restriction():
     h = run(seeded_injective(4, 12), 12)
     for s in range(12):
         assert h.k_at(s + 1) > h.k_at(s)
-        prev = set(h.state(s).edges())
-        cur = set(h.state(s + 1).edges())
+        prev = set(h.state(s).graph().edges())
+        cur = set(h.state(s + 1).graph().edges())
         assert prev <= cur
         # restriction: no new edges among old vertices
         k = h.k_at(s)
@@ -192,7 +241,7 @@ def test_degree_growth_only_through_coding_vertices():
                 continue
             # non-coding growth: exactly the one edge to the dump's coding vertex
             assert dumped and grew == 1
-            assert h.state(s + 1).has_edge(x, new_coding)
+            assert h.state(s + 1).graph().has_edge(x, new_coding)
     # freeze: a non-coding vertex whose block no remaining value can reach
     # gains nothing more (stable coding vertices keep acquiring edges instead)
     for x in range(h.final_k + 1):
@@ -261,6 +310,17 @@ def test_decode_range_examples():
     assert decode_range(ctx2, h2.f, 1) is True
     with pytest.raises(InvalidInputError):
         decode_range(ctx2, h2.f, 3)  # outside the table
+
+
+def test_decode_context_validates_its_embedding_once():
+    h = run(seeded_permutation(4, 20), 20)
+    ctx = build_decode_context(h, pattern_A(3))
+    # a vertex off the coding list misses an edge the pattern needs
+    loner = next(v for v in range(h.final_k + 1) if v not in h.final_coding)
+    broken = Embedding(ctx.embedding.pattern, dict(ctx.embedding.assignment, a0=loner))
+    assert not embedding_is_valid(ctx.host, broken)
+    with pytest.raises(InvalidContextError):
+        DecodeContext(embedding=broken, gprime=ctx.gprime, host=ctx.host)
 
 
 def test_decode_matches_range_membership():

@@ -1,8 +1,11 @@
 """Graph core: chordlessness, path search, pattern embeddings, traceability."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordlab.errors import InvalidInputError
 from chordlab.graphs import (
@@ -38,6 +41,39 @@ def test_adjacency_is_symmetric_and_irreflexive():
         assert u not in g.neighbors(u)
         for v in g.neighbors(u):
             assert u in g.neighbors(v)
+
+
+@st.composite
+def vertices_and_edges(draw):
+    verts = draw(st.lists(st.integers(0, 40), unique=True, max_size=9))
+    pairs = list(itertools.combinations(verts, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return verts, [draw(st.sampled_from([(u, v), (v, u)])) for u, v in edges]
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertices_and_edges())
+def test_rows_agree_with_brute_force_adjacency(case):
+    verts, edges = case
+    g = Graph(verts, edges)
+    adj = {frozenset(e) for e in edges}
+    for u in verts + [41]:
+        for v in verts + [41]:
+            assert g.has_edge(u, v) == (frozenset((u, v)) in adj)
+    for u in verts:
+        assert g.neighbors(u) == frozenset(v for v in verts if frozenset((u, v)) in adj)
+        assert g.degree(u) == len(g.neighbors(u))
+    assert g.edges() == sorted((min(e), max(e)) for e in edges)
+    assert g.edge_count() == len(edges)
+    assert g.vertices == tuple(verts)
+
+
+def test_unsorted_vertex_order_keeps_edges_sorted_by_name():
+    g = Graph([5, 2, 9], [(5, 9), (2, 5)])
+    assert g.edges() == [(2, 5), (5, 9)]
+    assert g.rows == (0b110, 0b001, 0b001)
+    assert g.neighbors(5) == frozenset({2, 9})
+    assert not g.has_edge(2, 9)
 
 
 def test_is_chordless_examples():

@@ -1,6 +1,7 @@
 """Dichotomy pipeline: path tables, coloring, homogeneous search, extraction."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -135,6 +136,16 @@ def test_coloring_covers_every_4subset_once():
         names = set(col.color_names())
         assert len(names) == side * side + 1
         assert all(col.color(q) in names for q in quads)
+
+
+def test_coloring_budget_is_checked_before_allocation(monkeypatch):
+    t = build_increasing_paths(path_graph(8))
+    monkeypatch.setattr(ramsey, "MAX_COLORED_QUADS", math.comb(8, 4))
+    assert len(build_coloring(t, 5).assignment) == math.comb(8, 4)
+    monkeypatch.setattr(ramsey, "MAX_COLORED_QUADS", math.comb(8, 4) - 1)
+    monkeypatch.setattr(ramsey, "color_4subset", None)  # never reached
+    with pytest.raises(ResourceLimitError):
+        build_coloring(t, 5)
 
 
 def test_find_homogeneous_constant_coloring():
