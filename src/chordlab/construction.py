@@ -33,6 +33,7 @@ from .graphs import (
     Graph,
     Pattern,
     embedding_is_valid,
+    find_chordless_positions,
     iter_bits,
 )
 
@@ -444,37 +445,13 @@ def check_history_lemmas(history: StagedHistory) -> HistoryLemmaReport:
     return HistoryLemmaReport(stage_reports=tuple(reports))
 
 
-def find_chordless_4path(rows, k: int):
-    """Exhaustive chordless-4-path search over adjacency bitmasks.
-
-    Enumerates every ordered middle edge (x1, x2) and matches endpoint
-    candidates with bit operations; complete, not heuristic.
-    """
-    for x1 in range(k + 1):
-        a1 = rows[x1]
-        for x2 in iter_bits(a1):
-            a2 = rows[x2]
-            c0 = a1 & ~a2 & ~(1 << x2)
-            if not c0:
-                continue
-            c3 = a2 & ~a1 & ~(1 << x1)
-            if not c3:
-                continue
-            for x0 in iter_bits(c0):
-                rest = c3 & ~rows[x0] & ~(1 << x0)
-                if rest:
-                    x3 = (rest & -rest).bit_length() - 1
-                    return (x0, x1, x2, x3)
-    return None
-
-
 def history_has_no_chordless4(history: StagedHistory) -> bool:
     """True iff no stage has a chordless 4-path.
 
     Every stage graph is an induced subgraph of the final one, so one scan of
     the final host decides every stage.
     """
-    return find_chordless_4path(history._rows, history.final_k) is None
+    return find_chordless_positions(history._rows, history.final_k + 1, 4) is None
 
 
 # ---------------------------------------------------------------------------

@@ -152,9 +152,26 @@ def find_chordless_positions(masks, size: int, n: int):
     to the current endpoint and non-adjacent to every earlier vertex, which
     prunes chords as the path grows.  The first path found is the
     lexicographically least one.
+
+    On a chordless path ... x, y, z the vertex z is adjacent to y and outside
+    N[x], so a vertex that must still be followed lies in ``onward`` of its
+    predecessor: the neighbours of x with a neighbour outside N[x].  The prune
+    cuts only dead branches, so it never changes the path found.
     """
     if n == 1:
         return (0,) if size else None
+    onward = []
+    for x in range(size):
+        row = masks[x]
+        outside = ~(row | 1 << x)
+        keep = 0
+        rest = row
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if masks[bit.bit_length() - 1] & outside:
+                keep |= bit
+        onward.append(keep)
     path = []
 
     def extend(last: int, used: int, banned: int):
@@ -162,6 +179,8 @@ def find_chordless_positions(masks, size: int, n: int):
         if len(path) == n:
             return True
         cand = masks[last] & ~used & ~banned
+        if len(path) < n - 1:
+            cand &= onward[last]
         while cand:
             bit = cand & -cand
             cand ^= bit
@@ -191,10 +210,6 @@ def find_chordless_path(g: Graph, n: int):
     if found is None:
         return None
     return tuple(g.vertices[i] for i in found)
-
-
-def has_chordless_path(g: Graph, n: int) -> bool:
-    return find_chordless_path(g, n) is not None
 
 
 # Pattern graphs.  Three fixed bipartite families are supported: K22, the

@@ -22,7 +22,7 @@ from .errors import (
     ResourceLimitError,
     StructuralError,
 )
-from .graphs import Graph
+from .graphs import Graph, iter_bits
 from .ramsey import dichotomy
 
 
@@ -39,8 +39,6 @@ def _closure_masks(n: int, leq_pairs):
     below = [0] * n  # below[x] bitmask of {z : z <= x}, including x
     above = [0] * n
     for x, y in leq_pairs:
-        if not (0 <= x < n and 0 <= y < n):
-            raise InvalidInputError("relation pair %r outside 0..%d" % ((x, y), n - 1))
         below[y] |= 1 << x
         above[x] |= 1 << y
     return below, above
@@ -51,10 +49,16 @@ def validate_order(n: int, leq_pairs):
     if n < 1:
         return LatticeReport(False, "nonempty", ())
     pairs = set((int(x), int(y)) for x, y in leq_pairs)
+    for x, y in pairs:
+        if not (0 <= x < n and 0 <= y < n):
+            raise InvalidInputError("relation pair %r outside 0..%d" % ((x, y), n - 1))
+    # Decided from the pairs alone, so a huge n fails here before any n-sized
+    # table exists: fewer than n loops means some element misses its own.
+    loops = set(x for x, y in pairs if x == y)
+    if len(loops) < n:
+        x = next(x for x in itertools.count() if x not in loops)
+        return LatticeReport(False, "reflexive", (x,))
     below, above = _closure_masks(n, pairs)
-    for x in range(n):
-        if not (below[x] >> x) & 1:
-            return LatticeReport(False, "reflexive", (x,))
     for x, y in pairs:
         if x != y and (below[x] >> y) & 1:
             return LatticeReport(False, "antisymmetric", (x, y))
@@ -71,7 +75,7 @@ def validate_order(n: int, leq_pairs):
             w = (extra & -extra).bit_length() - 1
             z = next(
                 z
-                for z in _bits(below[x])
+                for z in iter_bits(below[x])
                 if (below[z] >> w) & 1
             )
             return LatticeReport(False, "transitive", (w, z, x))
@@ -83,17 +87,14 @@ def validate_order(n: int, leq_pairs):
     return None
 
 
-def _bits(mask: int):
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit.bit_length() - 1
+def _extreme_of(mask: int, cone) -> int | None:
+    """The element g of ``mask`` with all of ``mask`` inside ``cone[g]``, if any.
 
-
-def _greatest_of(mask: int, below) -> int | None:
-    """The element of ``mask`` above all others in ``mask``, if any."""
-    for g in _bits(mask):
-        if mask & ~below[g] == 0:
+    With ``cone = below`` this is the greatest element of ``mask``; with
+    ``cone = above``, the least.
+    """
+    for g in iter_bits(mask):
+        if mask & ~cone[g] == 0:
             return g
     return None
 
@@ -106,18 +107,11 @@ def validate_lattice(n: int, leq_pairs) -> LatticeReport:
     below, above = _closure_masks(n, set((int(x), int(y)) for x, y in leq_pairs))
     for x in range(n):
         for y in range(x + 1, n):
-            if _greatest_of(below[x] & below[y], below) is None:
+            if _extreme_of(below[x] & below[y], below) is None:
                 return LatticeReport(False, "meet-exists", (x, y))
-            if _least_of(above[x] & above[y], above) is None:
+            if _extreme_of(above[x] & above[y], above) is None:
                 return LatticeReport(False, "join-exists", (x, y))
     return LatticeReport(True)
-
-
-def _least_of(mask: int, above) -> int | None:
-    for g in _bits(mask):
-        if mask & ~above[g] == 0:
-            return g
-    return None
 
 
 class BoundedPoset:
@@ -170,7 +164,7 @@ class BoundedPoset:
         out = []
         for y in range(self.n):
             strict = self.below[y] & ~(1 << y)
-            for x in _bits(strict):
+            for x in iter_bits(strict):
                 between = strict & self.above[x] & ~(1 << x)
                 if between == 0:
                     out.append((x, y))
@@ -178,7 +172,7 @@ class BoundedPoset:
 
     def leq_pairs(self):
         return sorted(
-            (x, y) for y in range(self.n) for x in _bits(self.below[y])
+            (x, y) for y in range(self.n) for x in iter_bits(self.below[y])
         )
 
 
@@ -191,8 +185,8 @@ class FiniteLattice(BoundedPoset):
         join = [[0] * n for _ in range(n)]
         for x in range(n):
             for y in range(x, n):
-                m = _greatest_of(self.below[x] & self.below[y], self.below)
-                j = _least_of(self.above[x] & self.above[y], self.above)
+                m = _extreme_of(self.below[x] & self.below[y], self.below)
+                j = _extreme_of(self.above[x] & self.above[y], self.above)
                 if m is None or j is None:
                     pair = (x, y)
                     raise InvalidInputError(
@@ -284,13 +278,13 @@ def closure_and_rank(lat: FiniteLattice, generators) -> RankTable:
     rank = {g: 0 for g in gens}
     while True:
         new = current
-        members = list(_bits(current))
+        members = list(iter_bits(current))
         for x, y in itertools.combinations_with_replacement(members, 2):
             new |= 1 << lat.meet(x, y)
             new |= 1 << lat.join(x, y)
         if new == current:
             break
-        for x in _bits(new & ~current):
+        for x in iter_bits(new & ~current):
             rank[x] = len(levels)
         levels.append(new)
         current = new
@@ -467,6 +461,14 @@ def validate_fence(lat: FiniteLattice, seq) -> bool:
     return True
 
 
+def _full_tree(lat: FiniteLattice, generators) -> GenTree:
+    """The derivation tree to full depth; only length-3 lattices are accepted."""
+    if not check_length3(lat):
+        raise InvalidInputError("fence extraction needs a length-3 lattice")
+    ranks = closure_and_rank(lat, generators)
+    return build_tree(lat, ranks, ranks.max_rank)
+
+
 def find_fences(lat: FiniteLattice, generators, target_n: int):
     """Extract a fence with ``target_n + 1`` elements through the tree pipeline.
 
@@ -479,8 +481,7 @@ def find_fences(lat: FiniteLattice, generators, target_n: int):
     """
     if target_n < 1 or target_n % 2 == 0:
         raise InvalidInputError("fence length must be odd and >= 1")
-    ranks = closure_and_rank(lat, generators)
-    tree = build_tree(lat, ranks, ranks.max_rank)
+    tree = _full_tree(lat, generators)
     atoms = set(lat.atoms())
     want = target_n + 1
     for branch in tree.branches_by_depth():
@@ -510,9 +511,7 @@ def pipeline_capacity(lat: FiniteLattice, generators) -> int:
     The deepest branch has ``depth + 1`` entries; a fence with ``t + 1``
     elements needs a branch at least that long.
     """
-    ranks = closure_and_rank(lat, generators)
-    tree = build_tree(lat, ranks, ranks.max_rank)
-    deepest = tree.deepest_branches()
+    deepest = _full_tree(lat, generators).deepest_branches()
     if not deepest:
         return 0
     best = len(deepest[0]) - 1

@@ -8,7 +8,6 @@ something honest to be compared against.
 import itertools
 import random
 
-from chordlab.construction import find_chordless_4path
 from chordlab.graphs import Graph
 from chordlab.lattices import FiniteLattice, closure_and_rank
 from chordlab.errors import CoverageError
@@ -87,12 +86,41 @@ def naive_stage_lemmas(state):
     return failures
 
 
+def _bits(mask):
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit.bit_length() - 1
+
+
+def middle_edge_4path(rows, k):
+    """A chordless 4-path on positions 0..k, or None, by a middle-edge scan.
+
+    Enumerates every ordered middle edge (x1, x2) and matches endpoint
+    candidates with bit operations; complete, but its witness is not the
+    lexicographically least one.
+    """
+    for x1 in range(k + 1):
+        a1 = rows[x1]
+        for x2 in _bits(a1):
+            a2 = rows[x2]
+            c0 = a1 & ~a2 & ~(1 << x2)
+            c3 = a2 & ~a1 & ~(1 << x1)
+            if not (c0 and c3):
+                continue
+            for x0 in _bits(c0):
+                rest = c3 & ~rows[x0] & ~(1 << x0)
+                if rest:
+                    return (x0, x1, x2, (rest & -rest).bit_length() - 1)
+    return None
+
+
 def per_stage_no_chordless4(history):
     """"No chordless 4-path at any stage", scanning every stage on its own."""
     rows = history._rows
     for k, _ in history._snapshots:
         mask = (1 << (k + 1)) - 1
-        if find_chordless_4path([r & mask for r in rows[: k + 1]], k) is not None:
+        if middle_edge_4path([r & mask for r in rows[: k + 1]], k) is not None:
             return False
     return True
 

@@ -240,3 +240,31 @@ def test_input_errors_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+# bottom 0, atoms 1 and 2, their join 3, coatoms 4 and 5 above 3, top 6
+TALL = (
+    [(x, x) for x in range(7)] + [(0, x) for x in range(1, 7)] + [(x, 6) for x in range(6)]
+    + [(1, 3), (2, 3), (3, 4), (3, 5), (1, 4), (1, 5), (2, 4), (2, 5)]
+)
+
+
+def test_lattice_fences_rejects_a_lattice_longer_than_3(tmp_path, capsys):
+    lat_path = tmp_path / "tall.json"
+    formats.save_lattice(lat_path, 7, TALL, [1, 2, 4, 5])
+    code, out = run_cli(capsys, "lattice", "verify", "--lattice", str(lat_path))
+    assert code == 1
+    checks = {c["name"]: c["pass"] for c in last_json(out)["checks"]}
+    assert checks["lattice-axioms"] and not checks["length-3"]
+    assert_input_error(capsys, ["lattice", "fences", "--lattice", str(lat_path), "--target", "3"])
+
+
+def test_lattice_with_huge_n_fails_before_allocating(tmp_path, capsys):
+    # n-sized tables would overflow; reflexivity is decided from the pairs alone
+    lat_path = tmp_path / "huge.json"
+    formats.save_lattice(lat_path, 10**20, [(0, 0)], [0])
+    code, out = run_cli(capsys, "lattice", "verify", "--lattice", str(lat_path))
+    assert code == 1
+    axioms = last_json(out)["checks"][0]
+    assert axioms["witness"] == {"axiom": "reflexive", "witness": [1]}
+    assert_input_error(capsys, ["lattice", "fences", "--lattice", str(lat_path), "--target", "1"])

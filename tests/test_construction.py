@@ -1,5 +1,7 @@
 """Dump construction: stage rules, invariants, stability, decoding."""
 
+import random
+
 import pytest
 
 from chordlab.construction import (
@@ -11,7 +13,6 @@ from chordlab.construction import (
     coding_change_law,
     decode_range,
     embed_via_coding,
-    find_chordless_4path,
     history_has_no_chordless4,
     init,
     run,
@@ -26,14 +27,18 @@ from chordlab.graphs import (
     Graph,
     check_traceable,
     embedding_is_valid,
+    find_chordless_positions,
+    is_chordless,
     pattern_A,
     pattern_Kkk,
 )
 
 from oracles import (
     edges_from_rows,
+    middle_edge_4path,
     naive_stage_lemmas,
     per_stage_no_chordless4,
+    random_graph,
     seeded_permutation,
 )
 
@@ -141,7 +146,7 @@ def test_no_chordless4_on_construction_states():
         h = run(seeded_injective(seed, 20), 20)
         assert history_has_no_chordless4(h)
         final = h.state(20)
-        assert find_chordless_4path(final.rows, final.k) is None
+        assert find_chordless_positions(final.rows, final.k + 1, 4) is None
 
 
 def test_final_scan_agrees_with_per_stage_oracle():
@@ -167,6 +172,32 @@ def test_final_scan_sees_a_tampered_chordless_4path():
     assert not history_has_no_chordless4(h)
 
 
+def test_kernel_agrees_with_middle_edge_scan():
+    # Staged hosts have no chordless 4-path; toggling a few vertex pairs
+    # usually makes one, so both answers are exercised on large hosts.
+    rng = random.Random(4)
+    hosts = []
+    for T in (20, 50, 80):
+        for seed in range(3):
+            rows = list(run(seeded_injective(seed, T), T)._rows)
+            hosts.append(rows)
+            for _ in range(2):
+                tampered = list(rows)
+                for _ in range(3):
+                    x, y = rng.sample(range(len(rows)), 2)
+                    tampered[x] ^= 1 << y
+                    tampered[y] ^= 1 << x
+                hosts.append(tampered)
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.4, 0.6, 0.8]))
+        hosts.append(list(g.rows))
+    for rows in hosts:
+        found = find_chordless_positions(rows, len(rows), 4)
+        assert (found is None) == (middle_edge_4path(rows, len(rows) - 1) is None)
+        if found is not None:
+            assert is_chordless(Graph.from_rows(rows), found)
+
+
 def test_chordless4_found_on_plain_path():
     s = StageState(
         stage=0,
@@ -174,13 +205,13 @@ def test_chordless4_found_on_plain_path():
         coding=(3,),
         rows=(0b0010, 0b0101, 0b1010, 0b0100),
     )
-    assert find_chordless_4path(s.rows, s.k) == (0, 1, 2, 3)
+    assert find_chordless_positions(s.rows, s.k + 1, 4) == (0, 1, 2, 3)
 
 
 def test_find_chordless_4path_direct():
     # 4-cycle has no chordless 4-path
     rows = [0b1010, 0b0101, 0b1010, 0b0101]
-    assert find_chordless_4path(rows, 3) is None
+    assert find_chordless_positions(rows, 4, 4) is None
 
 
 def test_stage_graph_edges_match_rows():

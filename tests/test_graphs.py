@@ -116,7 +116,7 @@ def test_find_chordless_path_agrees_with_brute_force():
         for n in range(1, size + 1):
             mine = find_chordless_path(g, n)
             brute = brute_chordless_path(g, n)
-            assert (mine is None) == (brute is None)
+            assert mine == brute  # the lexicographically least witness
             if mine is not None:
                 assert is_chordless(g, mine)
 

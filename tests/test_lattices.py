@@ -84,6 +84,23 @@ def test_check_length3():
     assert not check_length3(FiniteLattice(5, chain5))
 
 
+def test_fence_extraction_rejects_a_lattice_longer_than_3():
+    chain5 = [(x, y) for x in range(5) for y in range(x, 5)]
+    lat = FiniteLattice(5, chain5)
+    with pytest.raises(InvalidInputError):
+        find_fences(lat, range(5), 1)
+    with pytest.raises(InvalidInputError):
+        pipeline_capacity(lat, range(5))
+
+
+def test_validate_order_checks_pairs_before_sizing_tables():
+    # a range error still comes first, and reflexivity needs no n-sized table
+    with pytest.raises(InvalidInputError):
+        validate_lattice(10**20, [(0, 0), (-1, 0)])
+    report = validate_lattice(10**20, [(0, 0), (1, 1), (0, 1)])
+    assert (report.axiom, report.witness) == ("reflexive", (2,))
+
+
 def test_check_no_double_cover():
     n, pairs = _k22_poset()
     poset = BoundedPoset(n, pairs)
