@@ -275,11 +275,14 @@ def cmd_lattice_verify(args) -> int:
     results = {"n": n}
     if axioms.ok:
         lat = lattices.FiniteLattice(n, pairs)
-        checks.append(("length-3", lattices.check_length3(lat), None))
-        witness = lattices.check_no_double_cover(lat)
-        checks.append(
-            ("no-double-cover", witness is None, list(witness) if witness else None)
-        )
+        length3 = lattices.check_length3(lat)
+        checks.append(("length-3", length3, None))
+        # two atoms under two coatoms contradict the axioms only at length 3
+        if length3:
+            witness = lattices.check_no_double_cover(lat)
+            checks.append(
+                ("no-double-cover", witness is None, list(witness) if witness else None)
+            )
         results["atoms"] = lat.atoms()
         results["coatoms"] = lat.coatoms()
     report = _report("lattice-verify", {"lattice": args.lattice}, results, checks)

@@ -16,6 +16,19 @@ def _int_entry(value, what: str) -> int:
     return value
 
 
+def _read_json(path):
+    """The JSON value in the file at ``path``.
+
+    Text that is not UTF-8, or nested too deeply for the parser, is an input
+    error like any other malformed JSON.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise InvalidInputError("unreadable JSON in %s: %s" % (path, exc)) from None
+
+
 def _json_list(value) -> list:
     if not isinstance(value, list):
         raise InvalidInputError("expected a JSON list, got %r" % (value,))
@@ -60,8 +73,7 @@ def graph_from_json(text: str) -> Graph:
 
 
 def load_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(fh.read())
+    return graph_from_json_obj(_read_json(path))
 
 
 def save_graph(g: Graph, path) -> None:
@@ -115,8 +127,7 @@ def lattice_from_json_obj(obj):
 
 
 def load_lattice_candidate(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return lattice_from_json_obj(json.load(fh))
+    return lattice_from_json_obj(_read_json(path))
 
 
 def save_lattice(path, n, leq_pairs, generators=None) -> None:

@@ -87,16 +87,29 @@ def validate_order(n: int, leq_pairs):
     return None
 
 
-def _extreme_of(mask: int, cone) -> int | None:
-    """The element g of ``mask`` with all of ``mask`` inside ``cone[g]``, if any.
+def _meet_join_tables(below, above):
+    """Meet and join tables by mask lookup, or the first pair lacking one.
 
-    With ``cone = below`` this is the greatest element of ``mask``; with
-    ``cone = above``, the least.
+    The common lower bounds of x and y form a down-set, which has a greatest
+    element g exactly when it equals ``below[g]``; ``below`` masks are
+    distinct by antisymmetry, so the meet is one dict lookup.  Joins work the
+    same way with ``above``.  Returns ``(meet, join, None)``, or
+    ``(None, None, (kind, (x, y)))`` for the first pair x < y, row by row,
+    that lacks a ``"meet"`` (checked first) or a ``"join"``.
     """
-    for g in iter_bits(mask):
-        if mask & ~cone[g] == 0:
-            return g
-    return None
+    greatest = {mask: g for g, mask in enumerate(below)}.get
+    least = {mask: g for g, mask in enumerate(above)}.get
+    meet, join = [], []
+    for x, (bx, ax) in enumerate(zip(below, above)):
+        mrow = [greatest(bx & b) for b in below]
+        jrow = [least(ax & a) for a in above]
+        if None in mrow or None in jrow:
+            # rows are symmetric, so earlier rows already cleared every y < x
+            y = min(row.index(None) for row in (mrow, jrow) if None in row)
+            return None, None, ("meet" if mrow[y] is None else "join", (x, y))
+        meet.append(mrow)
+        join.append(jrow)
+    return meet, join, None
 
 
 def validate_lattice(n: int, leq_pairs) -> LatticeReport:
@@ -105,12 +118,10 @@ def validate_lattice(n: int, leq_pairs) -> LatticeReport:
     if bad is not None:
         return bad
     below, above = _closure_masks(n, set((int(x), int(y)) for x, y in leq_pairs))
-    for x in range(n):
-        for y in range(x + 1, n):
-            if _extreme_of(below[x] & below[y], below) is None:
-                return LatticeReport(False, "meet-exists", (x, y))
-            if _extreme_of(above[x] & above[y], above) is None:
-                return LatticeReport(False, "join-exists", (x, y))
+    _, _, missing = _meet_join_tables(below, above)
+    if missing is not None:
+        kind, pair = missing
+        return LatticeReport(False, kind + "-exists", pair)
     return LatticeReport(True)
 
 
@@ -181,21 +192,11 @@ class FiniteLattice(BoundedPoset):
 
     def __init__(self, n: int, leq_pairs):
         super().__init__(n, leq_pairs)
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(x, n):
-                m = _extreme_of(self.below[x] & self.below[y], self.below)
-                j = _extreme_of(self.above[x] & self.above[y], self.above)
-                if m is None or j is None:
-                    pair = (x, y)
-                    raise InvalidInputError(
-                        "not a lattice: pair %r lacks a %s"
-                        % (pair, "meet" if m is None else "join")
-                    )
-                meet[x][y] = meet[y][x] = m
-                join[x][y] = join[y][x] = j
-        self._meet = meet
+        meet, join, missing = _meet_join_tables(self.below, self.above)
+        if missing is not None:
+            kind, pair = missing
+            raise InvalidInputError("not a lattice: pair %r lacks a %s" % (pair, kind))
+        self._meet = meet  # flat rows: meet[x][y]
         self._join = join
 
     def meet(self, x: int, y: int) -> int:
@@ -264,7 +265,9 @@ def closure_and_rank(lat: FiniteLattice, generators) -> RankTable:
 
     Elements are ranked by the first level that contains them; reaching a
     fixpoint short of the whole lattice is a coverage error naming the
-    unreached elements.
+    unreached elements.  Each round is semi-naive: it combines only pairs
+    with an element added in the previous round, since pairs of older
+    members were already combined when the current level was formed.
     """
     gens = sorted(set(int(g) for g in generators))
     if not gens:
@@ -276,15 +279,19 @@ def closure_and_rank(lat: FiniteLattice, generators) -> RankTable:
         current |= 1 << g
     levels = [current]
     rank = {g: 0 for g in gens}
+    meet, join = lat._meet, lat._join
+    added = current
     while True:
         new = current
         members = list(iter_bits(current))
-        for x, y in itertools.combinations_with_replacement(members, 2):
-            new |= 1 << lat.meet(x, y)
-            new |= 1 << lat.join(x, y)
+        for x in iter_bits(added):
+            mrow, jrow = meet[x], join[x]
+            for y in members:
+                new |= (1 << mrow[y]) | (1 << jrow[y])
         if new == current:
             break
-        for x in iter_bits(new & ~current):
+        added = new & ~current
+        for x in iter_bits(added):
             rank[x] = len(levels)
         levels.append(new)
         current = new
@@ -352,23 +359,24 @@ def build_tree(lat: FiniteLattice, ranks: RankTable, depth: int) -> GenTree:
     )
     levels = [roots]
     total = len(roots)
+    # producers[x]: bitmask of the e with meet(e, a) == x or join(e, a) == x
+    # for some a of rank below the current level, grown one rank at a time
+    producers = [0] * lat.n
+    bits = [1 << e for e in range(lat.n)]
     for i in range(1, depth + 1):
+        for a in ranks.elements_of_rank(i - 1):
+            for bit, m, j in zip(bits, lat._meet[a], lat._join[a]):
+                producers[m] |= bit
+                producers[j] |= bit
         targets = [
             x for x in ranks.elements_of_rank(i) if not lat.is_bound(x)
         ]
-        lower = [a for a in range(lat.n) if ranks.rank[a] < i]
-        producers = {x: set() for x in targets}
-        for x in targets:
-            for a in lower:
-                for e in range(lat.n):
-                    if lat.meet(e, a) == x or lat.join(e, a) == x:
-                        producers[x].add(e)
-        nodes = []
-        for node in levels[i - 1]:
-            tail = node[-1]
-            for x in targets:
-                if tail in producers[x]:
-                    nodes.append(node + (x,))
+        nodes = [
+            node + (x,)
+            for node in levels[i - 1]
+            for x in targets
+            if (producers[x] >> node[-1]) & 1
+        ]
         total += len(nodes)
         if total > MAX_TREE_NODES:
             raise ResourceLimitError(

@@ -169,6 +169,59 @@ def naive_lattice_axioms(n, leq_pairs):
     return None
 
 
+def naive_closure_and_rank(lat, generators):
+    """(rank, levels, rank_bound) by recombining every pair of members per round."""
+    current = 0
+    for g in generators:
+        current |= 1 << g
+    levels = [current]
+    rank = {g: 0 for g in generators}
+    while True:
+        new = current
+        members = [x for x in range(lat.n) if (current >> x) & 1]
+        for x, y in itertools.combinations_with_replacement(members, 2):
+            new |= 1 << lat.meet(x, y)
+            new |= 1 << lat.join(x, y)
+        if new == current:
+            break
+        for x in range(lat.n):
+            if (new >> x) & 1 and not (current >> x) & 1:
+                rank[x] = len(levels)
+        levels.append(new)
+        current = new
+    ranks = tuple(rank[x] for x in range(lat.n))
+    bound = {}
+    for x in range(lat.n):
+        bound[ranks[x]] = max(bound.get(ranks[x], 0), x)
+    return ranks, tuple(levels), bound
+
+
+def naive_tree_levels(lat, ranks, depth):
+    """Derivation-tree levels, with producer sets from a literal triple loop."""
+    levels = [
+        tuple((x,) for x in range(lat.n) if ranks.rank[x] == 0 and not lat.is_bound(x))
+    ]
+    for i in range(1, depth + 1):
+        targets = [
+            x for x in range(lat.n) if ranks.rank[x] == i and not lat.is_bound(x)
+        ]
+        lower = [a for a in range(lat.n) if ranks.rank[a] < i]
+        producers = {x: set() for x in targets}
+        for x in targets:
+            for a in lower:
+                for e in range(lat.n):
+                    if lat.meet(e, a) == x or lat.join(e, a) == x:
+                        producers[x].add(e)
+        nodes = [
+            node + (x,)
+            for node in levels[i - 1]
+            for x in targets
+            if node[-1] in producers[x]
+        ]
+        levels.append(tuple(sorted(nodes)))
+    return tuple(levels)
+
+
 # ---------------------------------------------------------------------------
 # Input generators
 

@@ -1,12 +1,19 @@
 """Command-line interface: reports, exit codes, file outputs, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chordlab import formats, ramsey
+from chordlab import formats, lattices, ramsey
 from chordlab.cli import main
-from chordlab.lattices import fence_lattice
+from chordlab.errors import ResourceLimitError
+from chordlab.lattices import fence_lattice, spurred_fence_lattice
 
 
 def run_cli(capsys, *argv):
@@ -268,3 +275,133 @@ def test_lattice_with_huge_n_fails_before_allocating(tmp_path, capsys):
     axioms = last_json(out)["checks"][0]
     assert axioms["witness"] == {"axiom": "reflexive", "witness": [1]}
     assert_input_error(capsys, ["lattice", "fences", "--lattice", str(lat_path), "--target", "1"])
+
+
+def test_lattice_verify_checks_double_cover_only_at_length_3(tmp_path, capsys):
+    # in TALL the atoms 1, 2 lie under both coatoms 4, 5, which is legal here
+    lat_path = tmp_path / "tall.json"
+    formats.save_lattice(lat_path, 7, TALL)
+    code, out = run_cli(capsys, "lattice", "verify", "--lattice", str(lat_path))
+    assert code == 1
+    checks = [(c["name"], c["pass"]) for c in last_json(out)["checks"]]
+    assert checks == [("lattice-axioms", True), ("length-3", False)]
+
+
+def test_lattice_fences_tree_budget_exits_2(tmp_path, capsys, monkeypatch):
+    lat, gens, _ = spurred_fence_lattice(7)
+    table = lattices.closure_and_rank(lat, gens)
+    size = len(list(lattices.build_tree(lat, table, table.max_rank).nodes()))
+    lat_path = tmp_path / "spurred.json"
+    formats.save_lattice(lat_path, lat.n, lat.leq_pairs(), gens)
+    argv = ["lattice", "fences", "--lattice", str(lat_path), "--target", "5"]
+    monkeypatch.setattr(lattices, "MAX_TREE_NODES", size)
+    lattices.build_tree(lat, table, table.max_rank)
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(lattices, "MAX_TREE_NODES", size - 1)
+    with pytest.raises(ResourceLimitError):
+        lattices.build_tree(lat, table, table.max_rank)
+    assert_input_error(capsys, argv)
+
+
+def _lattice_documents():
+    """Lattice JSON files, well-formed or not, over at most 8 elements, as bytes."""
+    element = st.integers(-2, 8)
+    anything = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 9) | st.floats(allow_nan=False)
+        | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["n", "leq", "generators"]), inner, max_size=3),
+        max_leaves=8,
+    )
+
+    @st.composite
+    def order(draw):
+        # bounds around either atoms and coatoms with random covers (length 3,
+        # a lattice unless two atoms share two coatoms) or random inner pairs
+        # (possibly taller, not always transitive); then at most one defect
+        n = draw(st.integers(1, 8))
+        inner = range(1, n - 1)
+        pairs = {(x, x) for x in range(n)} | {(0, x) for x in range(n)}
+        pairs |= {(x, n - 1) for x in range(n)}
+        derivable = set()
+        if draw(st.booleans()):
+            split = draw(st.integers(1, max(1, n - 2)))
+            for a in inner[:split - 1]:
+                for c in inner[split - 1:]:
+                    if draw(st.booleans()):
+                        pairs.add((a, c))
+            for x in inner:  # meets of two covers above, joins of two below
+                if sum(x in (a, c) and 0 < a < c < n - 1 for a, c in pairs) >= 2:
+                    derivable.add(x)
+        elif n > 2:
+            step = st.integers(1, n - 2)
+            steps = draw(st.lists(st.tuples(step, step), max_size=8))
+            pairs |= {tuple(sorted(p)) for p in steps}
+            if draw(st.integers(0, 3)):
+                for z in range(n):  # transitive closure
+                    pairs |= {(x, y) for x, w in pairs if w == z for v, y in pairs if v == z}
+        pairs = sorted(pairs)
+        defect = draw(st.sampled_from(["none"] * 4 + ["drop", "stray", "n"]))
+        if defect == "drop":
+            pairs.remove(draw(st.sampled_from(pairs)))
+        elif defect == "stray":
+            pairs.append(draw(st.tuples(element, element)))
+        obj = {"n": n + (draw(st.sampled_from([-n, -1, 1])) if defect == "n" else 0),
+               "leq": [list(p) for p in pairs]}
+        gens = draw(st.sampled_from(["underivable"] * 3 + ["all", "some", "wild", "none"]))
+        if gens == "underivable":
+            obj["generators"] = [x for x in range(n) if x not in derivable]
+        elif gens != "none":
+            obj["generators"] = (
+                list(range(n)) if gens == "all"
+                else draw(st.lists(st.integers(0, n - 1) if gens == "some" else element,
+                                   max_size=n + 1))
+            )
+        return obj
+
+    texts = st.one_of(order(), order(), anything).map(json.dumps) | st.text(max_size=20)
+    return texts.map(str.encode) | st.binary(max_size=12)
+
+
+# bottom 0, atoms 1 and 2 under both coatoms 3 and 4, top 5: not a lattice
+K22_POSET = (
+    [(x, x) for x in range(6)] + [(0, x) for x in range(1, 6)] + [(x, 5) for x in range(5)]
+    + [(1, 3), (1, 4), (2, 3), (2, 4)]
+)
+
+
+def _lattice_doc(n, pairs, gens):
+    return formats.lattice_to_json(n, pairs, gens).encode()
+
+
+_FENCE3, _FENCE3_GENS = fence_lattice(3)
+_SPURRED7, _SPURRED7_GENS, _ = spurred_fence_lattice(7)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_lattice_documents(), target=st.integers(-3, 9) | st.sampled_from([1, 1, 3]))
+@example(doc=_lattice_doc(_FENCE3.n, _FENCE3.leq_pairs(), _FENCE3_GENS), target=1)
+@example(doc=_lattice_doc(_SPURRED7.n, _SPURRED7.leq_pairs(), _SPURRED7_GENS), target=5)
+@example(doc=_lattice_doc(_FENCE3.n, _FENCE3.leq_pairs(), [1]), target=1)  # does not generate
+@example(doc=_lattice_doc(7, TALL, [1, 2, 4, 5]), target=3)  # not length 3
+@example(doc=_lattice_doc(6, K22_POSET, range(6)), target=1)  # atoms 1, 2 have no join
+@example(doc=b"[" * 100_000, target=1)  # deeper than the JSON parser recurses
+def test_lattice_commands_never_crash_on_malformed_json(doc, target):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "lat.json")
+        with open(path, "wb") as fh:
+            fh.write(doc)
+        for argv in (["lattice", "verify", "--lattice", path],
+                     ["lattice", "fences", "--lattice", path, "--target", str(target)]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2)
+            assert "Traceback" not in out.getvalue() + err.getvalue()
+            if code == 2:
+                assert out.getvalue() == ""
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and "error" in json.loads(lines[0])
+            else:
+                assert err.getvalue() == ""
+                json.loads(out.getvalue())

@@ -1,6 +1,7 @@
 """Lattices: validation, closure ranks, derivation tree, fence extraction."""
 
 import random
+import re
 
 import pytest
 
@@ -26,7 +27,9 @@ from chordlab.lattices import (
 
 from oracles import (
     generating_set,
+    naive_closure_and_rank,
     naive_lattice_axioms,
+    naive_tree_levels,
     random_length3_lattice,
 )
 
@@ -60,20 +63,69 @@ def test_validate_lattice_rejects_broken_orders():
     assert validate_lattice(3, pairs).axiom == "transitive"
 
 
-def test_validate_lattice_matches_naive_oracle():
-    rng = random.Random(2)
-    for _ in range(60):
-        n = rng.randint(1, 6)
-        pairs = {(x, x) for x in range(n)}
+def _random_order(rng, n):
+    """A random relation on 0..n-1; half the time a bounded partial order.
+
+    The bounded orders put each inner element on a random level 1..3 and
+    relate levels at random, with a bottom and a top; after transitive
+    closure and a random relabelling they pass every order axiom and fail,
+    if anything, only meet-exists or join-exists.
+    """
+    pairs = {(x, x) for x in range(n)}
+    if n < 2 or rng.random() < 0.5:
         for x in range(n):
             for y in range(n):
                 if x != y and rng.random() < 0.3:
                     pairs.add((x, y))
-        mine = validate_lattice(n, sorted(pairs))
-        naive = naive_lattice_axioms(n, sorted(pairs))
+        return pairs
+    level = [0] + [rng.randint(1, 3) for _ in range(n - 2)] + [4]
+    pairs |= {
+        (x, y)
+        for x in range(n)
+        for y in range(n)
+        if level[x] < level[y] and (level[x] == 0 or level[y] == 4 or rng.random() < 0.5)
+    }
+    for z in range(n):  # Warshall: close under transitivity
+        pairs |= {(x, y) for x, w in pairs if w == z for v, y in pairs if v == z}
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return {(perm[x], perm[y]) for x, y in pairs}
+
+
+def _with_bounds(n, pairs):
+    """``pairs`` plus every loop, a bottom 0 and a top n - 1, sorted."""
+    bounds = {(0, x) for x in range(n)} | {(x, n - 1) for x in range(n)}
+    return sorted(pairs | bounds | {(x, x) for x in range(n)})
+
+
+def test_validate_lattice_matches_naive_oracle():
+    rng = random.Random(2)
+    orders = []
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        orders.append((n, sorted(_random_order(rng, n))))
+    # 1 and 2 lie over atoms 3, 4 and under coatoms 5, 6: no meet and no join
+    inner = {(a, m) for a in (3, 4) for m in (1, 2, 5, 6)}
+    inner |= {(m, c) for m in (1, 2) for c in (5, 6)}
+    orders.append((8, _with_bounds(8, inner)))
+    # in row 1 the join of 1, 2 fails before the meet of 1, 3: 1 and 2 lie
+    # under coatoms 4, 5, and 1 and 3 over atoms 6, 7
+    inner = {(a, m) for a in (6, 7) for m in (1, 3, 4, 5)}
+    inner |= {(m, c) for m in (1, 2) for c in (4, 5)}
+    orders.append((9, _with_bounds(9, inner)))
+    seen = set()
+    for n, pairs in orders:
+        mine = validate_lattice(n, pairs)
+        naive = naive_lattice_axioms(n, pairs)
         assert mine.ok == (naive is None)
         if not mine.ok:
             assert mine.axiom == naive[0]
+            seen.add(mine.axiom)
+            if mine.axiom in ("meet-exists", "join-exists"):
+                assert mine.witness == naive[1]
+                with pytest.raises(InvalidInputError, match=re.escape(repr(naive[1]))):
+                    FiniteLattice(n, pairs)
+    assert {"transitive", "meet-exists", "join-exists"} <= seen
 
 
 def test_check_length3():
@@ -151,6 +203,23 @@ def test_closure_levels_monotone():
         for a, b in zip(table.levels, table.levels[1:]):
             assert a & ~b == 0
         assert len(table.levels) <= n + 1
+
+
+def test_closure_and_tree_match_naive_oracles():
+    cases = [fence_lattice(n) for n in (1, 3, 7, 11)]
+    cases += [spurred_fence_lattice(n)[:2] for n in (3, 5, 9, 15)]
+    rng = random.Random(8)
+    for _ in range(25):
+        n, pairs = random_length3_lattice(rng, 24)
+        lat = FiniteLattice(n, pairs)
+        cases.append((lat, generating_set(lat)))
+    for lat, gens in cases:
+        table = closure_and_rank(lat, gens)
+        assert (table.rank, table.levels, table.rank_bound) == naive_closure_and_rank(
+            lat, gens
+        )
+        tree = build_tree(lat, table, table.max_rank)
+        assert tree.levels == naive_tree_levels(lat, table, table.max_rank)
 
 
 def test_build_tree_boolean_square():
