@@ -274,7 +274,7 @@ def cmd_lattice_verify(args) -> int:
     ]
     results = {"n": n}
     if axioms.ok:
-        lat = lattices.FiniteLattice(n, pairs)
+        lat = axioms.lattice
         length3 = lattices.check_length3(lat)
         checks.append(("length-3", length3, None))
         # two atoms under two coatoms contradict the axioms only at length 3

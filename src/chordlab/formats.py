@@ -35,25 +35,43 @@ def _json_list(value) -> list:
     return value
 
 
-def graph_to_json_obj(g: Graph) -> dict:
-    return {
-        "vertices": sorted(g.vertices),
-        "edges": [[u, v] for u, v in g.edges()],
-    }
+# One edge of the graph JSON, as json.dumps(indent=2) lays out a pair.
+_JSON_EDGE = "\n    [\n      %d,\n      %d\n    ]"
+
+
+def _json_block(items: str) -> str:
+    return "[" + items + "\n  ]" if items else "[]"
 
 
 def graph_to_json(g: Graph) -> str:
-    return json.dumps(graph_to_json_obj(g), sort_keys=True, indent=2) + "\n"
+    """The graph as JSON, written directly.
+
+    The text is byte-identical to ``json.dumps(obj, sort_keys=True,
+    indent=2) + "\n"`` for ``obj = {"edges": [[u, v], ...], "vertices":
+    sorted vertices}`` with the edges of ``g.edges()``.
+    """
+    edges = ",".join(map(_JSON_EDGE.__mod__, g.edges()))
+    vertices = ",".join(map("\n    %d".__mod__, sorted(g.vertices)))
+    return '{\n  "edges": %s,\n  "vertices": %s\n}\n' % (
+        _json_block(edges), _json_block(vertices)
+    )
 
 
 def graph_from_json_obj(obj) -> Graph:
+    """Validated Graph from a decoded graph JSON object.
+
+    Pair-shape, integer, ``u < v`` and duplicate errors come in file order;
+    negative vertices, then the first edge with an endpoint outside the
+    vertex list, are reported only after the whole edge list.
+    """
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise InvalidInputError("graph JSON needs 'vertices' and 'edges'")
     vertices = [_int_entry(v, "graph JSON vertex") for v in _json_list(obj["vertices"])]
     if vertices != sorted(set(vertices)):
         raise InvalidInputError("graph JSON vertices must be ascending, no duplicates")
-    edges = []
-    seen = set()
+    position = {v: i for i, v in enumerate(vertices)}.get
+    rows = [0] * len(vertices)
+    outside = {}  # edges with an endpoint outside the vertices, in file order
     for pair in _json_list(obj["edges"]):
         if not isinstance(pair, list) or len(pair) != 2:
             raise InvalidInputError("graph JSON edge must be a pair: %r" % (pair,))
@@ -61,11 +79,24 @@ def graph_from_json_obj(obj) -> Graph:
         v = _int_entry(pair[1], "graph JSON edge entry")
         if not u < v:
             raise InvalidInputError("graph JSON edges must satisfy u < v: %r" % (pair,))
-        if (u, v) in seen:
+        i = position(u)
+        j = position(v)
+        if i is None or j is None:
+            if (u, v) in outside:
+                raise InvalidInputError("duplicate edge %r" % (pair,))
+            outside[u, v] = None
+        elif (rows[i] >> j) & 1:
             raise InvalidInputError("duplicate edge %r" % (pair,))
-        seen.add((u, v))
-        edges.append((u, v))
-    return Graph(vertices, edges)
+        else:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    if vertices and vertices[0] < 0:
+        raise InvalidInputError("vertices must be natural numbers")
+    if outside:
+        raise InvalidInputError(
+            "edge endpoint outside vertex set: %r" % (next(iter(outside)),)
+        )
+    return Graph.from_rows(rows, vertices)
 
 
 def graph_from_json(text: str) -> Graph:
@@ -82,13 +113,9 @@ def save_graph(g: Graph, path) -> None:
 
 
 def graph_to_dot(g: Graph, name: str = "G") -> str:
-    lines = ["graph %s {" % name]
-    for v in sorted(g.vertices):
-        lines.append("  %d;" % v)
-    for u, v in g.edges():
-        lines.append("  %d -- %d;" % (u, v))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    vertices = "".join(map("  %d;\n".__mod__, sorted(g.vertices)))
+    edges = "".join(map("  %d -- %d;\n".__mod__, g.edges()))
+    return "graph %s {\n%s%s}\n" % (name, vertices, edges)
 
 
 def lattice_to_json_obj(n: int, leq_pairs, generators=None) -> dict:

@@ -54,15 +54,17 @@ class Graph:
         self.rows = tuple(rows)
 
     @classmethod
-    def from_rows(cls, rows) -> "Graph":
-        """Graph on vertices ``0..len(rows)-1``, wrapping ``rows`` with no edge list.
+    def from_rows(cls, rows, vertices=None) -> "Graph":
+        """Graph wrapping ``rows`` with no edge list; ``rows[i]`` belongs to
+        ``vertices[i]``, by default ``0..len(rows)-1``.
 
-        Unchecked precondition: the rows are symmetric and loop-free, and set
-        no bit at or above ``len(rows)``.
+        Unchecked precondition: the vertices are distinct naturals, and the
+        rows are symmetric and loop-free and set no bit at or above
+        ``len(rows)``.
         """
         g = cls.__new__(cls)
-        g.vertices = tuple(range(len(rows)))
-        g._pos = {v: v for v in g.vertices}
+        g.vertices = tuple(range(len(rows)) if vertices is None else vertices)
+        g._pos = {v: i for i, v in enumerate(g.vertices)}
         g.rows = tuple(rows)
         return g
 
@@ -86,14 +88,26 @@ class Graph:
         return len(self.neighbors(v))
 
     def edges(self):
-        """Edge list as sorted (u, v) pairs with u < v."""
+        """Edge list as sorted (u, v) pairs with u < v.
+
+        Each row's higher bits are read from its reversed binary string, so
+        the walk allocates nothing per bit.  When the vertices ascend, the
+        pairs come out in sorted order and need no sort.
+        """
         verts = self.vertices
         out = []
+        append = out.append
         for i, row in enumerate(self.rows):
-            for j in iter_bits(row >> (i + 1)):
-                u, v = verts[i], verts[i + 1 + j]
-                out.append((u, v) if u < v else (v, u))
-        out.sort()
+            u = verts[i]
+            base = i + 1
+            bits = bin(row >> base)[:1:-1]  # bits[j] is bit base + j of row
+            j = bits.find("1")
+            while j >= 0:
+                v = verts[base + j]
+                append((u, v) if u < v else (v, u))
+                j = bits.find("1", j + 1)
+        if any(a > b for a, b in zip(verts, verts[1:])):
+            out.sort()
         return out
 
     def edge_count(self) -> int:

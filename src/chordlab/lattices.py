@@ -28,11 +28,15 @@ from .ramsey import dichotomy
 
 @dataclass(frozen=True)
 class LatticeReport:
-    """Outcome of candidate validation: pass, or first violated axiom."""
+    """Outcome of candidate validation: pass, or first violated axiom.
+
+    A passing ``validate_lattice`` report carries the validated lattice.
+    """
 
     ok: bool
     axiom: str | None = None
     witness: tuple | None = None
+    lattice: "FiniteLattice | None" = None
 
 
 def _closure_masks(n: int, leq_pairs):
@@ -113,16 +117,24 @@ def _meet_join_tables(below, above):
 
 
 def validate_lattice(n: int, leq_pairs) -> LatticeReport:
-    """Partial-order axioms, bounds, and existence of all meets and joins."""
+    """Partial-order axioms, bounds, and existence of all meets and joins.
+
+    On a pass the report's ``lattice`` is the FiniteLattice over the tables
+    built here, so they are not built again.
+    """
     bad = validate_order(n, leq_pairs)
     if bad is not None:
         return bad
     below, above = _closure_masks(n, set((int(x), int(y)) for x, y in leq_pairs))
-    _, _, missing = _meet_join_tables(below, above)
+    meet, join, missing = _meet_join_tables(below, above)
     if missing is not None:
         kind, pair = missing
         return LatticeReport(False, kind + "-exists", pair)
-    return LatticeReport(True)
+    lat = FiniteLattice.__new__(FiniteLattice)
+    lat._set_order(n, below, above)
+    lat._meet = meet
+    lat._join = join
+    return LatticeReport(True, lattice=lat)
 
 
 class BoundedPoset:
@@ -134,10 +146,12 @@ class BoundedPoset:
             raise InvalidInputError(
                 "not a bounded partial order: %s %r" % (report.axiom, report.witness)
             )
+        pairs = set((int(x), int(y)) for x, y in leq_pairs)
+        self._set_order(n, *_closure_masks(n, pairs))
+
+    def _set_order(self, n: int, below, above) -> None:
         self.n = n
-        self.below, self.above = _closure_masks(
-            n, set((int(x), int(y)) for x, y in leq_pairs)
-        )
+        self.below, self.above = below, above
         full = (1 << n) - 1
         self.bottom = next(x for x in range(n) if self.above[x] == full)
         self.top = next(x for x in range(n) if self.below[x] == full)
@@ -389,10 +403,15 @@ def build_tree(lat: FiniteLattice, ranks: RankTable, depth: int) -> GenTree:
 
 
 def _assert_tree_properties(lat, ranks, tree, atoms, coatoms, depth):
+    # A node's prefix is a node of the previous level, already checked, so
+    # only its last entry and last pair are new.
     for node in tree.nodes():
-        if len(set(node)) != len(node):
+        i = len(node) - 1
+        b = node[i]
+        if b in node[:i]:
             raise StructuralError("tree node has repeated entries: %r" % (node,))
-        for a, b in zip(node, node[1:]):
+        if i:
+            a = node[i - 1]
             if not lat.comparable(a, b):
                 raise StructuralError(
                     "consecutive tree entries incomparable: %r in %r" % ((a, b), node)
@@ -403,12 +422,10 @@ def _assert_tree_properties(lat, ranks, tree, atoms, coatoms, depth):
                 raise StructuralError(
                     "tree entries do not alternate atom/coatom: %r" % (node,)
                 )
-        for i, x in enumerate(node):
-            if x > ranks.rank_bound[i]:
-                raise StructuralError(
-                    "node entry %d exceeds the rank-%d bound %d"
-                    % (x, i, ranks.rank_bound[i])
-                )
+        if b > ranks.rank_bound[i]:
+            raise StructuralError(
+                "node entry %d exceeds the rank-%d bound %d" % (b, i, ranks.rank_bound[i])
+            )
     # reachability: every non-bound element of rank <= depth ends some node
     reached = set()
     for node in tree.nodes():

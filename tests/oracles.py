@@ -6,11 +6,14 @@ something honest to be compared against.
 """
 
 import itertools
+import json
 import random
+
+from hypothesis import strategies as st
 
 from chordlab.graphs import Graph
 from chordlab.lattices import FiniteLattice, closure_and_rank
-from chordlab.errors import CoverageError
+from chordlab.errors import CoverageError, InvalidInputError
 
 
 def brute_chordless_path(g, n):
@@ -135,6 +138,72 @@ def edges_from_rows(rows):
     ]
 
 
+def sorted_edge_pairs(g):
+    """Edges (u, v) with u < v, sorted, read off ``g.rows`` one bit at a time."""
+    verts = g.vertices
+    return sorted(
+        (min(verts[i], verts[j]), max(verts[i], verts[j]))
+        for i, j in edges_from_rows(g.rows)
+    )
+
+
+def json_dumps_graph(g):
+    """Graph JSON through the standard encoder: the bytes graph_to_json must write."""
+    obj = {
+        "vertices": sorted(g.vertices),
+        "edges": [[u, v] for u, v in sorted_edge_pairs(g)],
+    }
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def dot_by_lines(g, name="G"):
+    """DOT text joined from one line per vertex and per edge."""
+    lines = ["graph %s {" % name]
+    for v in sorted(g.vertices):
+        lines.append("  %d;" % v)
+    for u, v in sorted_edge_pairs(g):
+        lines.append("  %d -- %d;" % (u, v))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def graph_from_json_obj_by_edge_list(obj):
+    """Graph JSON loader that collects the edge list, then builds a Graph from it.
+
+    The reference for the validation order and messages of graph_from_json_obj.
+    """
+
+    def entry(value, what):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InvalidInputError("%s must be an integer: %r" % (what, value))
+        return value
+
+    def json_list(value):
+        if not isinstance(value, list):
+            raise InvalidInputError("expected a JSON list, got %r" % (value,))
+        return value
+
+    if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
+        raise InvalidInputError("graph JSON needs 'vertices' and 'edges'")
+    vertices = [entry(v, "graph JSON vertex") for v in json_list(obj["vertices"])]
+    if vertices != sorted(set(vertices)):
+        raise InvalidInputError("graph JSON vertices must be ascending, no duplicates")
+    edges = []
+    seen = set()
+    for pair in json_list(obj["edges"]):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise InvalidInputError("graph JSON edge must be a pair: %r" % (pair,))
+        u = entry(pair[0], "graph JSON edge entry")
+        v = entry(pair[1], "graph JSON edge entry")
+        if not u < v:
+            raise InvalidInputError("graph JSON edges must satisfy u < v: %r" % (pair,))
+        if (u, v) in seen:
+            raise InvalidInputError("duplicate edge %r" % (pair,))
+        seen.add((u, v))
+        edges.append((u, v))
+    return Graph(vertices, edges)
+
+
 def naive_lattice_axioms(n, leq_pairs):
     """Partial order, bounds, meet/join existence by triple loops."""
     leq = set(leq_pairs)
@@ -229,6 +298,56 @@ def naive_tree_levels(lat, ranks, depth):
 def random_graph(rng, size, p=0.4):
     edges = [e for e in itertools.combinations(range(size), 2) if rng.random() < p]
     return Graph(range(size), edges)
+
+
+@st.composite
+def vertices_and_edges(draw):
+    """Distinct naturals in any order (gaps and huge names included, 41 never),
+    and edges among them in either orientation."""
+    verts = draw(st.lists(st.integers(0, 40) | st.integers(2**64, 2**70), unique=True,
+                          max_size=9))
+    pairs = list(itertools.combinations(verts, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return verts, [draw(st.sampled_from([(u, v), (v, u)])) for u, v in edges]
+
+
+def graphs():
+    return vertices_and_edges().map(lambda case: Graph(*case))
+
+
+@st.composite
+def graph_json_objects(draw):
+    """Decoded graph JSON, mostly well shaped, often with errors that compete.
+
+    Vertices may be negative, unsorted or not integers; edge pairs may be
+    misshapen, reversed, repeated or reach outside the vertex list; a key
+    may be missing.  Each odd shape is drawn only now and then, so most
+    objects get deep into the edge list.
+    """
+    odd = st.integers(-2, 6) | st.sampled_from([True, 1.0, "1", None, []])
+
+    def sometimes(usual, *rare):
+        return draw(st.one_of(*rare) if draw(st.integers(0, 5)) == 5 else usual)
+
+    vertices = sometimes(
+        st.lists(st.integers(-1, 6), unique=True, max_size=7).map(sorted),
+        st.lists(st.integers(-2, 6), max_size=6),
+        st.lists(odd, max_size=5),
+        odd,
+    )
+    edges = []
+    for _ in range(draw(st.integers(0, 10))):
+        edges.append(sometimes(
+            st.lists(st.integers(-1, 7), min_size=2, max_size=2, unique=True).map(sorted),
+            st.lists(st.integers(-1, 7), min_size=2, max_size=2),
+            st.lists(odd, max_size=3),
+            odd,
+        ))
+    obj = {"vertices": vertices, "edges": sometimes(st.just(edges), odd)}
+    missing = sometimes(st.none(), st.sampled_from(["vertices", "edges"]))
+    if missing is not None:
+        del obj[missing]
+    return obj
 
 
 def iter_traceable_masks(size):

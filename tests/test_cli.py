@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 from chordlab import formats, lattices, ramsey
 from chordlab.cli import main
 from chordlab.errors import ResourceLimitError
+from chordlab.graphs import K22, Graph, complete_graph, pattern_graph
 from chordlab.lattices import fence_lattice, spurred_fence_lattice
+
+from oracles import graph_json_objects, graphs
 
 
 def run_cli(capsys, *argv):
@@ -303,6 +306,26 @@ def test_lattice_fences_tree_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert_input_error(capsys, argv)
 
 
+def _run_isolated(argv):
+    """Exit code, stdout and stderr of one CLI run, without pytest's capture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_one_json_line_outcome(code, out, err):
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and "error" in json.loads(lines[0])
+    else:
+        assert err == ""
+        json.loads(out)
+
+
 def _lattice_documents():
     """Lattice JSON files, well-formed or not, over at most 8 elements, as bytes."""
     element = st.integers(-2, 8)
@@ -393,15 +416,44 @@ def test_lattice_commands_never_crash_on_malformed_json(doc, target):
             fh.write(doc)
         for argv in (["lattice", "verify", "--lattice", path],
                      ["lattice", "fences", "--lattice", path, "--target", str(target)]):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            assert code in (0, 1, 2)
-            assert "Traceback" not in out.getvalue() + err.getvalue()
-            if code == 2:
-                assert out.getvalue() == ""
-                lines = err.getvalue().splitlines()
-                assert len(lines) == 1 and "error" in json.loads(lines[0])
-            else:
-                assert err.getvalue() == ""
-                json.loads(out.getvalue())
+            _assert_one_json_line_outcome(*_run_isolated(argv))
+
+
+def _graph_documents():
+    """Graph JSON files, well-formed or not, over at most 9 vertices, as bytes."""
+    anything = st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 9) | st.floats(allow_nan=False)
+        | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["vertices", "edges"]), inner, max_size=2),
+        max_leaves=8,
+    )
+    texts = st.one_of(
+        graphs().map(formats.graph_to_json),
+        st.one_of(graph_json_objects(), graph_json_objects(), anything).map(json.dumps),
+        st.text(max_size=20),
+    )
+    return texts.map(str.encode) | st.binary(max_size=12)
+
+
+def _graph_doc(g):
+    return formats.graph_to_json(g).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_graph_documents(), n=st.integers(-1, 7))
+@example(doc=_graph_doc(pattern_graph(K22)), n=4)
+@example(doc=_graph_doc(complete_graph(6)), n=5)
+@example(doc=_graph_doc(Graph([3, 8, 9, 12], [(3, 8), (8, 9), (9, 12)])), n=4)
+@example(doc=b'{"vertices": [0, 1], "edges": [[0, 5], [0, 1], [0, 1]]}', n=4)
+@example(doc=b'{"vertices": [-1, 0], "edges": [[0, 3]]}', n=4)
+@example(doc=b"\xff\xfe", n=4)  # not UTF-8
+@example(doc=b"[" * 100_000, n=4)  # deeper than the JSON parser recurses
+def test_graph_commands_never_crash_on_malformed_json(doc, n):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "graph.json")
+        with open(path, "wb") as fh:
+            fh.write(doc)
+        for command in ("dichotomy", "pipeline"):
+            outcome = _run_isolated([command, "--graph", path, "--n", str(n)])
+            _assert_one_json_line_outcome(*outcome)

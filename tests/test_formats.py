@@ -1,12 +1,16 @@
 """Serialization: JSON round trips and deterministic DOT output."""
 
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
+from chordlab.construction import run, seeded_injective
 from chordlab.errors import InvalidInputError
 from chordlab.formats import (
     graph_from_json,
+    graph_from_json_obj,
     graph_to_dot,
     graph_to_json,
     lattice_from_json_obj,
@@ -16,7 +20,15 @@ from chordlab.formats import (
 from chordlab.graphs import Graph, pattern_A, pattern_graph
 from chordlab.lattices import FiniteLattice, fence_lattice
 
-from oracles import random_graph
+from oracles import (
+    dot_by_lines,
+    graph_from_json_obj_by_edge_list,
+    graph_json_objects,
+    graphs,
+    json_dumps_graph,
+    random_graph,
+    sorted_edge_pairs,
+)
 
 
 def test_graph_round_trip_is_identity():
@@ -50,6 +62,57 @@ def test_graph_json_validation():
 def test_graph_json_rejects_non_integer_entries(text):
     with pytest.raises(InvalidInputError):
         graph_from_json(text)
+
+
+def _load_outcome(load, obj):
+    """The loaded graph's vertices, rows and positions, or the error's type and message."""
+    try:
+        g = load(obj)
+    except Exception as exc:  # any failure, compared with the oracle's
+        return type(exc), str(exc)
+    return g.vertices, g.rows, [g.position(v) for v in g.vertices]
+
+
+@pytest.mark.parametrize("stages", [0, 1, 20, 60])
+def test_staged_hosts_are_written_and_read_as_the_oracles_do(stages):
+    g = run(seeded_injective(7, stages), stages).final_graph()
+    text = graph_to_json(g)
+    assert text == json_dumps_graph(g)
+    assert graph_to_dot(g) == dot_by_lines(g)
+    obj = json.loads(text)
+    mine = _load_outcome(graph_from_json_obj, obj)
+    assert mine == _load_outcome(graph_from_json_obj_by_edge_list, obj)
+    assert mine[:2] == (g.vertices, g.rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=graphs())
+@example(g=Graph([], []))
+@example(g=Graph([7], []))
+@example(g=Graph([9, 2, 5], [(9, 2), (5, 2)]))
+def test_writers_match_the_oracles_on_any_vertex_order(g):
+    assert g.edges() == sorted_edge_pairs(g)
+    text = graph_to_json(g)
+    assert text == json_dumps_graph(g)
+    assert graph_to_dot(g) == dot_by_lines(g)
+    obj = json.loads(text)
+    assert _load_outcome(graph_from_json_obj, obj) == _load_outcome(
+        graph_from_json_obj_by_edge_list, obj
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(obj=graph_json_objects())
+@example(obj={"vertices": [0, 1, 2], "edges": [[0, 5], [0, 1], [0, 1]]})  # duplicate wins
+@example(obj={"vertices": [0, 1], "edges": [[0, 5], [1, 7], [0, 5]]})  # duplicate outside
+@example(obj={"vertices": [0, 1], "edges": [[1, 3], [0, 2]]})  # first outside edge named
+@example(obj={"vertices": [-1, 0, 1], "edges": [[0, 1], [1]]})  # bad pair before negative
+@example(obj={"vertices": [-1, 0], "edges": [[0, 3]]})  # negative before outside
+@example(obj={"vertices": [0, 1], "edges": [[0, 1], [1, 0]]})
+def test_loader_matches_the_edge_list_oracle(obj):
+    assert _load_outcome(graph_from_json_obj, obj) == _load_outcome(
+        graph_from_json_obj_by_edge_list, obj
+    )
 
 
 @pytest.mark.parametrize("obj", [

@@ -1,11 +1,9 @@
 """Graph core: chordlessness, path search, pattern embeddings, traceability."""
 
-import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from chordlab.errors import InvalidInputError
 from chordlab.graphs import (
@@ -23,7 +21,12 @@ from chordlab.graphs import (
     pattern_graph,
 )
 
-from oracles import brute_chordless_path, brute_embedding_exists, random_graph
+from oracles import (
+    brute_chordless_path,
+    brute_embedding_exists,
+    random_graph,
+    vertices_and_edges,
+)
 
 
 def test_graph_rejects_bad_input():
@@ -41,14 +44,6 @@ def test_adjacency_is_symmetric_and_irreflexive():
         assert u not in g.neighbors(u)
         for v in g.neighbors(u):
             assert u in g.neighbors(v)
-
-
-@st.composite
-def vertices_and_edges(draw):
-    verts = draw(st.lists(st.integers(0, 40), unique=True, max_size=9))
-    pairs = list(itertools.combinations(verts, 2))
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return verts, [draw(st.sampled_from([(u, v), (v, u)])) for u, v in edges]
 
 
 @settings(max_examples=200, deadline=None)

@@ -125,6 +125,9 @@ def test_validate_lattice_matches_naive_oracle():
                 assert mine.witness == naive[1]
                 with pytest.raises(InvalidInputError, match=re.escape(repr(naive[1]))):
                     FiniteLattice(n, pairs)
+        else:
+            built = FiniteLattice(n, pairs)
+            assert vars(mine.lattice) == vars(built)
     assert {"transitive", "meet-exists", "join-exists"} <= seen
 
 
@@ -350,6 +353,36 @@ def test_build_tree_structural_error_on_corrupt_ranks():
     )
     with pytest.raises(StructuralError):
         build_tree(lat, fake, 2)
+
+
+def test_tree_check_catches_a_bad_last_entry():
+    # each node's prefix is a checked node, so a bad entry is always a last one
+    from chordlab.lattices import GenTree, _assert_tree_properties
+
+    lat, gens, _ = spurred_fence_lattice(7)
+    ranks = closure_and_rank(lat, gens)
+    tree = build_tree(lat, ranks, ranks.max_rank)
+    atoms, coatoms = set(lat.atoms()), set(lat.coatoms())
+    i = ranks.max_rank - 1
+    prefix = tree.levels[i][0]
+    last = prefix[-1]
+    other = sorted(coatoms if last in atoms else atoms)
+    fresh = [x for x in other if x not in prefix]
+    cases = {
+        "repeated entries": prefix[-2],
+        "incomparable": next(x for x in fresh if not lat.comparable(last, x)),
+        "do not alternate": lat.top,
+        "exceeds the rank-%d bound" % (i + 1): next(
+            x for x in fresh if lat.comparable(last, x) and x > ranks.rank_bound[i + 1]
+        ),
+    }
+    for message, x in cases.items():
+        levels = list(tree.levels)
+        levels[i + 1] += (prefix + (x,),)
+        with pytest.raises(StructuralError, match=message):
+            _assert_tree_properties(
+                lat, ranks, GenTree(tuple(levels)), atoms, coatoms, ranks.max_rank
+            )
 
 
 def test_find_fences_none_when_tree_too_shallow():
