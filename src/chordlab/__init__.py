@@ -75,7 +75,6 @@ from .ramsey import (
     DichotomyWitness,
     FourColoring,
     HomogeneousCertificate,
-    IncreasingPathTable,
     build_coloring,
     build_increasing_paths,
     color_4subset,

@@ -358,12 +358,6 @@ class HistoryLemmaReport:
     def ok(self) -> bool:
         return all(r.ok for r in self.stage_reports)
 
-    def first_failure(self):
-        for r in self.stage_reports:
-            if not r.ok:
-                return r
-        return None
-
 
 def check_history_lemmas(history: StagedHistory) -> HistoryLemmaReport:
     """Check all five invariants at every stage of a history.

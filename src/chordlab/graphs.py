@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .errors import InvalidInputError
 
-PathSeq = tuple
-
 
 def iter_bits(mask: int):
     """Positions of the set bits of ``mask``, lowest first."""
@@ -131,7 +129,8 @@ def complete_graph(n: int) -> Graph:
 
 def check_traceable(g: Graph) -> bool:
     """True when consecutive vertices of the stored order are adjacent."""
-    return all(g.has_edge(u, v) for u, v in zip(g.vertices, g.vertices[1:]))
+    rows = g.rows
+    return all(rows[i] >> (i + 1) & 1 for i in range(len(rows) - 1))
 
 
 def _check_path_input(g: Graph, p) -> None:
@@ -142,21 +141,26 @@ def _check_path_input(g: Graph, p) -> None:
             raise InvalidInputError("path vertex %r not in graph" % (v,))
 
 
-def is_path(g: Graph, p) -> bool:
-    _check_path_input(g, p)
-    return all(g.has_edge(p[i], p[i + 1]) for i in range(len(p) - 1))
+def is_chordless_positions(rows, p) -> bool:
+    """True iff positions ``p`` are distinct and form a path in ``rows`` with
+    no edge between non-consecutive positions: each one's row meets ``p``
+    exactly in its path neighbours."""
+    members = 0
+    for v in p:
+        members |= 1 << v
+    if members.bit_count() != len(p):
+        return False
+    for i, v in enumerate(p):
+        links = (1 << p[i - 1] if i else 0) | (1 << p[i + 1] if i + 1 < len(p) else 0)
+        if rows[v] & members != links:
+            return False
+    return True
 
 
 def is_chordless(g: Graph, p) -> bool:
     """True iff ``p`` is a path in ``g`` with no edges between non-consecutive vertices."""
     _check_path_input(g, p)
-    if not all(g.has_edge(p[i], p[i + 1]) for i in range(len(p) - 1)):
-        return False
-    for i in range(len(p)):
-        for j in range(i + 2, len(p)):
-            if g.has_edge(p[i], p[j]):
-                return False
-    return True
+    return is_chordless_positions(g.rows, [g.position(v) for v in p])
 
 
 def find_chordless_positions(masks, size: int, n: int):
@@ -284,9 +288,6 @@ class Embedding:
 
     pattern: Pattern
     assignment: dict
-
-    def image(self):
-        return tuple(self.assignment[name] for name in self.pattern.vertex_names)
 
 
 def embedding_is_valid(g: Graph, emb: Embedding) -> bool:

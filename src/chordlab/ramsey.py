@@ -9,8 +9,10 @@ concatenated fixed paths from the residual class.  Guaranteed success needs
 Ramsey-scale hosts, so the practical entry point is :func:`dichotomy`, a
 direct search; the pipeline is validated for soundness on small hosts.
 
-All orderings ("increasing", "x < y") refer to positions in the host's stored
-vertex order, which is required to be a tracing function here.
+The pipeline runs on positions ``0..size-1`` of the host's stored vertex
+order, which is required to be a tracing function here, and on its bitmask
+rows; all orderings ("increasing", "x < y") refer to those positions.  Vertex
+names appear only in what :func:`proof_pipeline` reports.
 """
 
 from __future__ import annotations
@@ -30,124 +32,71 @@ from .graphs import (
     Embedding,
     Graph,
     check_traceable,
-    embedding_is_valid,
     find_chordless_path,
     find_chordless_positions,
     find_embedding,
-    is_chordless,
+    is_chordless_positions,
+    iter_bits,
 )
 
 
-class IncreasingPathTable:
-    """Fixed minimal increasing chordless paths for every vertex pair.
+def build_increasing_paths(g: Graph, n: int | None = None) -> dict:
+    """Fixed-path table ``{(x, y): path}`` over positions x < y of a traceable host.
 
-    ``path(x, y)`` is the lexicographically least among the minimal-length
-    strictly increasing paths from x to y; ``edge_count(x, y)`` is its number
-    of edges.  Increasing means increasing position in the host order.
-    """
-
-    def __init__(self, graph: Graph, paths: dict):
-        self.graph = graph
-        self._paths = paths
-
-    def path(self, x, y):
-        key = (self.graph.position(x), self.graph.position(y))
-        if key not in self._paths:
-            raise InvalidInputError("no table entry for pair %r" % ((x, y),))
-        return self._paths[key]
-
-    def edge_count(self, x, y) -> int:
-        return len(self.path(x, y)) - 1
-
-    def path_vertex(self, x, y, i: int):
-        """The i-th vertex of the fixed path from x to y."""
-        p = self.path(x, y)
-        if i >= len(p):
-            raise InvalidInputError(
-                "fixed path %r has only %d edges" % ((x, y), len(p) - 1)
-            )
-        return p[i]
-
-    def pairs(self):
-        verts = self.graph.vertices
-        return [(verts[i], verts[j]) for i, j in sorted(self._paths)]
-
-
-def build_increasing_paths(g: Graph, n: int | None = None) -> IncreasingPathTable:
-    """Build the fixed-path table for a traceable host.
-
-    A minimal-length increasing path is necessarily chordless: a chord would
-    shortcut it.  When ``n`` is given, every pair must satisfy
-    ``edge_count <= n - 2`` (which holds whenever the host has no chordless
-    n-path); a violation is rejected as invalid input.
+    ``path`` is the lexicographically least among the minimal-length strictly
+    increasing paths from x to y.  A minimal-length increasing path is
+    necessarily chordless: a chord would shortcut it.  When ``n`` is given,
+    every pair must need at most ``n - 2`` edges (which holds whenever the
+    host has no chordless n-path); the least pair above the bound is rejected
+    as invalid input.
     """
     if len(g) < 2:
         raise InvalidInputError("need at least 2 vertices")
     if not check_traceable(g):
         raise InvalidInputError("host is not traceable in its stored order")
     size = len(g)
-    masks = g.rows
+    rows = g.rows
     verts = g.vertices
-
-    # dist_to[y][v]: fewest increasing edges from v up to y.
-    dist_to = [None] * size
-    for y in range(size):
-        dist = [None] * size
-        dist[y] = 0
-        frontier = [y]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                below = masks[w] & ((1 << w) - 1)
-                while below:
-                    bit = below & -below
-                    below ^= bit
-                    v = bit.bit_length() - 1
-                    if dist[v] is None:
-                        dist[v] = dist[w] + 1
-                        nxt.append(v)
-            frontier = nxt
-        dist_to[y] = dist
-
     paths = {}
-    for x in range(size):
-        for y in range(x + 1, size):
-            total = dist_to[y][x]
+    over = None  # least (x, y, edges) above the bound
+    for y in range(size):
+        # dist[v]: fewest increasing edges from v up to y; layers[d]: the v at d.
+        dist = [None] * size
+        layers = [1 << y]
+        seen = 1 << y
+        while layers[-1]:
+            below = 0
+            for w in iter_bits(layers[-1]):
+                dist[w] = len(layers) - 1
+                below |= rows[w] & ((1 << w) - 1)
+            layers.append(below & ~seen)
+            seen |= below
+        # x's path steps to the lowest w above x one layer nearer to y, then
+        # follows w's path, built just before.
+        tails = {y: (y,)}
+        for x in range(y - 1, -1, -1):
+            total = dist[x]
             if total is None:
                 raise InvalidInputError(
                     "no increasing path %r -> %r; host order is not a tracing"
                     % (verts[x], verts[y])
                 )
             if n is not None and total > n - 2:
-                raise InvalidInputError(
-                    "pair %r needs %d edges, above the bound %d; host has a "
-                    "chordless %d-path" % ((verts[x], verts[y]), total, n - 2, n)
-                )
-            seq = [x]
-            cur = x
-            remaining = total
-            while cur != y:
-                step = masks[cur] & ~((1 << (cur + 1)) - 1)
-                chosen = None
-                while step:
-                    bit = step & -step
-                    step ^= bit
-                    w = bit.bit_length() - 1
-                    if w <= y and dist_to[y][w] == remaining - 1:
-                        chosen = w
-                        break
-                if chosen is None:
-                    raise AssertionError(
-                        "distance table inconsistent at pair %r" % ((x, y),)
-                    )
-                seq.append(chosen)
-                cur = chosen
-                remaining -= 1
-            p = tuple(verts[i] for i in seq)
-            if not is_chordless(g, p):
+                if over is None or (x, y) < over[:2]:
+                    over = (x, y, total)
+                continue
+            step = rows[x] & layers[total - 1] & ~((2 << x) - 1)
+            p = (x,) + tails[(step & -step).bit_length() - 1]
+            if not is_chordless_positions(rows, p):
                 raise AssertionError("minimal increasing path %r is not chordless" % (p,))
-            paths[(x, y)] = p
-    return IncreasingPathTable(g, paths)
+            tails[x] = paths[x, y] = p
+    if over is not None:
+        x, y, total = over
+        raise InvalidInputError(
+            "pair %r needs %d edges, above the bound %d; host has a "
+            "chordless %d-path" % ((verts[x], verts[y]), total, n - 2, n)
+        )
+    return paths
 
 
 RESIDUAL = "K"  # color of 4-subsets matched by no (i, j) pair
@@ -155,7 +104,7 @@ RESIDUAL = "K"  # color of 4-subsets matched by no (i, j) pair
 
 @dataclass(frozen=True)
 class FourColoring:
-    """Color of every ascending 4-subset: a least (i, j) pair, or residual.
+    """Color of every ascending position 4-subset: a least (i, j) pair, or residual.
 
     A 4-subset (x, y, u, v) carries (i, j) when the fixed paths are long
     enough (``N(x,y) >= i``, ``N(u,v) >= j``) and the host joins the i-th
@@ -164,30 +113,25 @@ class FourColoring:
     """
 
     n: int
-    vertices: tuple
     assignment: dict
 
-    def color(self, quad):
-        return self.assignment[tuple(quad)]
 
-    def color_names(self):
-        side = self.n - 1
-        return [(i, j) for i in range(side) for j in range(side)] + [RESIDUAL]
+def color_4subset(rows, paths, quad, n: int):
+    """Lexicographically least applicable (i, j), else the residual color.
 
-
-def color_4subset(table: IncreasingPathTable, quad, n: int):
-    """Lexicographically least applicable (i, j), else the residual color."""
+    The first n-1 vertices of path(u, v) form the mask ``far``; i is the first
+    index on path(x, y) whose row meets it, and j the index of the lowest
+    vertex met, which is the least j because paths ascend.
+    """
     x, y, u, v = quad
-    g = table.graph
-    pxy = table.path(x, y)
-    puv = table.path(u, v)
-    top_i = min(n - 2, len(pxy) - 1)
-    top_j = min(n - 2, len(puv) - 1)
-    for i in range(top_i + 1):
-        a = pxy[i]
-        for j in range(top_j + 1):
-            if g.has_edge(a, puv[j]):
-                return (i, j)
+    puv = paths[u, v][: n - 1]
+    far = 0
+    for w in puv:
+        far |= 1 << w
+    for i, a in enumerate(paths[x, y][: n - 1]):
+        hit = rows[a] & far
+        if hit:
+            return (i, puv.index((hit & -hit).bit_length() - 1))
     return RESIDUAL
 
 
@@ -196,85 +140,73 @@ def color_4subset(table: IncreasingPathTable, quad, n: int):
 MAX_COLORED_QUADS = 2_000_000
 
 
-def build_coloring(table: IncreasingPathTable, n: int) -> FourColoring:
-    verts = table.graph.vertices
-    quads = math.comb(len(verts), 4)
+def _check_coloring_budget(size: int) -> None:
+    quads = math.comb(size, 4)
     if quads > MAX_COLORED_QUADS:
         raise ResourceLimitError(
             "coloring %d vertices needs %d 4-subsets, over the budget of %d"
-            % (len(verts), quads, MAX_COLORED_QUADS)
+            % (size, quads, MAX_COLORED_QUADS)
         )
+
+
+def build_coloring(rows, paths, n: int) -> FourColoring:
+    _check_coloring_budget(len(rows))
     assignment = {}
-    for quad in itertools.combinations(verts, 4):
-        assignment[quad] = color_4subset(table, quad, n)
-    return FourColoring(n=n, vertices=verts, assignment=assignment)
+    for quad in itertools.combinations(range(len(rows)), 4):
+        assignment[quad] = color_4subset(rows, paths, quad, n)
+    return FourColoring(n=n, assignment=assignment)
 
 
 @dataclass(frozen=True)
 class HomogeneousCertificate:
-    subset: tuple
+    subset: tuple  # positions inside the pipeline, vertex names in its trace
     color: object
 
 
-def certificate_is_valid(coloring: FourColoring, cert: HomogeneousCertificate) -> bool:
-    if len(cert.subset) < 4:
-        return False
-    return all(
-        coloring.color(quad) == cert.color
-        for quad in itertools.combinations(cert.subset, 4)
-    )
-
-
-def find_homogeneous(coloring: FourColoring, vertices, q: int):
-    """Exact ordered backtracking search for a q-subset monochromatic on 4-subsets.
+def find_homogeneous(coloring: FourColoring, size: int, q: int):
+    """Exact ordered backtracking search for a q-subset of positions
+    ``0..size-1`` monochromatic on 4-subsets.
 
     Returns the lexicographically least certificate, or None.
     """
     if q < 4:
         raise InvalidInputError("homogeneous size must be >= 4, got %d" % q)
-    pool = list(vertices)
-    if len(pool) < q:
+    if size < q:
         return None
+    color_of = coloring.assignment
     chosen = []
-    state = {"color": None}
 
-    def compatible(v):
-        if len(chosen) < 3:
-            return True
-        color = state["color"]
-        for trip in itertools.combinations(chosen, 3):
-            c = coloring.color(tuple(sorted(trip + (v,))))
-            if color is None:
-                color = c
-            elif c != color:
-                return False
-        state["color"] = color
-        return True
-
-    def search(start: int) -> bool:
+    def search(start: int, color):
+        """The class color once ``chosen`` is completed to q, else None."""
         if len(chosen) == q:
-            return True
-        for idx in range(start, len(pool) - (q - len(chosen)) + 1):
-            v = pool[idx]
-            saved = state["color"]
-            if compatible(v):
+            return color
+        for v in range(start, size - (q - len(chosen)) + 1):
+            c = color
+            for trip in itertools.combinations(chosen, 3):
+                got = color_of[trip + (v,)]
+                if c is None:
+                    c = got
+                elif got != c:
+                    break
+            else:
                 chosen.append(v)
-                if search(idx + 1):
-                    return True
+                found = search(v + 1, c)
+                if found is not None:
+                    return found
                 chosen.pop()
-            state["color"] = saved
-        return False
-
-    if not search(0):
         return None
-    cert = HomogeneousCertificate(subset=tuple(chosen), color=state["color"])
-    if not certificate_is_valid(coloring, cert):
+
+    color = search(0, None)
+    if color is None:
+        return None
+    subset = tuple(chosen)
+    if any(color_of[quad] != color for quad in itertools.combinations(subset, 4)):
         raise AssertionError("homogeneous search produced an invalid certificate")
-    return cert
+    return HomogeneousCertificate(subset=subset, color=color)
 
 
-def extract_k22(cert: HomogeneousCertificate, table: IncreasingPathTable) -> Embedding:
-    """A K22 copy from the first 8 elements of a pair-colored certificate.
+def extract_k22(cert: HomogeneousCertificate, g: Graph, paths: dict) -> Embedding:
+    """A K22 copy from the first 8 positions of a pair-colored certificate.
 
     The four image vertices come from fixed paths inside four disjoint
     position intervals, so a collision indicates corrupt inputs; it is
@@ -286,48 +218,50 @@ def extract_k22(cert: HomogeneousCertificate, table: IncreasingPathTable) -> Emb
         raise InvalidInputError(
             "need at least 8 homogeneous elements, have %d" % len(cert.subset)
         )
+    verts = g.vertices
+
+    def path_vertex(x, y, i):
+        p = paths[x, y]
+        if i >= len(p):
+            raise InvalidInputError(
+                "fixed path %r has only %d edges" % ((verts[x], verts[y]), len(p) - 1)
+            )
+        return p[i]
+
     i, j = cert.color
     x1, x2, x3, x4, x5, x6, x7, x8 = cert.subset[:8]
-    tops = (
-        table.path_vertex(x1, x2, i),
-        table.path_vertex(x3, x4, i),
-    )
-    bots = (
-        table.path_vertex(x5, x6, j),
-        table.path_vertex(x7, x8, j),
-    )
-    image = tops + bots
-    if len(set(image)) != 4:
+    a0, a1 = path_vertex(x1, x2, i), path_vertex(x3, x4, i)
+    b0, b1 = path_vertex(x5, x6, j), path_vertex(x7, x8, j)
+    image = tuple(verts[p] for p in (a0, a1, b0, b1))
+    if len({a0, a1, b0, b1}) != 4:
         raise ExtractionError(
             "extracted vertices collide: %r" % (image,), detail=image
         )
-    emb = Embedding(
-        K22,
-        {"a0": tops[0], "a1": tops[1], "b0": bots[0], "b1": bots[1]},
-    )
-    if not embedding_is_valid(table.graph, emb):
+    rows = g.rows
+    if not all(rows[a] >> b & 1 for a in (a0, a1) for b in (b0, b1)):
         raise ExtractionError(
             "extracted vertices do not form a K22 copy: %r" % (image,), detail=image
         )
-    return emb
+    return Embedding(K22, dict(zip(K22.vertex_names, image)))
 
 
-def concatenated_path(cert: HomogeneousCertificate, table: IncreasingPathTable, n: int):
+def concatenated_path(cert: HomogeneousCertificate, paths: dict, n: int):
     """Fixed paths x0 -> x1 -> ... -> xn joined into one increasing path."""
     xs = cert.subset[: n + 1]
-    out = list(table.path(xs[0], xs[1]))
+    out = list(paths[xs[0], xs[1]])
     for a, b in zip(xs[1:], xs[2:]):
-        out.extend(table.path(a, b)[1:])
+        out.extend(paths[a, b][1:])
     return tuple(out)
 
 
-def extract_chordless(cert: HomogeneousCertificate, table: IncreasingPathTable, n: int):
-    """Greedy chordless n-path from a residual-colored certificate.
+def extract_chordless(cert: HomogeneousCertificate, g: Graph, paths: dict, n: int):
+    """Greedy chordless n-path, in vertex names, from a residual-colored certificate.
 
     Walk the concatenated fixed path taking, from each vertex, the furthest
-    path vertex it sees.  Skipping to the furthest neighbour is what makes
-    the result chordless; a stalled or exhausted walk signals a certificate
-    or table bug and is raised as an extraction failure.
+    path vertex it sees: the highest bit of its row on the walk.  Skipping to
+    the furthest neighbour is what makes the result chordless; a stalled or
+    exhausted walk signals a certificate or table bug and is raised as an
+    extraction failure.
     """
     if cert.color != RESIDUAL:
         raise InvalidInputError("certificate color must be the residual class")
@@ -335,25 +269,24 @@ def extract_chordless(cert: HomogeneousCertificate, table: IncreasingPathTable, 
         raise InvalidInputError(
             "need at least %d homogeneous elements, have %d" % (n + 1, len(cert.subset))
         )
-    g = table.graph
-    walk = concatenated_path(cert, table, n)
-    pos = {v: g.position(v) for v in walk}
+    rows = g.rows
+    verts = g.vertices
+    walk = concatenated_path(cert, paths, n)
+    walk_mask = 0
+    for w in walk:
+        walk_mask |= 1 << w
     ys = [walk[0]]
     while len(ys) < n:
         cur = ys[-1]
-        best = None
-        for w in walk:
-            if w != cur and g.has_edge(cur, w):
-                if best is None or pos[w] > pos[best]:
-                    best = w
-        if best is None or pos[best] <= pos[cur]:
+        best = (rows[cur] & walk_mask).bit_length() - 1
+        if best <= cur:
             raise ExtractionError(
-                "greedy walk stalled at %r after %d vertices" % (cur, len(ys)),
-                detail=tuple(ys),
+                "greedy walk stalled at %r after %d vertices" % (verts[cur], len(ys)),
+                detail=tuple(verts[y] for y in ys),
             )
         ys.append(best)
-    result = tuple(ys)
-    if not is_chordless(g, result):
+    result = tuple(verts[y] for y in ys)
+    if not is_chordless_positions(rows, ys):
         raise ExtractionError("greedy result %r is not chordless" % (result,), detail=result)
     return result
 
@@ -413,25 +346,28 @@ def proof_pipeline(g: Graph, n: int) -> PipelineTrace:
         trace.path = direct
         trace.notes.append("host already contains a chordless %d-path" % n)
         return trace
-    table = build_increasing_paths(g, n)
-    trace.table_pairs = len(table.pairs())
-    coloring = build_coloring(table, n)
+    _check_coloring_budget(len(g))
+    paths = build_increasing_paths(g, n)
+    trace.table_pairs = len(paths)
+    coloring = build_coloring(g.rows, paths, n)
     trace.colors_used = len(set(coloring.assignment.values()))
-    cert = find_homogeneous(coloring, g.vertices, q)
+    cert = find_homogeneous(coloring, len(g), q)
     if cert is None:
         trace.outcome = "no_homogeneous_set"
         trace.notes.append(
             "no monochromatic %d-subset; host is below Ramsey scale" % q
         )
         return trace
-    trace.certificate = cert
+    trace.certificate = HomogeneousCertificate(
+        subset=tuple(g.vertices[x] for x in cert.subset), color=cert.color
+    )
     if cert.color == RESIDUAL:
-        path = extract_chordless(cert, table, n)
+        path = extract_chordless(cert, g, paths, n)
         trace.outcome = "chordless_path"
         trace.witness_kind = "chordless_path"
         trace.path = path
     else:
-        emb = extract_k22(cert, table)
+        emb = extract_k22(cert, g, paths)
         trace.outcome = "k22"
         trace.witness_kind = "k22"
         trace.embedding = emb

@@ -45,10 +45,44 @@ def brute_embedding_exists(g, pattern):
 def brute_homogeneous(coloring, vertices, q):
     """First monochromatic q-subset by scanning all combinations."""
     for subset in itertools.combinations(sorted(vertices), q):
-        colors = {coloring.color(quad) for quad in itertools.combinations(subset, 4)}
+        colors = {coloring.assignment[quad] for quad in itertools.combinations(subset, 4)}
         if len(colors) == 1:
             return subset, colors.pop()
     return None
+
+
+def naive_fixed_path(g, x, y):
+    """Least minimal increasing path from x to y in the stored order, found by
+    scanning the in-between vertex subsets by size, in order."""
+    verts = g.vertices
+    inner = verts[verts.index(x) + 1:verts.index(y)]
+    for k in range(len(inner) + 1):
+        for mid in itertools.combinations(inner, k):
+            p = (x,) + mid + (y,)
+            if all(g.has_edge(a, b) for a, b in zip(p, p[1:])):
+                return p
+    return None
+
+
+def naive_four_coloring(g, n):
+    """Colour of every 4-subset x, y, u, v in stored order, keyed by vertex names.
+
+    The least (i, j), i and j below n - 1 and within the fixed paths of (x, y)
+    and (u, v), whose i-th and j-th path vertices are adjacent; else "K".
+    """
+    paths = {}
+    for x, y in itertools.combinations(g.vertices, 2):
+        paths[x, y] = naive_fixed_path(g, x, y)
+    colors = {}
+    for quad in itertools.combinations(g.vertices, 4):
+        pxy, puv = paths[quad[:2]], paths[quad[2:]]
+        colors[quad] = next(
+            ((i, j) for i in range(min(n - 1, len(pxy)))
+             for j in range(min(n - 1, len(puv)))
+             if g.has_edge(pxy[i], puv[j])),
+            "K",
+        )
+    return colors
 
 
 def naive_stage_lemmas(state):
@@ -394,6 +428,11 @@ def random_traceable_graph(rng, size, p=0.3):
         if e[1] > e[0] + 1 and rng.random() < p
     )
     return Graph(range(size), sorted(edges))
+
+
+def relabel(g, names):
+    """``g`` with the vertex at position i renamed ``names[i]``, same stored order."""
+    return Graph(names, [(names[g.position(u)], names[g.position(v)]) for u, v in g.edges()])
 
 
 def random_no_c5_host(rng, max_size=20):

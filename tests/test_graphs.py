@@ -15,6 +15,7 @@ from chordlab.graphs import (
     find_chordless_path,
     find_embedding,
     is_chordless,
+    is_chordless_positions,
     path_graph,
     pattern_A,
     pattern_Kkk,
@@ -91,6 +92,16 @@ def test_is_chordless_rejects_bad_sequences():
 def test_non_path_is_not_chordless():
     g = path_graph(4)
     assert not is_chordless(g, (0, 2))
+
+
+def test_is_chordless_positions_reads_the_rows():
+    rows = path_graph(4).rows
+    assert is_chordless_positions(rows, (0, 1, 2, 3))
+    assert is_chordless_positions(rows, (2, 1))
+    assert not is_chordless_positions(rows, (0, 1, 0))  # a repeat is no path
+    assert not is_chordless_positions(rows, (0, 2))
+    c4 = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert not is_chordless_positions(c4.rows, (0, 1, 2, 3))
 
 
 def test_find_chordless_path_examples():

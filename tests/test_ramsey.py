@@ -48,26 +48,28 @@ from oracles import (
     brute_homogeneous,
     iter_traceable_masks,
     masks_to_graph,
+    naive_four_coloring,
     random_no_c5_host,
     random_traceable_graph,
+    relabel,
 )
 
 
 def test_table_plain_path():
     g = path_graph(4)
     t = build_increasing_paths(g)
-    assert t.path(0, 3) == (0, 1, 2, 3)
-    assert t.edge_count(0, 3) == 3
+    assert t[0, 3] == (0, 1, 2, 3)
+    assert len(t[0, 3]) - 1 == 3
 
 
 def test_table_uses_shortcuts():
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 2)])
     t = build_increasing_paths(g)
-    assert t.path(0, 3) == (0, 2, 3)
-    assert t.edge_count(0, 3) == 2
+    assert t[0, 3] == (0, 2, 3)
+    assert len(t[0, 3]) - 1 == 2
     # a direct edge is always the minimal increasing path
     for x, y in g.edges():
-        assert t.path(x, y) == (x, y)
+        assert t[x, y] == (x, y)
 
 
 def test_table_requires_traceable_host():
@@ -82,8 +84,8 @@ def test_table_paths_are_chordless_and_minimal():
     for _ in range(40):
         g = random_traceable_graph(rng, rng.randint(2, 10), 0.35)
         t = build_increasing_paths(g)
-        for x, y in t.pairs():
-            p = t.path(x, y)
+        for x, y in sorted(t):
+            p = t[x, y]
             assert p[0] == x and p[-1] == y
             assert all(a < b for a, b in zip(p, p[1:]))
             assert is_chordless(g, p)
@@ -98,30 +100,30 @@ def test_table_enforces_edge_count_bound():
 def test_color_edge_between_left_endpoints_is_00():
     g = Graph(range(6), [(i, i + 1) for i in range(5)] + [(0, 2), (0, 3), (2, 4)])
     t = build_increasing_paths(g)
-    assert color_4subset(t, (0, 1, 2, 4), 4)[0:2] == (0, 0)  # edge(0, 2)
+    assert color_4subset(g.rows, t, (0, 1, 2, 4), 4)[0:2] == (0, 0)  # edge(0, 2)
 
 
 def test_color_residual_when_no_cross_edges():
     g = path_graph(8)
     t = build_increasing_paths(g)
     # {0,1,4,7}: fixed paths 0-1 and 4..7 share no cross edge
-    assert color_4subset(t, (0, 1, 4, 7), 9) == RESIDUAL
+    assert color_4subset(g.rows, t, (0, 1, 4, 7), 9) == RESIDUAL
 
 
 def test_color_lexicographically_least_pair():
     g = Graph(range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2), (1, 4), (3, 5)])
     t = build_increasing_paths(g)
     quad = (0, 1, 2, 4)
-    color = color_4subset(t, quad, 4)
+    color = color_4subset(g.rows, t, quad, 4)
     x, y, u, v = quad
     i, j = color
-    assert t.edge_count(x, y) >= i and t.edge_count(u, v) >= j
-    assert t.graph.has_edge(t.path(x, y)[i], t.path(u, v)[j])
+    assert len(t[x, y]) - 1 >= i and len(t[u, v]) - 1 >= j
+    assert g.has_edge(t[x, y][i], t[u, v][j])
     # nothing lexicographically smaller applies
     for i2 in range(i + 1):
-        for j2 in range(j if i2 == i else t.edge_count(u, v) + 1):
-            if i2 <= t.edge_count(x, y) and j2 <= t.edge_count(u, v):
-                assert not t.graph.has_edge(t.path(x, y)[i2], t.path(u, v)[j2])
+        for j2 in range(j if i2 == i else len(t[u, v])):
+            if i2 <= len(t[x, y]) - 1 and j2 <= len(t[u, v]) - 1:
+                assert not g.has_edge(t[x, y][i2], t[u, v][j2])
 
 
 def test_coloring_covers_every_4subset_once():
@@ -129,62 +131,99 @@ def test_coloring_covers_every_4subset_once():
     g = random_traceable_graph(rng, 9, 0.4)
     if find_chordless_path(g, 5) is None:
         t = build_increasing_paths(g, n=5)
-        col = build_coloring(t, 5)
+        col = build_coloring(g.rows, t, 5)
         quads = list(itertools.combinations(g.vertices, 4))
         assert set(col.assignment) == set(quads)
         side = 5 - 1
-        names = set(col.color_names())
+        names = set([(i, j) for i in range(side) for j in range(side)] + [RESIDUAL])
         assert len(names) == side * side + 1
-        assert all(col.color(q) in names for q in quads)
+        assert all(col.assignment[q] in names for q in quads)
 
 
 def test_coloring_budget_is_checked_before_allocation(monkeypatch):
-    t = build_increasing_paths(path_graph(8))
+    g = path_graph(8)
+    t = build_increasing_paths(g)
     monkeypatch.setattr(ramsey, "MAX_COLORED_QUADS", math.comb(8, 4))
-    assert len(build_coloring(t, 5).assignment) == math.comb(8, 4)
+    assert len(build_coloring(g.rows, t, 5).assignment) == math.comb(8, 4)
     monkeypatch.setattr(ramsey, "MAX_COLORED_QUADS", math.comb(8, 4) - 1)
     monkeypatch.setattr(ramsey, "color_4subset", None)  # never reached
     with pytest.raises(ResourceLimitError):
-        build_coloring(t, 5)
+        build_coloring(g.rows, t, 5)
+
+
+def test_coloring_agrees_with_name_oracle_on_relabelled_hosts():
+    # Gapped ascending names, and descending ones, where positions and names
+    # order the vertices differently.
+    rng = random.Random(41)
+    for trial in range(60):
+        size = rng.randint(4, 10)
+        names = sorted(rng.sample(range(1, 10 * size), size), reverse=trial % 2 == 1)
+        g = relabel(random_traceable_graph(rng, size, rng.choice([0.2, 0.4, 0.7])), names)
+        n = rng.randint(2, 7)
+        col = build_coloring(g.rows, build_increasing_paths(g), n)
+        by_name = {tuple(names[p] for p in quad): c for quad, c in col.assignment.items()}
+        assert by_name == naive_four_coloring(g, n)
+
+
+def test_pipeline_checks_the_coloring_budget_before_the_table(monkeypatch):
+    g = Graph(range(85), itertools.combinations(range(85), 2))
+    assert find_chordless_path(g, 5) is None
+
+    def no_table(*args):
+        raise AssertionError("table built before the budget check")
+
+    monkeypatch.setattr(ramsey, "build_increasing_paths", no_table)
+    with pytest.raises(ResourceLimitError):
+        proof_pipeline(g, 5)
+
+
+def test_pipeline_on_a_descending_vertex_order():
+    g = Graph(range(9, -1, -1), itertools.combinations(range(10), 2))
+    trace = proof_pipeline(g, 5)
+    assert trace.outcome == "k22"
+    assert trace.certificate.subset == (9, 8, 7, 6, 5, 4, 3, 2)
+    assert trace.certificate.color == (0, 0)
+    assert trace.embedding.assignment == {"a0": 9, "a1": 7, "b0": 5, "b1": 3}
+    assert embedding_is_valid(g, trace.embedding)
 
 
 def test_find_homogeneous_constant_coloring():
     g = path_graph(8)
     t = build_increasing_paths(g)
-    col = build_coloring(t, 9)
-    forced = type(col)(n=col.n, vertices=col.vertices,
+    col = build_coloring(g.rows, t, 9)
+    forced = type(col)(n=col.n,
                        assignment={q: "X" for q in col.assignment})
-    cert = find_homogeneous(forced, g.vertices, 5)
+    cert = find_homogeneous(forced, len(g), 5)
     assert cert.subset == (0, 1, 2, 3, 4)
 
 
 def test_find_homogeneous_single_deviation():
     g = path_graph(7)
     t = build_increasing_paths(g)
-    col = build_coloring(t, 9)
+    col = build_coloring(g.rows, t, 9)
     assignment = {q: "X" for q in col.assignment}
     assignment[(0, 1, 2, 3)] = "Y"
-    forced = type(col)(n=col.n, vertices=col.vertices, assignment=assignment)
-    assert find_homogeneous(forced, g.vertices, 7) is None
-    assert find_homogeneous(forced, g.vertices, 6) is not None
+    forced = type(col)(n=col.n, assignment=assignment)
+    assert find_homogeneous(forced, len(g), 7) is None
+    assert find_homogeneous(forced, len(g), 6) is not None
 
 
 def test_find_homogeneous_rejects_small_q():
     g = path_graph(6)
-    col = build_coloring(build_increasing_paths(g), 7)
+    col = build_coloring(g.rows, build_increasing_paths(g), 7)
     with pytest.raises(InvalidInputError):
-        find_homogeneous(col, g.vertices, 3)
+        find_homogeneous(col, len(g), 3)
 
 
 def test_find_homogeneous_agrees_with_brute_force():
     rng = random.Random(17)
     g = path_graph(10)
     t = build_increasing_paths(g)
-    base = build_coloring(t, 11)
+    base = build_coloring(g.rows, t, 11)
     for _ in range(25):
         assignment = {q: rng.choice(["A", "B"]) for q in base.assignment}
-        col = type(base)(n=base.n, vertices=base.vertices, assignment=assignment)
-        mine = find_homogeneous(col, g.vertices, 5)
+        col = type(base)(n=base.n, assignment=assignment)
+        mine = find_homogeneous(col, len(g), 5)
         brute = brute_homogeneous(col, g.vertices, 5)
         assert (mine is None) == (brute is None)
         if mine is not None:
@@ -209,7 +248,7 @@ def test_extract_k22_requires_eight_elements():
     t = build_increasing_paths(g)
     cert = HomogeneousCertificate(subset=tuple(range(7)), color=(0, 0))
     with pytest.raises(InvalidInputError):
-        extract_k22(cert, t)
+        extract_k22(cert, g, t)
 
 
 def test_extract_k22_reports_missing_edges():
@@ -217,7 +256,7 @@ def test_extract_k22_reports_missing_edges():
     t = build_increasing_paths(g)
     cert = HomogeneousCertificate(subset=tuple(range(8)), color=(0, 0))
     with pytest.raises(ExtractionError):
-        extract_k22(cert, t)  # a plain path has no K22, so images cannot work
+        extract_k22(cert, g, t)  # a plain path has no K22, so images cannot work
 
 
 def test_extract_chordless_plain_path():
@@ -225,7 +264,7 @@ def test_extract_chordless_plain_path():
     g = path_graph(n + 1)
     t = build_increasing_paths(g)
     cert = HomogeneousCertificate(subset=tuple(range(n + 1)), color=RESIDUAL)
-    ys = extract_chordless(cert, t, n)
+    ys = extract_chordless(cert, g, t, n)
     assert ys == tuple(range(n))
     # the walk is the full path and the progress bound holds at every step
     xs = cert.subset
@@ -236,7 +275,7 @@ def test_extract_chordless_skips_via_long_edge():
     g = Graph(range(7), [(i, i + 1) for i in range(6)] + [(1, 5)])
     t = build_increasing_paths(g)
     cert = HomogeneousCertificate(subset=(0, 1, 2, 5, 6), color=RESIDUAL)
-    ys = extract_chordless(cert, t, 4)
+    ys = extract_chordless(cert, g, t, 4)
     assert ys == (0, 1, 5, 6)  # the greedy jumps over the walk's interior
     assert is_chordless(g, ys)
 
@@ -246,7 +285,7 @@ def test_extract_chordless_stalls_on_exhausted_walk():
     t = build_increasing_paths(g)
     cert = HomogeneousCertificate(subset=tuple(range(7)), color=RESIDUAL)
     with pytest.raises(ExtractionError):
-        extract_chordless(cert, t, 6)
+        extract_chordless(cert, g, t, 6)
 
 
 def test_concatenated_path_is_increasing():
