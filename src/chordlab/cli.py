@@ -378,6 +378,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, list):  # argparse in Python 3.11 reads --x=-- as []
+                raise ChordlabError("bad value for --%s" % name.replace("_", "-"))
         return args.func(args)
     except (StructuralError, ContradictionError) as exc:
         _print_report(

@@ -26,6 +26,7 @@ from .errors import (
     CapacityError,
     InvalidContextError,
     InvalidInputError,
+    ResourceLimitError,
     StructuralError,
 )
 from .graphs import (
@@ -33,7 +34,7 @@ from .graphs import (
     Graph,
     Pattern,
     embedding_is_valid,
-    find_chordless_positions,
+    is_cograph,
     iter_bits,
 )
 
@@ -226,8 +227,20 @@ def run(f, stages: int) -> StagedHistory:
     return StagedHistory(f, stages)
 
 
+# Far above any run of the construction: T stages consume only T entries of f.
+MAX_SEEDED_LENGTH = 10**6
+
+
 def seeded_injective(seed: int, length: int):
-    """Deterministic injective sequence: a seeded permutation of 0..length-1."""
+    """Deterministic injective sequence: a seeded permutation of 0..length-1.
+
+    A length above ``MAX_SEEDED_LENGTH`` raises ResourceLimitError before
+    anything is allocated.
+    """
+    if length > MAX_SEEDED_LENGTH:
+        raise ResourceLimitError(
+            "seeded f length %d exceeds the limit of %d" % (length, MAX_SEEDED_LENGTH)
+        )
     values = list(range(length))
     random.Random(seed).shuffle(values)
     return tuple(values)
@@ -442,10 +455,11 @@ def check_history_lemmas(history: StagedHistory) -> HistoryLemmaReport:
 def history_has_no_chordless4(history: StagedHistory) -> bool:
     """True iff no stage has a chordless 4-path.
 
-    Every stage graph is an induced subgraph of the final one, so one scan of
-    the final host decides every stage.
+    Every stage graph is an induced subgraph of the final one, and the graphs
+    with no chordless 4-path are closed under induced subgraphs, so the
+    cotree split of the final host decides every stage.
     """
-    return find_chordless_positions(history._rows, history.final_k + 1, 4) is None
+    return is_cograph(history._rows, history.final_k + 1)
 
 
 # ---------------------------------------------------------------------------

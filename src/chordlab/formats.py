@@ -35,26 +35,62 @@ def _json_list(value) -> list:
     return value
 
 
-# One edge of the graph JSON, as json.dumps(indent=2) lays out a pair.
-_JSON_EDGE = "\n    [\n      %d,\n      %d\n    ]"
-
-
 def _json_block(items: str) -> str:
     return "[" + items + "\n  ]" if items else "[]"
 
 
+def _add_edges(parts: list, g: Graph, close: str, head: str) -> int:
+    """Append the edge text of ``g`` to ``parts``; return the number of edges.
+
+    Each edge (u, v) with u < v, in sorted order, adds two strings: ``close +
+    head % u`` (only ``head % u`` for the first edge) and the name of v.  The
+    last edge's ``close`` is left to the caller.  Each row's higher bits are
+    read once from its binary string, so no per-edge tuple or format is made,
+    and no per-row string either: on CPython 3.11 with glibc, freeing
+    thousands of row-sized strings left about 20 MB of heap resident after
+    writing a T=200 host.
+
+    A graph whose vertices do not ascend is first rebuilt in ascending order,
+    so that each row's higher bits are exactly its larger neighbours, in order.
+    """
+    verts = g.vertices
+    if any(a > b for a, b in zip(verts, verts[1:])):
+        g = Graph(sorted(verts), g.edges())
+        verts = g.vertices
+    names = list(map(str, verts))
+    first = len(parts)
+    append = parts.append
+    sep = close + head
+    for i, row in enumerate(g.rows):
+        base = i + 1
+        bits = bin(row >> base)[:1:-1]  # bits[j] is bit base + j of row
+        j = bits.find("1")
+        if j >= 0:
+            lead = sep % verts[i]
+            while j >= 0:
+                append(lead)
+                append(names[base + j])
+                j = bits.find("1", j + 1)
+    if len(parts) > first:
+        parts[first] = parts[first][len(close):]
+    return (len(parts) - first) // 2
+
+
 def graph_to_json(g: Graph) -> str:
-    """The graph as JSON, written directly.
+    """The graph as JSON, written directly and joined once.
 
     The text is byte-identical to ``json.dumps(obj, sort_keys=True,
     indent=2) + "\n"`` for ``obj = {"edges": [[u, v], ...], "vertices":
     sorted vertices}`` with the edges of ``g.edges()``.
     """
-    edges = ",".join(map(_JSON_EDGE.__mod__, g.edges()))
+    parts = ['{\n  "edges": [']
+    if _add_edges(parts, g, "\n    ],", "\n    [\n      %d,\n      "):
+        parts.append("\n    ]\n  ]")
+    else:
+        parts[0] = '{\n  "edges": []'
     vertices = ",".join(map("\n    %d".__mod__, sorted(g.vertices)))
-    return '{\n  "edges": %s,\n  "vertices": %s\n}\n' % (
-        _json_block(edges), _json_block(vertices)
-    )
+    parts.append(',\n  "vertices": %s\n}\n' % _json_block(vertices))
+    return "".join(parts)
 
 
 def graph_from_json_obj(obj) -> Graph:
@@ -113,9 +149,12 @@ def save_graph(g: Graph, path) -> None:
 
 
 def graph_to_dot(g: Graph, name: str = "G") -> str:
-    vertices = "".join(map("  %d;\n".__mod__, sorted(g.vertices)))
-    edges = "".join(map("  %d -- %d;\n".__mod__, g.edges()))
-    return "graph %s {\n%s%s}\n" % (name, vertices, edges)
+    parts = ["graph %s {\n" % name]
+    parts += map("  %d;\n".__mod__, sorted(g.vertices))
+    if _add_edges(parts, g, ";\n", "  %d -- "):
+        parts.append(";\n")
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def lattice_to_json_obj(n: int, leq_pairs, generators=None) -> dict:

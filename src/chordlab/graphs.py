@@ -217,6 +217,56 @@ def find_chordless_positions(masks, size: int, n: int):
     return None
 
 
+def _pieces(masks, part: int, co: bool) -> list:
+    """The components of the positions in ``part``, as bitmasks; with ``co``,
+    the components of its complement."""
+    pieces = []
+    while part:
+        piece = frontier = part & -part
+        while frontier:
+            bits = bin(frontier)[:1:-1]  # bits[j] is bit j of frontier
+            j = bits.find("1")
+            if co:
+                common = -1
+                while j >= 0:
+                    common &= masks[j]
+                    j = bits.find("1", j + 1)
+                reach = ~common
+            else:
+                reach = 0
+                while j >= 0:
+                    reach |= masks[j]
+                    j = bits.find("1", j + 1)
+            frontier = reach & part & ~piece
+            piece |= frontier
+        pieces.append(piece)
+        part &= ~piece
+    return pieces
+
+
+def is_cograph(masks, size: int) -> bool:
+    """True iff positions ``0..size-1`` hold no chordless 4-path.
+
+    Those graphs are the cographs: every induced subgraph on two or more
+    vertices is disconnected or has a disconnected complement (Seinsche 1974;
+    Corneil, Lerchs and Stewart Burlingham, "Complement reducible graphs",
+    1981).  The vertex set is split into components, each component into
+    co-components, and so on down the cotree.  The pieces of a split are
+    connected (co-connected after a co-split), so each needs only the other
+    split; a piece of two or more vertices that it leaves whole is connected
+    and co-connected, and holds a chordless 4-path.
+    """
+    stack = [(p, True) for p in _pieces(masks, (1 << size) - 1, False)]
+    while stack:
+        part, co = stack.pop()
+        if part & (part - 1):  # two or more vertices
+            pieces = _pieces(masks, part, co)
+            if len(pieces) == 1:
+                return False
+            stack.extend((p, not co) for p in pieces)
+    return True
+
+
 def find_chordless_path(g: Graph, n: int):
     """Lexicographically least chordless path on exactly ``n`` vertices, or None."""
     if n < 1:

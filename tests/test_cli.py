@@ -147,6 +147,23 @@ def assert_input_error(capsys, argv):
     assert len(lines) == 1 and "error" in json.loads(lines[0])
 
 
+def test_verify_certifies_no_chordless_4path_at_200_stages(capsys):
+    code, out = run_cli(
+        capsys, "verify", "--f", "seed:7,len:200", "--stages", "200", "--exhaustive-chordless"
+    )
+    assert code == 0
+    checks = {c["name"]: c["pass"] for c in last_json(out)["checks"]}
+    assert checks["no-chordless-4paths"] is True
+
+
+def test_huge_seeded_length_fails_before_allocating(tmp_path, capsys):
+    spec = "seed:1,len:%d" % 10**12
+    assert_input_error(capsys, ["verify", "--f", spec, "--stages", "2"])
+    assert_input_error(capsys, ["construct", "--f", spec, "--stages", "2",
+                                "--out", str(tmp_path / "g.json")])
+    assert not (tmp_path / "g.json").exists()
+
+
 @pytest.mark.parametrize("n, max_size", [("0", "5"), ("-1", "5"), ("4", "0")])
 def test_mn_search_rejects_bad_bounds(tmp_path, capsys, n, max_size):
     report_path = tmp_path / "mn.json"
@@ -247,6 +264,7 @@ def test_input_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["construct", "--f", "1,1", "--stages", "2", "--out", "x.json"]) == 2
     capsys.readouterr()
+    assert_input_error(capsys, ["dichotomy", "--graph=--", "--n", "4"])
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
@@ -457,3 +475,31 @@ def test_graph_commands_never_crash_on_malformed_json(doc, n):
         for command in ("dichotomy", "pipeline"):
             outcome = _run_isolated([command, "--graph", path, "--n", str(n)])
             _assert_one_json_line_outcome(*outcome)
+
+
+def _f_specs():
+    """``--f`` values, well-formed or not; seeded lengths stay small or are
+    far above the limit, so that no run allocates much."""
+    number = st.integers(-3, 40).map(str) | st.text("0123456789-+_ ", max_size=4)
+    length = number | st.just(str(10**12))
+    seeded = st.builds("seed:{},len:{}".format, number, length)
+    return st.one_of(
+        seeded,
+        st.lists(number, max_size=5).map(",".join),
+        st.lists(st.sampled_from(["seed:", "len:", ",", ":", "3", "-", "x"]),
+                 max_size=6).map("".join),
+        st.text(max_size=12),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_f_specs())
+@example(spec="seed:7,len:%d" % 10**12)
+@example(spec="seed:7,len:5")
+@example(spec="seed:7")
+@example(spec="1,1")
+@example(spec="-1,0")
+@example(spec="5,0")
+@example(spec="--")  # argparse reads --f=-- as an empty list
+def test_verify_never_crashes_on_any_f(spec):
+    _assert_one_json_line_outcome(*_run_isolated(["verify", "--f=" + spec, "--stages", "2"]))

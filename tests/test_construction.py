@@ -5,6 +5,7 @@ import random
 import pytest
 
 from chordlab.construction import (
+    MAX_SEEDED_LENGTH,
     DecodeContext,
     StageState,
     build_decode_context,
@@ -21,7 +22,12 @@ from chordlab.construction import (
     stable_coding_prefix,
     step,
 )
-from chordlab.errors import CapacityError, InvalidContextError, InvalidInputError
+from chordlab.errors import (
+    CapacityError,
+    InvalidContextError,
+    InvalidInputError,
+    ResourceLimitError,
+)
 from chordlab.graphs import (
     Embedding,
     Graph,
@@ -29,6 +35,7 @@ from chordlab.graphs import (
     embedding_is_valid,
     find_chordless_positions,
     is_chordless,
+    is_cograph,
     pattern_A,
     pattern_Kkk,
 )
@@ -172,6 +179,32 @@ def test_final_scan_sees_a_tampered_chordless_4path():
     assert not history_has_no_chordless4(h)
 
 
+def _plant_4path(rows, path):
+    """Make the positions of ``path`` induce exactly the path, in place."""
+    for x in path:
+        for y in path:
+            rows[x] &= ~(1 << y)
+    for x, y in zip(path, path[1:]):
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+
+
+def test_cotree_verdict_sees_a_4path_planted_anywhere():
+    rng = random.Random(11)
+    for T in (12, 30, 80):
+        for seed in range(4):
+            k = run(seeded_injective(seed, T), T).final_k
+            mid = k // 2
+            spread = sorted(rng.sample(range(k + 1), 4))
+            rng.shuffle(spread)
+            for path in ([0, 1, 2, 3], [mid - 1, mid + 1, mid, mid + 2],
+                         [k - 3, k - 2, k - 1, k], spread):
+                h = run(seeded_injective(seed, T), T)
+                _plant_4path(h._rows, path)
+                assert find_chordless_positions(h._rows, k + 1, 4) is not None
+                assert not history_has_no_chordless4(h)
+
+
 def test_kernel_agrees_with_middle_edge_scan():
     # Staged hosts have no chordless 4-path; toggling a few vertex pairs
     # usually makes one, so both answers are exercised on large hosts.
@@ -194,6 +227,7 @@ def test_kernel_agrees_with_middle_edge_scan():
     for rows in hosts:
         found = find_chordless_positions(rows, len(rows), 4)
         assert (found is None) == (middle_edge_4path(rows, len(rows) - 1) is None)
+        assert (found is None) == is_cograph(rows, len(rows))
         if found is not None:
             assert is_chordless(Graph.from_rows(rows), found)
 
@@ -383,3 +417,9 @@ def test_seeded_injective_is_deterministic_permutation():
     a = seeded_injective(5, 50)
     assert a == seeded_injective(5, 50)
     assert sorted(a) == list(range(50))
+
+
+def test_seeded_injective_bounds_the_length_before_allocating():
+    assert sorted(seeded_injective(1, MAX_SEEDED_LENGTH)) == list(range(MAX_SEEDED_LENGTH))
+    with pytest.raises(ResourceLimitError):
+        seeded_injective(1, 10**12)

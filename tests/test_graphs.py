@@ -13,9 +13,11 @@ from chordlab.graphs import (
     complete_graph,
     embedding_is_valid,
     find_chordless_path,
+    find_chordless_positions,
     find_embedding,
     is_chordless,
     is_chordless_positions,
+    is_cograph,
     path_graph,
     pattern_A,
     pattern_Kkk,
@@ -25,6 +27,7 @@ from chordlab.graphs import (
 from oracles import (
     brute_chordless_path,
     brute_embedding_exists,
+    middle_edge_4path,
     random_graph,
     vertices_and_edges,
 )
@@ -178,3 +181,16 @@ def test_check_traceable():
     # order matters: same edges, reordered vertex list
     g = Graph([0, 2, 1], [(0, 1), (1, 2)])
     assert not check_traceable(g)
+
+
+def test_cotree_verdict_agrees_with_both_4path_searches():
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(3000):
+        size = rng.randint(0, 10)
+        rows = list(random_graph(rng, size, rng.choice([0.2, 0.4, 0.5, 0.6, 0.8])).rows)
+        verdict = is_cograph(rows, size)
+        assert verdict == (find_chordless_positions(rows, size, 4) is None)
+        assert verdict == (middle_edge_4path(rows, size - 1) is None)
+        seen.add(verdict)
+    assert seen == {True, False}
