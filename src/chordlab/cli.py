@@ -116,17 +116,16 @@ def cmd_verify(args) -> int:
     lemma_report = construction.check_history_lemmas(history)
     checks = []
     for name in construction.LEMMA_NAMES:
-        witness = None
-        ok = True
-        for stage_report in lemma_report.stage_reports:
-            for check in stage_report.checks:
-                if check.name == name and not check.passed:
-                    ok = False
-                    witness = {"stage": stage_report.stage, "witness": list(check.witness)}
-                    break
-            if not ok:
-                break
-        checks.append((name, ok, witness))
+        first = next(
+            (
+                {"stage": report.stage, "witness": list(check.witness)}
+                for report in lemma_report.stage_reports
+                for check in report.checks
+                if check.name == name and not check.passed
+            ),
+            None,
+        )
+        checks.append((name, first is None, first))
     law = construction.coding_change_law(history)
     checks.append(("coding-biconditional", law, None))
     if args.exhaustive_chordless:

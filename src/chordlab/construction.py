@@ -6,9 +6,10 @@ largest element is its *coding vertex* and carries all of the block's external
 connectivity.  When a value ``n`` no larger than the current stage arrives,
 every block from index ``n`` onward is dumped into a single merged block whose
 new coding vertex is a fresh large number, followed by fresh singleton blocks;
-larger values just append one fresh singleton block.  Coding vertices are kept
-pairwise adjacent, and a merged block's coding vertex is wired to the whole
-block, which is what keeps the graph traceable and free of chordless 4-paths.
+a larger value dumps nothing, so the merged block is the fresh vertex alone.
+Coding vertices are kept pairwise adjacent, and a merged block's coding vertex
+is wired to the whole block, which is what keeps the graph traceable and free
+of chordless 4-paths.
 
 Because edges are only ever added, and every added edge touches a vertex
 created at that stage, the stage-``s`` graph equals the final graph restricted
@@ -18,7 +19,6 @@ per-stage ``(k, coding)`` snapshots.
 
 from __future__ import annotations
 
-import bisect
 import random
 from dataclasses import dataclass
 
@@ -87,37 +87,26 @@ def init() -> StageState:
 
 
 def _advance(rows: list, coding: list, stage: int, n: int) -> None:
-    """Apply one stage transition in place; ``rows``/``coding`` are mutated."""
-    s = stage
-    k = len(rows) - 1
-    if n > s:
-        new = k + 1
-        new_bit = 1 << new
-        mask = 0
-        for c in coding:
-            rows[c] |= new_bit
-            mask |= 1 << c
-        rows.append(mask)
-        coding.append(new)
-        return
-    # Dump: blocks n..s merge with fresh vertex k+1, then u fresh singletons.
-    u = (s + 1) - n
-    first_new = k + 1
-    rows.extend([0] * (u + 1))
+    """Apply one stage transition in place; ``rows``/``coding`` are mutated.
+
+    Blocks ``n..stage`` merge with the fresh vertex ``k+1``, which becomes
+    their coding vertex, followed by ``stage + 1 - n`` fresh singletons.  A
+    value above the stage acts as ``stage + 1``: the dumped suffix is empty
+    and the merged block is the fresh vertex alone.
+    """
+    n = min(n, stage + 1)
+    first_new = len(rows)
     lo = coding[n - 1] + 1 if n > 0 else 0
-    coding[n:] = [first_new + v for v in range(u + 1)]
-    all_mask = 0
-    for c in coding:
-        all_mask |= 1 << c
-    new_mask = all_mask & ~_bits_below(first_new)
-    for idx, c in enumerate(coding):
-        if idx < n:
-            rows[c] |= new_mask
-        else:
-            rows[c] |= all_mask & ~(1 << c)
+    fresh = stage + 2 - n
+    new_mask = _bits_below(fresh) << first_new
+    kept = 0
+    for c in coding[:n]:
+        rows[c] |= new_mask
+        kept |= 1 << c
+    coding[n:] = range(first_new, first_new + fresh)
+    rows.extend(kept | (new_mask ^ (1 << v)) for v in coding[n:])
     # The merged block's coding vertex is wired to the whole block.
-    block_mask = _bits_through(first_new) & ~_bits_below(lo)
-    rows[first_new] |= block_mask & ~(1 << first_new)
+    rows[first_new] |= _bits_below(first_new) & ~_bits_below(lo)
     coding_bit = 1 << first_new
     for x in range(lo, first_new):
         rows[x] |= coding_bit
@@ -142,11 +131,18 @@ def step(state: StageState, n: int) -> StageState:
     )
 
 
+# Vertex count above which a run is refused before any row is built: rows
+# take about k**2 / 16 bytes, 0.6 GB here (T=400 builds 27,595 vertices).
+MAX_CONSTRUCTION_VERTICES = 100_000
+
+
 class StagedHistory:
     """All stages of one run: snapshots plus the final adjacency table.
 
     ``f`` is kept in full even if only the first ``T`` entries were consumed;
-    the unconsumed tail determines which coding vertices are stable.
+    the unconsumed tail determines which coding vertices are stable.  A run
+    that would build more than ``MAX_CONSTRUCTION_VERTICES`` vertices raises
+    ResourceLimitError before it starts.
     """
 
     def __init__(self, f, stages: int):
@@ -162,6 +158,13 @@ class StagedHistory:
         consumed = f[:stages]
         if len(set(consumed)) != len(consumed):
             raise InvalidInputError("f must be injective on the consumed prefix")
+        # Stage s adds the merged block's coding vertex and s + 1 - n singletons.
+        vertices = 1 + sum(s + 2 - min(n, s + 1) for s, n in enumerate(consumed))
+        if vertices > MAX_CONSTRUCTION_VERTICES:
+            raise ResourceLimitError(
+                "the construction would build %d vertices, above the limit of %d"
+                % (vertices, MAX_CONSTRUCTION_VERTICES)
+            )
         self.f = f
         self.stages = stages
         rows: list = [0]
@@ -247,7 +250,7 @@ def seeded_injective(seed: int, length: int):
 
 
 # ---------------------------------------------------------------------------
-# Per-stage invariant checks
+# Per-stage invariant checks, decided per block
 
 LEMMA_NAMES = ("greatest", "codeconnection", "tracing", "components", "goup")
 
@@ -272,95 +275,97 @@ class LemmaReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _check_greatest(rows, coding) -> LemmaCheck:
-    # Block structure already forces x <= c_j; the edge clause is checked.
-    lo = 0
-    for j, c in enumerate(coding):
-        want = (_bits_through(c) & ~_bits_below(lo)) & ~(1 << c)
-        missing = want & ~rows[c]
-        if missing:
-            x = (missing & -missing).bit_length() - 1
-            return LemmaCheck("greatest", False, (j, x, c))
-        lo = c + 1
-    return LemmaCheck("greatest", True)
+def _low(mask: int) -> int:
+    """Least set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
 
 
-def _check_codeconnection(rows, coding) -> LemmaCheck:
-    coding_mask = 0
-    for c in coding:
-        coding_mask |= 1 << c
-    for c in coding:
-        missing = (coding_mask & ~(1 << c)) & ~rows[c]
-        if missing:
-            other = (missing & -missing).bit_length() - 1
-            return LemmaCheck("codeconnection", False, (c, other))
-    return LemmaCheck("codeconnection", True)
+def _block_witnesses(rows, j, lo, c, lower, meet, union):
+    """Greatest, codeconnection, components and goup witnesses of one block.
+
+    Block ``j`` spans ``lo..c`` with coding vertex ``c``; ``lower`` is the
+    mask of the coding vertices below ``lo``, and ``meet`` and ``union`` are
+    the AND and OR of the block's rows.  A passing clause gives None.  Only
+    bits up to ``c`` are read.  Rows must be symmetric: the edges into the
+    block from below are read off its members' rows.
+    """
+    below = _bits_below(lo)
+    block = _bits_through(c) & ~below
+    greatest = codeconnection = components = goup = None
+    missing = block & ~rows[c] & ~(1 << c)
+    if missing:
+        greatest = (j, _low(missing), c)
+    missing = lower & ~rows[c]
+    if missing:
+        codeconnection = (_low(missing), c)
+    entering = union & below  # vertices below the block with an edge into it
+    stray = entering & ~lower
+    if stray:
+        x = _low(stray)
+        components = (x, _low(rows[x] & block))
+    split = entering & ~meet
+    if split:
+        x = _low(split)
+        seg = rows[x] & block
+        goup = (x, _low(seg), _low(block & ~seg))
+    return greatest, codeconnection, components, goup
 
 
-def _check_tracing(rows, k) -> LemmaCheck:
+_PASS = (None, None, None, None)
+
+
+def _least(best, verdict):
+    """Per clause, the lexicographically least witness of the two."""
+    if verdict == _PASS:
+        return best
+    return tuple(
+        w if v is None or (w is not None and w < v) else v
+        for v, w in zip(best, verdict)
+    )
+
+
+def _consecutive_edges(rows, k: int) -> int:
+    """Mask whose bit d is set iff (d, d+1) is an edge, for d < k."""
+    consec = 0
     for d in range(k):
-        if not (rows[d] >> (d + 1)) & 1:
-            return LemmaCheck("tracing", False, (d, d + 1))
-    return LemmaCheck("tracing", True)
+        if (rows[d] >> (d + 1)) & 1:
+            consec |= 1 << d
+    return consec
 
 
-def _block_top(coding, x: int) -> int:
-    """Coding vertex of the block containing x (coding is sorted)."""
-    return coding[bisect.bisect_left(coding, x)]
-
-
-def _check_components(rows, coding, k) -> LemmaCheck:
-    coding_set = set(coding)
-    for x in range(k + 1):
-        if x in coding_set:
-            continue
-        top = _block_top(coding, x)
-        above = rows[x] >> (top + 1)
-        if above:
-            y = (above & -above).bit_length() - 1 + top + 1
-            return LemmaCheck("components", False, (x, y))
-    return LemmaCheck("components", True)
-
-
-def _check_goup(rows, coding, k) -> LemmaCheck:
-    # Any edge from x into a block entirely above x must reach the whole block.
-    for x in range(k + 1):
-        top = _block_top(coding, x)
-        above = rows[x] >> (top + 1)
-        if not above:
-            continue
-        if above == _bits_below(k - top):
-            continue  # adjacent to everything above; nothing to scan
-        lo = top + 1
-        for c in coding:
-            if c <= top:
-                continue
-            block = _bits_through(c) & ~_bits_below(lo)
-            seg = rows[x] & block
-            if seg and seg != block:
-                y = (seg & -seg).bit_length() - 1
-                missing = block & ~seg
-                z = (missing & -missing).bit_length() - 1
-                return LemmaCheck("goup", False, (x, y, z))
-            lo = c + 1
-    return LemmaCheck("goup", True)
+def _stage_report(stage: int, least, consec: int, k: int) -> LemmaReport:
+    """Report from the least block witnesses and the consecutive-edge mask."""
+    missing = ~consec & _bits_below(k)
+    tracing = (_low(missing), _low(missing) + 1) if missing else None
+    witnesses = least[:2] + (tracing,) + least[2:]
+    return LemmaReport(
+        stage=stage,
+        checks=tuple(
+            LemmaCheck(name, w is None, w) for name, w in zip(LEMMA_NAMES, witnesses)
+        ),
+    )
 
 
 def check_stage_lemmas(state: StageState) -> LemmaReport:
     """Exact check of the five per-stage invariants, with counterexamples.
 
+    Each lemma reports the lexicographically least witness over the blocks.
     Failures are report content, not exceptions: a failing check on a state
-    produced by :func:`run` indicates a construction bug.
+    produced by :func:`run` indicates a construction bug.  Rows must be
+    symmetric.
     """
-    rows, coding, k = state.rows, state.coding, state.k
-    checks = (
-        _check_greatest(rows, coding),
-        _check_codeconnection(rows, coding),
-        _check_tracing(rows, k),
-        _check_components(rows, coding, k),
-        _check_goup(rows, coding, k),
-    )
-    return LemmaReport(stage=state.stage, checks=checks)
+    rows = state.rows
+    least = _PASS
+    lo = lower = 0
+    for j, c in enumerate(state.coding):
+        meet, union = -1, 0
+        for x in range(lo, c + 1):
+            meet &= rows[x]
+            union |= rows[x]
+        least = _least(least, _block_witnesses(rows, j, lo, c, lower, meet, union))
+        lower |= 1 << c
+        lo = c + 1
+    return _stage_report(state.stage, least, _consecutive_edges(rows, state.k), state.k)
 
 
 @dataclass(frozen=True)
@@ -375,80 +380,43 @@ class HistoryLemmaReport:
 def check_history_lemmas(history: StagedHistory) -> HistoryLemmaReport:
     """Check all five invariants at every stage of a history.
 
-    Equivalent to running :func:`check_stage_lemmas` on every materialized
-    stage (the test suite verifies this equivalence on small runs), but
-    organized around the history's restriction property so a 200-stage run
-    with thousands of vertices stays cheap: per-block interior adjacency is
-    accumulated incrementally instead of being re-unioned per stage.
+    Stage ``s``'s report equals :func:`check_stage_lemmas` on ``state(s)``.
+    A dump replaces only a suffix of the blocks, so a block keeps its index,
+    its span and the coding vertices below it while it exists, and its
+    verdict reads only bits up to its coding vertex, where the final rows
+    equal every later stage's rows.  So each block is decided once, at the
+    stage that creates it; a merged block's meet and union fold those of the
+    blocks it absorbs with its new coding vertex's row.
     """
     rows = history._rows
-    snapshots = history._snapshots
-    final_k = history.final_k
-
-    # consec bit d == final edge (d, d+1); by restriction this decides the
-    # tracing clause at every stage.
-    consec = 0
-    for d in range(final_k):
-        if (rows[d] >> (d + 1)) & 1:
-            consec |= 1 << d
-
-    # interior_or[j] = OR of final adjacency rows over block j minus its
-    # coding vertex; maintained across stages as blocks merge.
-    interior_or = [0]
+    consumed = history.consumed
+    consec = _consecutive_edges(rows, history.final_k)
+    meets, unions, lowers, least = [], [], [], []  # per live block
     reports = []
-    for s, (k, coding) in enumerate(snapshots):
-        if s > 0:
-            n = history.consumed[s - 1]
-            prev_coding = snapshots[s - 1][1]
-            if n > s - 1:
-                interior_or.append(0)
-            else:
-                merged = 0
-                for j in range(n, len(prev_coding)):
-                    merged |= interior_or[j] | rows[prev_coding[j]]
-                u = s - n
-                interior_or[n:] = [merged] + [0] * u
-        checks = [
-            _check_greatest(rows, coding),
-            _check_codeconnection(rows, coding),
-        ]
-        missing_consec = ~consec & _bits_below(k)
-        if missing_consec:
-            d = (missing_consec & -missing_consec).bit_length() - 1
-            checks.append(LemmaCheck("tracing", False, (d, d + 1)))
-        else:
-            checks.append(LemmaCheck("tracing", True))
-        comp = LemmaCheck("components", True)
-        stage_mask = _bits_through(k)
-        lo = 0
-        for j, c in enumerate(coding):
-            high = interior_or[j] & stage_mask & ~_bits_through(c)
-            if high:
-                y = (high & -high).bit_length() - 1
-                # recover an offending interior vertex for the witness
-                x = next(
-                    x
-                    for x in range(lo, c)
-                    if (rows[x] >> y) & 1
-                )
-                comp = LemmaCheck("components", False, (x, y))
-                break
-            lo = c + 1
-        checks.append(comp)
-        goup = LemmaCheck("goup", True)
-        for c in coding:
-            want = stage_mask & ~_bits_through(c)
-            if rows[c] & want != want:
-                # fall back to the exact per-block scan on this stage
-                goup = _check_goup(
-                    [r & stage_mask for r in rows[: k + 1]], coding, k
-                )
-                break
-        if goup.passed and not comp.passed:
-            # components failure may hide a non-coding goup violation; rescan.
-            goup = _check_goup([r & stage_mask for r in rows[: k + 1]], coding, k)
-        checks.append(goup)
-        reports.append(LemmaReport(stage=s, checks=tuple(checks)))
+    first_new = 0
+    for s, (k, coding) in enumerate(history._snapshots):
+        # Blocks n..s are new at stage s; block n absorbs the old blocks n..s-1.
+        n = min(consumed[s - 1], s) if s else 0
+        meet = union = rows[first_new]
+        for j in range(n, s):
+            meet &= meets[j]
+            union |= unions[j]
+        del meets[n:], unions[n:], lowers[n:], least[n:]
+        lo = coding[n - 1] + 1 if n else 0
+        lower = lowers[-1] | 1 << coding[n - 1] if n else 0
+        best = least[-1] if n else _PASS
+        for j in range(n, s + 1):
+            c = coding[j]
+            if j > n:
+                lo, meet, union = c, rows[c], rows[c]
+            best = _least(best, _block_witnesses(rows, j, lo, c, lower, meet, union))
+            meets.append(meet)
+            unions.append(union)
+            lowers.append(lower)
+            least.append(best)
+            lower |= 1 << c
+        reports.append(_stage_report(s, best, consec, k))
+        first_new = k + 1
     return HistoryLemmaReport(stage_reports=tuple(reports))
 
 
@@ -471,8 +439,7 @@ def coding_change_law(history: StagedHistory) -> bool:
 
     Applies to every pair k <= s < T.
     """
-    for s in range(history.stages):
-        n = history.consumed[s]
+    for s, n in enumerate(history.consumed):
         before = history.coding_at(s)
         after = history.coding_at(s + 1)
         for k in range(s + 1):

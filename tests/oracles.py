@@ -85,6 +85,44 @@ def naive_four_coloring(g, n):
     return colors
 
 
+def literal_stage_rule(f, stages):
+    """The construction kept as block lists and an edge set, both cases spelled out.
+
+    Returns ``(rows, snapshots)``: neighbour bitmask rows of the final graph
+    and one ``(k, coding)`` pair per stage, as ``StagedHistory`` keeps them.
+    """
+    blocks = [[0]]
+    edges = set()
+    k = 0
+    snapshots = [(0, (0,))]
+    for s in range(stages):
+        n = f[s]
+        coding = [block[-1] for block in blocks]
+        if n > s:
+            # One fresh singleton block, adjacent to every coding vertex.
+            k += 1
+            edges.update((c, k) for c in coding)
+            blocks.append([k])
+        else:
+            # Blocks n..s and the fresh vertex k+1 merge into one block whose
+            # coding vertex is k+1, adjacent to the whole block; s+1-n fresh
+            # singleton blocks follow, and all coding vertices are pairwise
+            # adjacent.
+            top = k + 1
+            merged = [x for block in blocks[n:] for x in block] + [top]
+            fresh = [[top + 1 + i] for i in range(s + 1 - n)]
+            blocks = blocks[:n] + [merged] + fresh
+            k = top + s + 1 - n
+            edges.update((x, top) for x in merged[:-1])
+            edges.update(itertools.combinations([block[-1] for block in blocks], 2))
+        snapshots.append((k, tuple(block[-1] for block in blocks)))
+    rows = [0] * (k + 1)
+    for x, y in edges:
+        rows[x] |= 1 << y
+        rows[y] |= 1 << x
+    return rows, snapshots
+
+
 def naive_stage_lemmas(state):
     """The five stage invariants, written as literal loops. Returns failures."""
     blocks = [list(b) for b in state.blocks()]

@@ -16,7 +16,7 @@ from chordlab.errors import ResourceLimitError
 from chordlab.graphs import K22, Graph, complete_graph, pattern_graph
 from chordlab.lattices import fence_lattice, spurred_fence_lattice
 
-from oracles import graph_json_objects, graphs
+from oracles import graph_json_objects, graphs, seeded_permutation
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +161,16 @@ def test_huge_seeded_length_fails_before_allocating(tmp_path, capsys):
     assert_input_error(capsys, ["verify", "--f", spec, "--stages", "2"])
     assert_input_error(capsys, ["construct", "--f", spec, "--stages", "2",
                                 "--out", str(tmp_path / "g.json")])
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_oversized_construction_fails_before_building(tmp_path, capsys):
+    # 670,787 vertices: refused from f alone, whether seeded or a comma list
+    listed = ",".join(str(v) for v in seeded_permutation(1, 2000))
+    for spec in ("seed:1,len:2000", listed):
+        assert_input_error(capsys, ["verify", "--f", spec, "--stages", "2000"])
+        assert_input_error(capsys, ["construct", "--f", spec, "--stages", "2000",
+                                    "--out", str(tmp_path / "g.json")])
     assert not (tmp_path / "g.json").exists()
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from chordlab import construction
 from chordlab.construction import (
     MAX_SEEDED_LENGTH,
     DecodeContext,
@@ -42,6 +43,7 @@ from chordlab.graphs import (
 
 from oracles import (
     edges_from_rows,
+    literal_stage_rule,
     middle_edge_4path,
     naive_stage_lemmas,
     per_stage_no_chordless4,
@@ -116,14 +118,85 @@ def test_stage_lemmas_match_naive_oracle():
             assert naive_stage_lemmas(state) == []
 
 
+def _toggle_pairs(rows, rng, count):
+    """Toggle ``count`` random vertex pairs, keeping the rows symmetric."""
+    for _ in range(count):
+        x, y = rng.sample(range(len(rows)), 2)
+        rows[x] ^= 1 << y
+        rows[y] ^= 1 << x
+
+
 def test_history_checker_equals_per_stage_checker():
-    for seed in range(10):
-        h = run(seeded_injective(seed, 18), 18)
+    failing = 0
+    for seed in range(110):
+        rng = random.Random(seed)
+        T = 18 if seed < 10 else rng.randint(1, 18)
+        h = run(seeded_injective(seed, T), T)
+        if seed >= 10:
+            _toggle_pairs(h._rows, rng, rng.randint(1, 3))
         hist = check_history_lemmas(h)
-        assert hist.ok
         for s, report in enumerate(hist.stage_reports):
-            solo = check_stage_lemmas(h.state(s))
-            assert [c.passed for c in report.checks] == [c.passed for c in solo.checks]
+            state = h.state(s)
+            assert report == check_stage_lemmas(state)
+            failed = {c.name for c in report.failures()}
+            assert failed == {name for name, _ in naive_stage_lemmas(state)}
+            failing += bool(failed)
+        if seed < 10:
+            assert hist.ok
+    assert failing > 100
+
+
+def test_history_checker_reports_the_least_witness_per_lemma():
+    # Final blocks [0, 1, 2], [3, 4, 5, 6], [7], [8], [9]; coding (2, 6, 7, 8, 9).
+    planted = [
+        ([(4, 6)], [("greatest", (1, 4, 6))]),
+        ([(6, 8)], [("codeconnection", (6, 8))]),
+        ([(0, 1)], [("tracing", (0, 1))]),
+        # both non-coding vertices reach a higher block; (0, 8) is the least
+        ([(1, 7), (0, 8)], [("components", (0, 8))]),
+        ([(2, 4)], [("goup", (2, 3, 4))]),
+        # 0 sees 4, 5 and 6 of block 1 but not 3
+        ([(0, 4), (0, 5), (0, 6)], [("components", (0, 4)), ("goup", (0, 4, 3))]),
+    ]
+    for toggles, failures in planted:
+        h = run([5, 0, 7, 1], 4)
+        assert [list(b) for b in h.state(4).blocks()] == [
+            [0, 1, 2], [3, 4, 5, 6], [7], [8], [9]]
+        for x, y in toggles:
+            h._rows[x] ^= 1 << y
+            h._rows[y] ^= 1 << x
+        for report in (check_stage_lemmas(h.state(4)), check_history_lemmas(h).stage_reports[4]):
+            assert [(c.name, c.witness) for c in report.failures()] == failures
+
+
+def test_run_matches_literal_stage_rule():
+    kinds = {"equal": 0, "next": 0, "far": 0}
+    for seed in range(300):
+        rng = random.Random(seed)
+        T = rng.randint(0, 24)
+        f = []
+        for s in range(T):
+            options = [s, s + 1, 10**9 + s, rng.randrange(s + 1), rng.randrange(2 * T + 2)]
+            n = rng.choice([v for v in options if v not in f])
+            kinds["equal"] += n == s
+            kinds["next"] += n == s + 1
+            kinds["far"] += n > 10**9
+            f.append(n)
+        h = run(f, T)
+        assert (h._rows, h._snapshots) == literal_stage_rule(f, T)
+    assert min(kinds.values()) > 100
+
+
+def test_construction_size_is_bounded_before_building(monkeypatch):
+    with pytest.raises(ResourceLimitError):
+        run(seeded_injective(1, 5000), 5000)
+    f = seeded_injective(3, 40)
+    size = run(f, 40).final_k + 1
+    monkeypatch.setattr(construction, "MAX_CONSTRUCTION_VERTICES", size)
+    assert run(f, 40).final_k + 1 == size
+    monkeypatch.setattr(construction, "MAX_CONSTRUCTION_VERTICES", size - 1)
+    with pytest.raises(ResourceLimitError):
+        run(f, 40)
 
 
 def test_adversarial_state_fails_codeconnection():
