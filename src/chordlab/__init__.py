@@ -46,7 +46,7 @@ from .graphs import (
     check_traceable,
     embedding_is_valid,
     find_chordless_path,
-    find_embedding,
+    find_k22,
     is_chordless,
     pattern_A,
     pattern_Kkk,

@@ -448,6 +448,12 @@ def coding_change_law(history: StagedHistory) -> bool:
     return True
 
 
+def _stable_count(history: StagedHistory) -> int:
+    """Index k is stable exactly when it exists and is below every unconsumed
+    entry of ``f``, so the stable indices are ``0..count-1``."""
+    return min((len(history.final_coding),) + history.f[history.stages :])
+
+
 def stable_coding(history: StagedHistory, k: int):
     """Final value of coding index ``k`` when it can no longer move.
 
@@ -455,23 +461,14 @@ def stable_coding(history: StagedHistory, k: int):
     ``k`` is stable when it exists and no unconsumed entry of ``f`` is <= k.
     Returns None when the index has not been created yet or is still movable.
     """
-    coding = history.final_coding
-    if k < 0 or k >= len(coding):
-        return None
-    if any(v <= k for v in history.f[history.stages :]):
-        return None
-    return coding[k]
+    if 0 <= k < _stable_count(history):
+        return history.final_coding[k]
+    return None
 
 
 def stable_coding_prefix(history: StagedHistory):
     """All stable coding vertices, in index order (stability is downward closed)."""
-    out = []
-    for k in range(len(history.final_coding)):
-        v = stable_coding(history, k)
-        if v is None:
-            break
-        out.append(v)
-    return tuple(out)
+    return history.final_coding[: _stable_count(history)]
 
 
 def embed_via_coding(history: StagedHistory, pattern: Pattern) -> Embedding:

@@ -1,4 +1,4 @@
-"""Core graph representation and the chordless-path / pattern-embedding searches.
+"""Core graph representation, the chordless-path search and the K22 kernel.
 
 Graphs are finite, undirected and simple, with an ordered vertex list.  The
 stored order doubles as the candidate tracing function: a graph is traceable
@@ -280,6 +280,26 @@ def find_chordless_path(g: Graph, n: int):
     return tuple(g.vertices[i] for i in found)
 
 
+def find_k22(rows):
+    """The least pair of positions ``r < s`` with two common neighbours, and
+    the least two of those neighbours ``p < q``, as ``(p, q, r, s)``; or None.
+
+    Such a pair is a K22 copy, with r and s on one side and p and q on the
+    other.  ``rows`` need not be symmetric: the neighbours of r are the bits
+    of ``rows[r]`` other than r itself.
+    """
+    for r, mr in enumerate(rows):
+        mr &= ~(1 << r)
+        if mr & (mr - 1):  # two or more neighbours
+            for s in range(r + 1, len(rows)):
+                common = mr & rows[s] & ~(1 << s)
+                if common & (common - 1):
+                    p = (common & -common).bit_length() - 1
+                    common &= common - 1
+                    return (p, (common & -common).bit_length() - 1, r, s)
+    return None
+
+
 # Pattern graphs.  Three fixed bipartite families are supported: K22, the
 # truncated half-graph A(k) with edges a_n - b_m exactly when n <= m, and the
 # complete bipartite truncation Kkk(k).
@@ -352,46 +372,3 @@ def embedding_is_valid(g: Graph, emb: Embedding) -> bool:
     return all(
         g.has_edge(emb.assignment[a], emb.assignment[b]) for a, b in emb.pattern.edges()
     )
-
-
-def find_embedding(g: Graph, pattern: Pattern):
-    """Lexicographically least embedding of ``pattern`` into ``g``, or None."""
-    k = pattern.k
-    size = len(g)
-    if 2 * k > size:
-        return None
-    masks = g.rows
-    verts = g.vertices
-    names = pattern.vertex_names
-    # Pattern adjacency in search order: edges from each vertex to earlier ones.
-    name_index = {name: i for i, name in enumerate(names)}
-    earlier_nbrs = [[] for _ in names]
-    for a, b in pattern.edges():
-        ia, ib = name_index[a], name_index[b]
-        lo, hi = min(ia, ib), max(ia, ib)
-        earlier_nbrs[hi].append(lo)
-
-    chosen = []
-
-    def place(idx: int, used: int) -> bool:
-        if idx == len(names):
-            return True
-        cand = ~used & ((1 << size) - 1)
-        for j in earlier_nbrs[idx]:
-            cand &= masks[chosen[j]]
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            p = bit.bit_length() - 1
-            chosen.append(p)
-            if place(idx + 1, used | bit):
-                return True
-            chosen.pop()
-        return False
-
-    if not place(0, 0):
-        return None
-    emb = Embedding(pattern, {name: verts[p] for name, p in zip(names, chosen)})
-    if not embedding_is_valid(g, emb):  # witness soundness re-check
-        raise AssertionError("search produced an invalid embedding: %r" % (emb,))
-    return emb

@@ -4,10 +4,10 @@ A length-3 lattice has bottom, top, and only atoms and coatoms in between.
 Two atoms can never lie under the same two coatoms (their join would sit
 strictly between), which is exactly why comparability graphs of non-bound
 elements contain no K22 copy; chordless paths in such graphs are fences.
-The extraction pipeline mirrors that argument: generate the lattice from a
-finite set, rank elements by generation level, grow the tree of
-one-meet-or-join-per-step sequences, and run the graph dichotomy on the
-deepest branches.
+The extraction pipeline mirrors that argument: rule out two atoms under two
+coatoms once, generate the lattice from a finite set, rank elements by
+generation level, grow the tree of one-meet-or-join-per-step sequences, and
+search the deepest branches for chordless paths.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from .errors import (
     ResourceLimitError,
     StructuralError,
 )
-from .graphs import Graph, iter_bits
-from .ramsey import dichotomy
+from .graphs import Graph, find_chordless_path, find_k22, iter_bits
 
 
 @dataclass(frozen=True)
@@ -39,19 +38,15 @@ class LatticeReport:
     lattice: "FiniteLattice | None" = None
 
 
-def _closure_masks(n: int, leq_pairs):
-    below = [0] * n  # below[x] bitmask of {z : z <= x}, including x
-    above = [0] * n
-    for x, y in leq_pairs:
-        below[y] |= 1 << x
-        above[x] |= 1 << y
-    return below, above
-
-
 def validate_order(n: int, leq_pairs):
-    """Check partial-order axioms and bounds; None on pass, else a report."""
+    """Check partial-order axioms and bounds.
+
+    Returns ``(None, below, above)`` on a pass, where ``below[x]`` is the
+    bitmask of {z : z <= x} and ``above[x]`` that of {z : x <= z}, both
+    including x; else ``(report, None, None)`` for the first violated axiom.
+    """
     if n < 1:
-        return LatticeReport(False, "nonempty", ())
+        return LatticeReport(False, "nonempty", ()), None, None
     pairs = set((int(x), int(y)) for x, y in leq_pairs)
     for x, y in pairs:
         if not (0 <= x < n and 0 <= y < n):
@@ -61,11 +56,15 @@ def validate_order(n: int, leq_pairs):
     loops = set(x for x, y in pairs if x == y)
     if len(loops) < n:
         x = next(x for x in itertools.count() if x not in loops)
-        return LatticeReport(False, "reflexive", (x,))
-    below, above = _closure_masks(n, pairs)
+        return LatticeReport(False, "reflexive", (x,)), None, None
+    below = [0] * n
+    above = [0] * n
+    for x, y in pairs:
+        below[y] |= 1 << x
+        above[x] |= 1 << y
     for x, y in pairs:
         if x != y and (below[x] >> y) & 1:
-            return LatticeReport(False, "antisymmetric", (x, y))
+            return LatticeReport(False, "antisymmetric", (x, y)), None, None
     for x in range(n):
         # transitive: anything below a z below x must be below x
         acc = 0
@@ -82,13 +81,13 @@ def validate_order(n: int, leq_pairs):
                 for z in iter_bits(below[x])
                 if (below[z] >> w) & 1
             )
-            return LatticeReport(False, "transitive", (w, z, x))
+            return LatticeReport(False, "transitive", (w, z, x)), None, None
     full = (1 << n) - 1
     if not any(above[x] == full for x in range(n)):
-        return LatticeReport(False, "bottom-exists", ())
+        return LatticeReport(False, "bottom-exists", ()), None, None
     if not any(below[x] == full for x in range(n)):
-        return LatticeReport(False, "top-exists", ())
-    return None
+        return LatticeReport(False, "top-exists", ()), None, None
+    return None, below, above
 
 
 def _meet_join_tables(below, above):
@@ -122,10 +121,9 @@ def validate_lattice(n: int, leq_pairs) -> LatticeReport:
     On a pass the report's ``lattice`` is the FiniteLattice over the tables
     built here, so they are not built again.
     """
-    bad = validate_order(n, leq_pairs)
+    bad, below, above = validate_order(n, leq_pairs)
     if bad is not None:
         return bad
-    below, above = _closure_masks(n, set((int(x), int(y)) for x, y in leq_pairs))
     meet, join, missing = _meet_join_tables(below, above)
     if missing is not None:
         kind, pair = missing
@@ -141,13 +139,12 @@ class BoundedPoset:
     """Validated partial order with bottom and top over elements 0..n-1."""
 
     def __init__(self, n: int, leq_pairs):
-        report = validate_order(n, leq_pairs)
+        report, below, above = validate_order(n, leq_pairs)
         if report is not None:
             raise InvalidInputError(
                 "not a bounded partial order: %s %r" % (report.axiom, report.witness)
             )
-        pairs = set((int(x), int(y)) for x, y in leq_pairs)
-        self._set_order(n, *_closure_masks(n, pairs))
+        self._set_order(n, below, above)
 
     def _set_order(self, n: int, below, above) -> None:
         self.n = n
@@ -232,27 +229,20 @@ def check_length3(lat: FiniteLattice) -> bool:
 
 
 def check_no_double_cover(poset: BoundedPoset):
-    """A pair of atoms under a pair of coatoms, or None.
+    """Two atoms x < y under two coatoms u < v, as ``(x, y, u, v)``, or None.
 
     No genuine length-3 lattice has one; a witness means the input violates
-    the lattice axioms somewhere.
+    the lattice axioms somewhere.  It is the K22 kernel's answer on rows that
+    hold, for each coatom, the atoms below it, and nothing for any other
+    element: the least coatom pair with two common atoms, and its least two.
     """
-    atoms = poset.atoms()
-    coatoms = poset.coatoms()
-    atom_mask_below = {}
-    for u in coatoms:
-        mask = 0
-        for x in atoms:
-            if poset.leq(x, u):
-                mask |= 1 << x
-        atom_mask_below[u] = mask
-    for u, v in itertools.combinations(coatoms, 2):
-        common = atom_mask_below[u] & atom_mask_below[v]
-        if common and common & (common - 1):
-            x = (common & -common).bit_length() - 1
-            y = ((common & (common - 1)) & -(common & (common - 1))).bit_length() - 1
-            return (x, y, u, v)
-    return None
+    atoms = 0
+    for x in poset.atoms():
+        atoms |= 1 << x
+    rows = [0] * poset.n
+    for u in poset.coatoms():
+        rows[u] = poset.below[u] & atoms
+    return find_k22(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -497,31 +487,31 @@ def _full_tree(lat: FiniteLattice, generators) -> GenTree:
 def find_fences(lat: FiniteLattice, generators, target_n: int):
     """Extract a fence with ``target_n + 1`` elements through the tree pipeline.
 
-    Builds the derivation tree to its full depth, then runs the graph
-    dichotomy on the comparability graph of each sufficiently long branch,
-    deepest first.  A K22 outcome is impossible for a genuine length-3
-    lattice and raises; a chordless path, oriented to start at an atom, is
-    the fence.  Returns None when no branch is long enough or no branch
-    yields a chordless path of the target size.
+    Builds the derivation tree to its full depth, then searches the
+    comparability graph of each sufficiently long branch, deepest first, for
+    a chordless path; oriented to start at an atom, it is the fence.  A K22
+    copy in a branch would put two atoms under two coatoms, which is
+    impossible in a genuine length-3 lattice; that is checked once, on the
+    whole lattice, and raises.  Returns None when no branch is long enough or
+    no branch yields a chordless path of the target size.
     """
     if target_n < 1 or target_n % 2 == 0:
         raise InvalidInputError("fence length must be odd and >= 1")
     tree = _full_tree(lat, generators)
+    double = check_no_double_cover(lat)
+    if double is not None:
+        raise ContradictionError(
+            "K22 copy inside a validated length-3 lattice: atoms %r under coatoms %r"
+            % (double[:2], double[2:])
+        )
     atoms = set(lat.atoms())
     want = target_n + 1
     for branch in tree.branches_by_depth():
         if len(branch) < want:
             break  # branches are visited deepest first
-        g = comparability_graph(lat, branch)
-        witness = dichotomy(g, want)
-        if witness.kind == "k22":
-            raise ContradictionError(
-                "K22 copy inside a validated length-3 lattice: %r"
-                % (witness.embedding,)
-            )
-        if witness.kind != "chordless_path":
+        seq = find_chordless_path(comparability_graph(lat, branch), want)
+        if seq is None:
             continue
-        seq = witness.path
         if seq[0] not in atoms:
             seq = tuple(reversed(seq))
         if not validate_fence(lat, seq):

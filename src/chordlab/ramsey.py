@@ -32,9 +32,10 @@ from .graphs import (
     Embedding,
     Graph,
     check_traceable,
+    embedding_is_valid,
     find_chordless_path,
     find_chordless_positions,
-    find_embedding,
+    find_k22,
     is_chordless_positions,
     iter_bits,
 )
@@ -88,7 +89,7 @@ def build_increasing_paths(g: Graph, n: int | None = None) -> dict:
             step = rows[x] & layers[total - 1] & ~((2 << x) - 1)
             p = (x,) + tails[(step & -step).bit_length() - 1]
             if not is_chordless_positions(rows, p):
-                raise AssertionError("minimal increasing path %r is not chordless" % (p,))
+                raise StructuralError("minimal increasing path %r is not chordless" % (p,))
             tails[x] = paths[x, y] = p
     if over is not None:
         x, y, total = over
@@ -201,7 +202,7 @@ def find_homogeneous(coloring: FourColoring, size: int, q: int):
         return None
     subset = tuple(chosen)
     if any(color_of[quad] != color for quad in itertools.combinations(subset, 4)):
-        raise AssertionError("homogeneous search produced an invalid certificate")
+        raise StructuralError("homogeneous search produced an invalid certificate")
     return HomogeneousCertificate(subset=subset, color=color)
 
 
@@ -309,10 +310,14 @@ def dichotomy(g: Graph, n: int) -> DichotomyWitness:
     p = find_chordless_path(g, n)
     if p is not None:
         return DichotomyWitness(kind="chordless_path", path=p)
-    emb = find_embedding(g, K22)
-    if emb is not None:
-        return DichotomyWitness(kind="k22", embedding=emb)
-    return DichotomyWitness(kind="neither")
+    found = find_k22(g.rows)
+    if found is None:
+        return DichotomyWitness(kind="neither")
+    p, q, r, s = (g.vertices[i] for i in found)
+    emb = Embedding(K22, {"a0": r, "a1": s, "b0": p, "b1": q})
+    if not embedding_is_valid(g, emb):
+        raise StructuralError("K22 search produced an invalid embedding: %r" % (emb,))
+    return DichotomyWitness(kind="k22", embedding=emb)
 
 
 @dataclass
@@ -381,20 +386,6 @@ def proof_pipeline(g: Graph, n: int) -> PipelineTrace:
 def chord_slots(size: int):
     """Non-consecutive vertex pairs of the fixed path 0 - 1 - ... - size-1."""
     return [(i, j) for i in range(size) for j in range(i + 2, size)]
-
-
-def has_k22_masks(masks, size: int):
-    """Two vertices with two common neighbours witness a K22 copy."""
-    for r in range(size):
-        mr = masks[r]
-        for s in range(r + 1, size):
-            common = mr & masks[s] & ~(1 << r) & ~(1 << s)
-            if common and common & (common - 1):
-                p = (common & -common).bit_length() - 1
-                common &= common - 1
-                q = (common & -common).bit_length() - 1
-                return (p, q, r, s)
-    return None
 
 
 @dataclass(frozen=True)
@@ -531,7 +522,7 @@ def _verified_example(level, size: int, n: int):
     )
     if (
         find_chordless_positions(best, size, n) is not None
-        or has_k22_masks(best, size) is not None
+        or find_k22(best) is not None
     ):
         raise StructuralError(
             "m(%d) example on %d vertices is not a neither instance" % (n, size)

@@ -518,6 +518,36 @@ def random_length3_lattice(rng, max_elements=30):
     return n, sorted(pairs)
 
 
+def random_bounded_poset(rng, max_elements=12):
+    """Random bounded partial order: bottom 0, top n-1, and a transitively
+    closed random order on the elements between, some of which are left
+    comparable to the bounds alone (an atom that is also a coatom)."""
+    n = rng.randint(2, max_elements)
+    p = rng.choice([0.2, 0.4, 0.6])
+    inner = range(1, n - 1)
+    above = {x: {x} for x in inner}
+    for x in reversed(inner):
+        for y in range(x + 1, n - 1):
+            if rng.random() < p:
+                above[x] |= above[y]
+    pairs = {(x, y) for x in inner for y in above[x]}
+    pairs.update((0, x) for x in range(n))
+    pairs.update((x, n - 1) for x in range(n))
+    return n, sorted(pairs)
+
+
+def brute_double_cover(poset):
+    """Least pair of atoms under the least pair of coatoms sharing two, by a
+    scan of coatom pairs in order: ``(x, y, u, v)`` or None."""
+    atoms = poset.atoms()
+    coatoms = poset.coatoms()
+    for u, v in itertools.combinations(coatoms, 2):
+        common = [x for x in atoms if poset.leq(x, u) and poset.leq(x, v)]
+        if len(common) >= 2:
+            return (common[0], common[1], u, v)
+    return None
+
+
 def generating_set(lat: FiniteLattice):
     """A generating set that keeps underivable elements and little else.
 

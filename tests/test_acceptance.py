@@ -164,10 +164,10 @@ def test_criterion_6_empirical_lower_bound():
     by_size = {c.size: c for c in report.sizes}
     ok = ok and by_size[4].example == SIZE4_WITNESS
     # the size-4 witness really is a neither instance
-    from chordlab.graphs import Graph, find_chordless_path, find_embedding
+    from chordlab.graphs import Graph, find_chordless_path, find_k22
 
     g = Graph(range(4), SIZE4_WITNESS)
-    ok = ok and find_chordless_path(g, 4) is None and find_embedding(g, K22) is None
+    ok = ok and find_chordless_path(g, 4) is None and find_k22(g.rows) is None
     _verdict(6, "empirical m(4) bound (sizes <= 8)", ok)
 
 

@@ -318,6 +318,40 @@ def test_lattice_verify_checks_double_cover_only_at_length_3(tmp_path, capsys):
     assert checks == [("lattice-axioms", True), ("length-3", False)]
 
 
+def _assert_internal_report(argv, message):
+    code, out, err = _run_isolated(argv)
+    assert (code, err) == (1, "")
+    check = json.loads(out)["checks"][0]
+    assert check["name"] == "internal" and not check["pass"]
+    assert message in check["witness"]
+
+
+def test_failed_witness_rechecks_give_an_internal_report(tmp_path, monkeypatch):
+    c4 = tmp_path / "c4.json"
+    formats.save_graph(Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)]), str(c4))
+    k9 = tmp_path / "k9.json"
+    formats.save_graph(complete_graph(9), str(k9))
+    monkeypatch.setattr(ramsey, "embedding_is_valid", lambda g, emb: False)
+    _assert_internal_report(
+        ["dichotomy", "--graph", str(c4), "--n", "4"], "invalid embedding"
+    )
+    monkeypatch.setattr(ramsey, "is_chordless_positions", lambda rows, p: False)
+    _assert_internal_report(
+        ["pipeline", "--graph", str(k9), "--n", "5"], "not chordless"
+    )
+
+
+def test_lattice_fences_double_cover_gives_an_internal_report(tmp_path, monkeypatch):
+    lat, gens, _ = spurred_fence_lattice(5)
+    lat_path = tmp_path / "spurred.json"
+    formats.save_lattice(lat_path, lat.n, lat.leq_pairs(), gens)
+    monkeypatch.setattr(lattices, "check_no_double_cover", lambda poset: (1, 3, 2, 4))
+    _assert_internal_report(
+        ["lattice", "fences", "--lattice", str(lat_path), "--target", "3"],
+        "K22 copy inside a validated length-3 lattice",
+    )
+
+
 def test_lattice_fences_tree_budget_exits_2(tmp_path, capsys, monkeypatch):
     lat, gens, _ = spurred_fence_lattice(7)
     table = lattices.closure_and_rank(lat, gens)

@@ -425,6 +425,37 @@ def test_stable_coding_respects_unconsumed_tail():
     assert stable_coding_prefix(h) == (h.final_coding[0],)
 
 
+def test_stable_coding_matches_the_per_index_definition():
+    # Index k is stable when it exists and every unconsumed entry of f is
+    # above k.  Short random tails, then a long tail of large values with and
+    # without one small value at its end.
+    rng = random.Random(47)
+    cases = []
+    for _ in range(60):
+        stages = rng.randint(0, 40)
+        tail = [rng.randint(0, 60) for _ in range(rng.randint(0, 5))]
+        cases.append((rng.sample(range(60), stages) + tail, stages))
+    consumed = list(seeded_permutation(3, 200))
+    cases.append((consumed + [10**6 + i for i in range(10_000)], 200))
+    cases.append((consumed + [10**6] * 9_999 + [150], 200))
+    for f, stages in cases:
+        h = run(f, stages)
+        tail = f[stages:]
+        coding = h.final_coding
+        per_index = [
+            coding[k] if 0 <= k < len(coding) and all(t > k for t in tail) else None
+            for k in range(-1, len(coding) + 2)
+        ]
+        assert [stable_coding(h, k) for k in range(-1, len(coding) + 2)] == per_index
+        prefix = []
+        for v in per_index[1:]:
+            if v is None:
+                break
+            prefix.append(v)
+        assert stable_coding_prefix(h) == tuple(prefix)
+    assert len(stable_coding_prefix(h)) == 150
+
+
 def test_embed_via_coding():
     h = run(seeded_permutation(7, 20), 20)
     emb = embed_via_coding(h, pattern_Kkk(3))

@@ -5,7 +5,13 @@ import re
 
 import pytest
 
-from chordlab.errors import CoverageError, InvalidInputError, StructuralError
+from chordlab import lattices
+from chordlab.errors import (
+    ContradictionError,
+    CoverageError,
+    InvalidInputError,
+    StructuralError,
+)
 from chordlab.graphs import check_traceable
 from chordlab.lattices import (
     BoundedPoset,
@@ -26,10 +32,12 @@ from chordlab.lattices import (
 )
 
 from oracles import (
+    brute_double_cover,
     generating_set,
     naive_closure_and_rank,
     naive_lattice_axioms,
     naive_tree_levels,
+    random_bounded_poset,
     random_length3_lattice,
 )
 
@@ -163,6 +171,26 @@ def test_check_no_double_cover():
     assert check_no_double_cover(FiniteLattice(4, DIAMOND)) is None
     lat, _ = fence_lattice(9)
     assert check_no_double_cover(lat) is None
+
+
+def test_double_cover_equals_the_coatom_pair_scan():
+    rng = random.Random(83)
+    found = both = 0
+    for _ in range(400):
+        n, pairs = random_bounded_poset(rng, 12)
+        poset = BoundedPoset(n, pairs)
+        witness = check_no_double_cover(poset)
+        assert witness == brute_double_cover(poset)
+        found += witness is not None
+        both += bool(set(poset.atoms()) & set(poset.coatoms()))
+    assert found > 30 and both > 100  # double covers and atom-coatoms both occur
+
+
+def test_find_fences_refuses_a_double_cover(monkeypatch):
+    lat, gens, _ = spurred_fence_lattice(5)
+    monkeypatch.setattr(lattices, "check_no_double_cover", lambda poset: (1, 3, 2, 4))
+    with pytest.raises(ContradictionError, match=r"atoms \(1, 3\) under coatoms \(2, 4\)"):
+        find_fences(lat, gens, 3)
 
 
 def test_random_length3_lattices_have_no_double_cover():

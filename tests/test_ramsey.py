@@ -20,6 +20,7 @@ from chordlab.graphs import (
     embedding_is_valid,
     find_chordless_path,
     find_chordless_positions,
+    find_k22,
     is_chordless,
     path_graph,
 )
@@ -35,7 +36,6 @@ from chordlab.ramsey import (
     extract_chordless,
     extract_k22,
     find_homogeneous,
-    has_k22_masks,
     homogeneous_size_for,
     proof_pipeline,
     tower,
@@ -197,6 +197,39 @@ def test_find_homogeneous_constant_coloring():
     assert cert.subset == (0, 1, 2, 3, 4)
 
 
+def test_table_recheck_raises_a_structural_error(monkeypatch):
+    monkeypatch.setattr(ramsey, "is_chordless_positions", lambda rows, p: False)
+    with pytest.raises(StructuralError, match="not chordless"):
+        build_increasing_paths(path_graph(3))
+
+
+def test_homogeneous_recheck_raises_a_structural_error():
+    # A coloring whose quad (0, 1, 2, 3) changes colour after the search has
+    # read it: the search accepts the subset and the re-check must refuse it.
+    class Fickle(dict):
+        reads = 0
+
+        def __getitem__(self, quad):
+            if quad == (0, 1, 2, 3):
+                Fickle.reads += 1
+                if Fickle.reads > 1:
+                    return "Y"
+            return super().__getitem__(quad)
+
+    g = path_graph(4)
+    col = build_coloring(g.rows, build_increasing_paths(g), 9)
+    fickle = type(col)(n=col.n, assignment=Fickle({q: "X" for q in col.assignment}))
+    with pytest.raises(StructuralError, match="invalid certificate"):
+        find_homogeneous(fickle, len(g), 4)
+
+
+def test_dichotomy_recheck_raises_a_structural_error(monkeypatch):
+    c4 = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    monkeypatch.setattr(ramsey, "embedding_is_valid", lambda g, emb: False)
+    with pytest.raises(StructuralError, match="invalid embedding"):
+        dichotomy(c4, 4)
+
+
 def test_find_homogeneous_single_deviation():
     g = path_graph(7)
     t = build_increasing_paths(g)
@@ -310,6 +343,23 @@ def test_dichotomy_rejects_untraceable_hosts():
         dichotomy(Graph([0, 1], []), 2)
 
 
+def test_dichotomy_k22_is_the_least_brute_force_copy():
+    # Names descend or have gaps, so the least copy by position is not the
+    # least by name.
+    rng = random.Random(31)
+    for trial in range(200):
+        size = rng.randint(4, 8)
+        names = sorted(rng.sample(range(1, 10 * size), size), reverse=trial % 2 == 1)
+        g = relabel(random_traceable_graph(rng, size, rng.choice([0.3, 0.5])), names)
+        w = dichotomy(g, 5)
+        if w.kind == "chordless_path":
+            continue
+        brute = brute_embedding_exists(g, K22)
+        assert (w.kind == "k22") == (brute is not None)
+        if brute is not None:
+            assert w.embedding.assignment == brute
+
+
 def test_dichotomy_matches_brute_force_on_random_hosts():
     rng = random.Random(29)
     for _ in range(60):
@@ -378,7 +428,7 @@ def test_estimate_min_m_matches_gray_code_enumeration():
     brute = {}  # (n, size) -> (neither count, least chord bitmask)
     for size in range(1, max_size + 1):
         for masks, bits in iter_traceable_masks(size):
-            if has_k22_masks(masks, size) is not None:
+            if find_k22(masks) is not None:
                 continue
             for n in range(2, 7):
                 if find_chordless_positions(masks, size, n) is None:
@@ -434,7 +484,7 @@ def test_estimate_min_m_input_limits():
 
 
 def test_estimate_min_m_reverifies_its_examples(monkeypatch):
-    monkeypatch.setattr(ramsey, "has_k22_masks", lambda masks, size: (0, 1, 2, 3))
+    monkeypatch.setattr(ramsey, "find_k22", lambda rows: (0, 1, 2, 3))
     with pytest.raises(StructuralError):
         estimate_min_m(4, 4)
 
