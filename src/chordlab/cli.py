@@ -18,8 +18,9 @@ from .graphs import Pattern, check_traceable, embedding_is_valid, is_chordless
 SCHEMA_VERSION = 1
 
 
-def _report(command: str, parameters: dict, results: dict, checks: list) -> dict:
-    return {
+def _finish(command: str, parameters: dict, results: dict, checks: list) -> int:
+    """Print the run report; the exit code is 0 when every check passed, else 1."""
+    report = {
         "schema": SCHEMA_VERSION,
         "command": command,
         "parameters": parameters,
@@ -29,13 +30,7 @@ def _report(command: str, parameters: dict, results: dict, checks: list) -> dict
             for name, ok, witness in checks
         ],
     }
-
-
-def _print_report(report: dict) -> None:
     print(json.dumps(report, sort_keys=True, indent=2))
-
-
-def _exit_code(checks) -> int:
     return 0 if all(ok for _, ok, _ in checks) else 1
 
 
@@ -105,9 +100,7 @@ def cmd_construct(args) -> int:
         "dot": args.dot,
         "trace_stages": args.trace_stages,
     }
-    report = _report("construct", parameters, results, checks)
-    _print_report(report)
-    return _exit_code(checks)
+    return _finish("construct", parameters, results, checks)
 
 
 def cmd_verify(args) -> int:
@@ -137,9 +130,7 @@ def cmd_verify(args) -> int:
         "stages": args.stages,
         "exhaustive_chordless": args.exhaustive_chordless,
     }
-    report = _report("verify", parameters, results, checks)
-    _print_report(report)
-    return _exit_code(checks)
+    return _finish("verify", parameters, results, checks)
 
 
 def cmd_decode(args) -> int:
@@ -170,9 +161,7 @@ def cmd_decode(args) -> int:
         "pattern": args.pattern,
         "query": queries,
     }
-    report = _report("decode", parameters, results, checks)
-    _print_report(report)
-    return _exit_code(checks)
+    return _finish("decode", parameters, results, checks)
 
 
 def cmd_dichotomy(args) -> int:
@@ -195,9 +184,7 @@ def cmd_dichotomy(args) -> int:
             json.dump(results, fh, sort_keys=True, indent=2)
             fh.write("\n")
     parameters = {"graph": args.graph, "n": args.n, "witness": args.witness}
-    report = _report("dichotomy", parameters, results, checks)
-    _print_report(report)
-    return _exit_code(checks)
+    return _finish("dichotomy", parameters, results, checks)
 
 
 def cmd_mn_search(args) -> int:
@@ -225,9 +212,7 @@ def cmd_mn_search(args) -> int:
         "max_size": args.max_size,
         "report": args.report,
     }
-    report = _report("mn-search", parameters, payload, checks)
-    _print_report(report)
-    return _exit_code(checks)
+    return _finish("mn-search", parameters, payload, checks)
 
 
 def cmd_pipeline(args) -> int:
@@ -256,9 +241,7 @@ def cmd_pipeline(args) -> int:
         checks.append(("witness-valid", embedding_is_valid(g, trace.embedding), None))
     if not checks:
         checks.append(("pipeline-ran", True, None))
-    report = _report("pipeline", {"graph": args.graph, "n": args.n}, results, checks)
-    _print_report(report)
-    return _exit_code(checks)
+    return _finish("pipeline", {"graph": args.graph, "n": args.n}, results, checks)
 
 
 def cmd_lattice_verify(args) -> int:
@@ -284,9 +267,7 @@ def cmd_lattice_verify(args) -> int:
             )
         results["atoms"] = lat.atoms()
         results["coatoms"] = lat.coatoms()
-    report = _report("lattice-verify", {"lattice": args.lattice}, results, checks)
-    _print_report(report)
-    return _exit_code(checks)
+    return _finish("lattice-verify", {"lattice": args.lattice}, results, checks)
 
 
 def cmd_lattice_fences(args) -> int:
@@ -306,9 +287,7 @@ def cmd_lattice_fences(args) -> int:
         results = {"fence": list(fence.seq)}
         checks.append(("fence-valid", lattices.validate_fence(lat, fence.seq), None))
     parameters = {"lattice": args.lattice, "target": args.target, "dot": args.dot}
-    report = _report("lattice-fences", parameters, results, checks)
-    _print_report(report)
-    return _exit_code(checks)
+    return _finish("lattice-fences", parameters, results, checks)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,10 +361,8 @@ def main(argv=None) -> int:
                 raise ChordlabError("bad value for --%s" % name.replace("_", "-"))
         return args.func(args)
     except (StructuralError, ContradictionError) as exc:
-        _print_report(
-            _report(args.command, {}, {"error": str(exc)}, [("internal", False, str(exc))])
-        )
-        return 1
+        error = str(exc)
+        return _finish(args.command, {}, {"error": error}, [("internal", False, error)])
     except (ChordlabError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2

@@ -286,17 +286,20 @@ def find_k22(rows):
 
     Such a pair is a K22 copy, with r and s on one side and p and q on the
     other.  ``rows`` need not be symmetric: the neighbours of r are the bits
-    of ``rows[r]`` other than r itself.
+    of ``rows[r]`` other than r itself.  Only positions with two or more
+    neighbours can be r or s, so only those are paired, in order.
     """
-    for r, mr in enumerate(rows):
-        mr &= ~(1 << r)
-        if mr & (mr - 1):  # two or more neighbours
-            for s in range(r + 1, len(rows)):
-                common = mr & rows[s] & ~(1 << s)
-                if common & (common - 1):
-                    p = (common & -common).bit_length() - 1
-                    common &= common - 1
-                    return (p, (common & -common).bit_length() - 1, r, s)
+    live = []
+    for r, row in enumerate(rows):
+        row &= ~(1 << r)
+        if row & (row - 1):
+            live.append((r, row))
+    for (r, mr), (s, ms) in itertools.combinations(live, 2):
+        common = mr & ms
+        if common & (common - 1):
+            p = (common & -common).bit_length() - 1
+            common &= common - 1
+            return (p, (common & -common).bit_length() - 1, r, s)
     return None
 
 

@@ -22,7 +22,7 @@ from .errors import (
     ResourceLimitError,
     StructuralError,
 )
-from .graphs import Graph, find_chordless_path, find_k22, iter_bits
+from .graphs import Graph, find_chordless_path, find_k22, is_chordless_positions, iter_bits
 
 
 @dataclass(frozen=True)
@@ -147,39 +147,35 @@ class BoundedPoset:
         self._set_order(n, below, above)
 
     def _set_order(self, n: int, below, above) -> None:
+        """Store the order masks and what every later question reads from
+        them: the bounds, ``rows[x]`` (the elements comparable to x, x itself
+        excluded), and the masks of the atoms and of the coatoms."""
         self.n = n
         self.below, self.above = below, above
         full = (1 << n) - 1
-        self.bottom = next(x for x in range(n) if self.above[x] == full)
-        self.top = next(x for x in range(n) if self.below[x] == full)
+        self.bottom = next(x for x in range(n) if above[x] == full)
+        self.top = next(x for x in range(n) if below[x] == full)
+        bottom, top = 1 << self.bottom, 1 << self.top
+        inner = full & ~(bottom | top)
+        self.rows = [(b | a) & ~(1 << x) for x, (b, a) in enumerate(zip(below, above))]
+        self.atom_mask = inner & sum(1 << x for x in range(n) if below[x] == 1 << x | bottom)
+        self.coatom_mask = inner & sum(1 << x for x in range(n) if above[x] == 1 << x | top)
 
     def leq(self, x: int, y: int) -> bool:
         return (self.below[y] >> x) & 1 == 1
 
     def comparable(self, x: int, y: int) -> bool:
-        return self.leq(x, y) or self.leq(y, x)
+        return x == y or (self.rows[x] >> y) & 1 == 1
 
     def is_bound(self, x: int) -> bool:
         return x == self.bottom or x == self.top
 
     def atoms(self):
         """Non-bound elements with nothing strictly between them and bottom."""
-        out = []
-        for x in range(self.n):
-            if self.is_bound(x):
-                continue
-            if self.below[x] == (1 << x) | (1 << self.bottom):
-                out.append(x)
-        return out
+        return list(iter_bits(self.atom_mask))
 
     def coatoms(self):
-        out = []
-        for x in range(self.n):
-            if self.is_bound(x):
-                continue
-            if self.above[x] == (1 << x) | (1 << self.top):
-                out.append(x)
-        return out
+        return list(iter_bits(self.coatom_mask))
 
     def covers(self):
         """Cover pairs (x, y): x < y with nothing strictly between."""
@@ -219,13 +215,8 @@ class FiniteLattice(BoundedPoset):
 
 def check_length3(lat: FiniteLattice) -> bool:
     """True iff every non-bound element is an atom or a coatom."""
-    atoms = set(lat.atoms())
-    coatoms = set(lat.coatoms())
-    return all(
-        x in atoms or x in coatoms
-        for x in range(lat.n)
-        if not lat.is_bound(x)
-    )
+    bounds = (1 << lat.bottom) | (1 << lat.top)
+    return lat.atom_mask | lat.coatom_mask | bounds == (1 << lat.n) - 1
 
 
 def check_no_double_cover(poset: BoundedPoset):
@@ -236,13 +227,10 @@ def check_no_double_cover(poset: BoundedPoset):
     hold, for each coatom, the atoms below it, and nothing for any other
     element: the least coatom pair with two common atoms, and its least two.
     """
-    atoms = 0
-    for x in poset.atoms():
-        atoms |= 1 << x
-    rows = [0] * poset.n
-    for u in poset.coatoms():
-        rows[u] = poset.below[u] & atoms
-    return find_k22(rows)
+    atoms, coatoms = poset.atom_mask, poset.coatom_mask
+    return find_k22(
+        [b & atoms if (coatoms >> u) & 1 else 0 for u, b in enumerate(poset.below)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +344,6 @@ def build_tree(lat: FiniteLattice, ranks: RankTable, depth: int) -> GenTree:
     """
     if depth < 0:
         raise InvalidInputError("depth must be >= 0")
-    atoms = set(lat.atoms())
-    coatoms = set(lat.coatoms())
     roots = tuple(
         (x,) for x in sorted(ranks.elements_of_rank(0)) if not lat.is_bound(x)
     )
@@ -388,13 +374,15 @@ def build_tree(lat: FiniteLattice, ranks: RankTable, depth: int) -> GenTree:
             )
         levels.append(tuple(sorted(nodes)))
     tree = GenTree(levels=tuple(levels))
-    _assert_tree_properties(lat, ranks, tree, atoms, coatoms, depth)
+    _assert_tree_properties(lat, ranks, tree, depth)
     return tree
 
 
-def _assert_tree_properties(lat, ranks, tree, atoms, coatoms, depth):
+def _assert_tree_properties(lat, ranks, tree, depth):
     # A node's prefix is a node of the previous level, already checked, so
     # only its last entry and last pair are new.
+    atoms, coatoms = lat.atom_mask, lat.coatom_mask
+    reached = 0
     for node in tree.nodes():
         i = len(node) - 1
         b = node[i]
@@ -402,13 +390,11 @@ def _assert_tree_properties(lat, ranks, tree, atoms, coatoms, depth):
             raise StructuralError("tree node has repeated entries: %r" % (node,))
         if i:
             a = node[i - 1]
-            if not lat.comparable(a, b):
+            if not (lat.rows[a] >> b) & 1:
                 raise StructuralError(
                     "consecutive tree entries incomparable: %r in %r" % ((a, b), node)
                 )
-            if not (
-                (a in atoms and b in coatoms) or (a in coatoms and b in atoms)
-            ):
+            if not ((atoms >> a) & (coatoms >> b) | (coatoms >> a) & (atoms >> b)) & 1:
                 raise StructuralError(
                     "tree entries do not alternate atom/coatom: %r" % (node,)
                 )
@@ -416,32 +402,40 @@ def _assert_tree_properties(lat, ranks, tree, atoms, coatoms, depth):
             raise StructuralError(
                 "node entry %d exceeds the rank-%d bound %d" % (b, i, ranks.rank_bound[i])
             )
+        reached |= 1 << b
     # reachability: every non-bound element of rank <= depth ends some node
-    reached = set()
-    for node in tree.nodes():
-        reached.add(node[-1])
     for x in range(lat.n):
         if lat.is_bound(x) or ranks.rank[x] > depth:
             continue
-        if x not in reached:
+        if not (reached >> x) & 1:
             raise StructuralError(
                 "element %d (rank %d) is not reachable in the tree"
                 % (x, ranks.rank[x])
             )
 
 
+def _check_elements(lat: BoundedPoset, elems) -> None:
+    for e in elems:
+        if not 0 <= e < lat.n:
+            raise InvalidInputError("element %d outside 0..%d" % (e, lat.n - 1))
+
+
 def comparability_graph(lat: FiniteLattice, elems) -> Graph:
-    """Graph on the given elements with edges exactly at comparabilities."""
+    """Graph on the given elements with edges exactly at comparabilities.
+
+    Each element's row walks only its comparable members.
+    """
     elems = tuple(int(e) for e in elems)
     if len(set(elems)) != len(elems):
         raise InvalidInputError("elements must be distinct")
+    _check_elements(lat, elems)
     for e in elems:
         if lat.is_bound(e):
             raise InvalidInputError("element %d is a lattice bound" % e)
-    edges = [
-        (a, b) for a, b in itertools.combinations(elems, 2) if lat.comparable(a, b)
-    ]
-    return Graph(elems, edges)
+    pos = {e: i for i, e in enumerate(elems)}
+    members = sum(1 << e for e in elems)
+    rows = [sum(1 << pos[f] for f in iter_bits(lat.rows[e] & members)) for e in elems]
+    return Graph.from_rows(rows, elems)
 
 
 # ---------------------------------------------------------------------------
@@ -460,20 +454,18 @@ class Fence:
 
 
 def validate_fence(lat: FiniteLattice, seq) -> bool:
+    """True iff ``seq`` has an even number of elements, is a chordless path
+    of the comparability graph, and each even entry lies below both of its
+    neighbours: x0 < x1 > x2 < ... > x_{2k} < x_{2k+1}."""
     seq = tuple(seq)
-    n = len(seq) - 1
-    if n < 1 or n % 2 == 0:
+    _check_elements(lat, seq)
+    if not seq or len(seq) % 2 or not is_chordless_positions(lat.rows, seq):
         return False
-    if len(set(seq)) != len(seq):
-        return False
-    for i in range(len(seq) - 1):
-        lo, hi = (seq[i], seq[i + 1]) if i % 2 == 0 else (seq[i + 1], seq[i])
-        if not (lat.leq(lo, hi) and lo != hi):
-            return False
-    for i, j in itertools.combinations(range(len(seq)), 2):
-        if j - i >= 2 and lat.comparable(seq[i], seq[j]):
-            return False
-    return True
+    evens, odds = seq[::2], seq[1::2]
+    above = lat.above
+    return all((above[x] >> y) & 1 for x, y in zip(evens, odds)) and all(
+        (above[x] >> y) & 1 for x, y in zip(evens[1:], odds)
+    )
 
 
 def _full_tree(lat: FiniteLattice, generators) -> GenTree:
@@ -504,7 +496,6 @@ def find_fences(lat: FiniteLattice, generators, target_n: int):
             "K22 copy inside a validated length-3 lattice: atoms %r under coatoms %r"
             % (double[:2], double[2:])
         )
-    atoms = set(lat.atoms())
     want = target_n + 1
     for branch in tree.branches_by_depth():
         if len(branch) < want:
@@ -512,7 +503,7 @@ def find_fences(lat: FiniteLattice, generators, target_n: int):
         seq = find_chordless_path(comparability_graph(lat, branch), want)
         if seq is None:
             continue
-        if seq[0] not in atoms:
+        if not (lat.atom_mask >> seq[0]) & 1:
             seq = tuple(reversed(seq))
         if not validate_fence(lat, seq):
             raise StructuralError("pipeline produced a non-fence: %r" % (seq,))
@@ -537,6 +528,17 @@ def pipeline_capacity(lat: FiniteLattice, generators) -> int:
 # Stock families
 
 
+def _fence_pairs(m: int, n: int) -> set:
+    """Order pairs on 0..n-1 with bottom 0, top n - 1 and the fence
+    x_0 < x_1 > x_2 < ... on codes 1..m (x_i is i + 1, so odd codes are the
+    lower ends of their fence edges)."""
+    pairs = {(x, x) for x in range(n)}
+    pairs.update((0, x) for x in range(n))
+    pairs.update((x, n - 1) for x in range(n))
+    pairs.update((c, c + 1) if c % 2 else (c + 1, c) for c in range(1, m))
+    return pairs
+
+
 def fence_lattice(fence_n: int):
     """Fence x0 .. x_{fence_n} with bounds; returns (lattice, generators).
 
@@ -551,23 +553,11 @@ def fence_lattice(fence_n: int):
         raise InvalidInputError("fence length must be odd and >= 1")
     m = fence_n + 1  # number of fence elements
     n = m + 2
-    bottom, top = 0, n - 1
-    elem = lambda i: i + 1
-    pairs = set()
-    for x in range(n):
-        pairs.add((x, x))
-        pairs.add((bottom, x))
-        pairs.add((x, top))
-    for i in range(0, m, 2):
-        if i > 0:
-            pairs.add((elem(i), elem(i - 1)))
-        if i + 1 < m:
-            pairs.add((elem(i), elem(i + 1)))
-    lat = FiniteLattice(n, pairs)
-    gens = {elem(0), elem(fence_n)}
-    gens.update(elem(i) for i in range(1, m, 2))
+    lat = FiniteLattice(n, _fence_pairs(m, n))
+    gens = {1, m}  # both fence ends
+    gens.update(range(2, m + 1, 2))  # x_i, code i + 1, for every odd i
     if fence_n == 1:
-        gens.update((bottom, top))  # a 4-chain: bounds are underivable
+        gens.update((0, n - 1))  # a 4-chain: bounds are underivable
     return lat, tuple(sorted(gens))
 
 
@@ -592,27 +582,10 @@ def spurred_fence_lattice(fence_n: int):
     pend_evens = list(range(2, fence_n, 2))  # interior atoms: pendant coatom above
     pend_odds = list(range(3, fence_n + 1, 2))  # non-first coatoms: pendant atom below
     n = m + len(pend_evens) + len(pend_odds) + 2
-    bottom, top = 0, n - 1
-    elem = lambda i: i + 1
-    pend = {}
-    code = m + 1
-    for i in pend_evens + pend_odds:
-        pend[i] = code
-        code += 1
-    pairs = set()
-    for x in range(n):
-        pairs.add((x, x))
-        pairs.add((bottom, x))
-        pairs.add((x, top))
-    for i in range(0, m, 2):
-        if i > 0:
-            pairs.add((elem(i), elem(i - 1)))
-        if i + 1 < m:
-            pairs.add((elem(i), elem(i + 1)))
-    for i in pend_evens:
-        pairs.add((elem(i), pend[i]))  # x_i below its pendant coatom
-    for i in pend_odds:
-        pairs.add((pend[i], elem(i)))  # pendant atom below x_i
+    pend = {i: code for code, i in enumerate(pend_evens + pend_odds, m + 1)}
+    pairs = _fence_pairs(m, n)
+    pairs.update((i + 1, pend[i]) for i in pend_evens)  # x_i below its pendant coatom
+    pairs.update((pend[i], i + 1) for i in pend_odds)  # pendant atom below x_i
     lat = FiniteLattice(n, pairs)
-    gens = [elem(0), elem(1)] + [pend[i] for i in pend_evens + pend_odds]
-    return lat, tuple(sorted(gens)), tuple(elem(i) for i in range(m))
+    gens = [1, 2] + list(pend.values())
+    return lat, tuple(sorted(gens)), tuple(range(1, m + 1))

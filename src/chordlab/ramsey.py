@@ -41,6 +41,11 @@ from .graphs import (
 )
 
 
+def _require_traceable(g: Graph) -> None:
+    if not check_traceable(g):
+        raise InvalidInputError("host is not traceable in its stored order")
+
+
 def build_increasing_paths(g: Graph, n: int | None = None) -> dict:
     """Fixed-path table ``{(x, y): path}`` over positions x < y of a traceable host.
 
@@ -53,8 +58,7 @@ def build_increasing_paths(g: Graph, n: int | None = None) -> dict:
     """
     if len(g) < 2:
         raise InvalidInputError("need at least 2 vertices")
-    if not check_traceable(g):
-        raise InvalidInputError("host is not traceable in its stored order")
+    _require_traceable(g)
     size = len(g)
     rows = g.rows
     verts = g.vertices
@@ -305,8 +309,7 @@ def dichotomy(g: Graph, n: int) -> DichotomyWitness:
     Neither is legal only when the host is smaller than the true threshold
     for ``n``.
     """
-    if not check_traceable(g):
-        raise InvalidInputError("host is not traceable in its stored order")
+    _require_traceable(g)
     p = find_chordless_path(g, n)
     if p is not None:
         return DichotomyWitness(kind="chordless_path", path=p)
@@ -342,6 +345,7 @@ def homogeneous_size_for(n: int) -> int:
 
 
 def proof_pipeline(g: Graph, n: int) -> PipelineTrace:
+    _require_traceable(g)
     q = homogeneous_size_for(n)
     trace = PipelineTrace(n=n, q=q, outcome="")
     direct = find_chordless_path(g, n)

@@ -190,6 +190,20 @@ def middle_edge_4path(rows, k):
     return None
 
 
+def all_pairs_k22(rows):
+    """``graphs.find_k22`` by pairing every position r with every later s."""
+    for r, mr in enumerate(rows):
+        mr &= ~(1 << r)
+        if mr & (mr - 1):  # two or more neighbours
+            for s in range(r + 1, len(rows)):
+                common = mr & rows[s] & ~(1 << s)
+                if common & (common - 1):
+                    p = (common & -common).bit_length() - 1
+                    common &= common - 1
+                    return (p, (common & -common).bit_length() - 1, r, s)
+    return None
+
+
 def per_stage_no_chordless4(history):
     """"No chordless 4-path at any stage", scanning every stage on its own."""
     rows = history._rows
@@ -546,6 +560,26 @@ def brute_double_cover(poset):
         if len(common) >= 2:
             return (common[0], common[1], u, v)
     return None
+
+
+def pairwise_fence(lat, seq):
+    """``lattices.validate_fence`` by its definition: an even number of
+    distinct elements, each consecutive pair strictly ordered low-high-low,
+    and no comparability between any two non-consecutive entries."""
+    seq = tuple(seq)
+    n = len(seq) - 1
+    if n < 1 or n % 2 == 0:
+        return False
+    if len(set(seq)) != len(seq):
+        return False
+    for i in range(len(seq) - 1):
+        lo, hi = (seq[i], seq[i + 1]) if i % 2 == 0 else (seq[i + 1], seq[i])
+        if not (lat.leq(lo, hi) and lo != hi):
+            return False
+    for i, j in itertools.combinations(range(len(seq)), 2):
+        if j - i >= 2 and (lat.leq(seq[i], seq[j]) or lat.leq(seq[j], seq[i])):
+            return False
+    return True
 
 
 def generating_set(lat: FiniteLattice):

@@ -1,9 +1,11 @@
 """Command-line interface: reports, exit codes, file outputs, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+import random
 import tempfile
 
 import pytest
@@ -16,7 +18,13 @@ from chordlab.errors import ResourceLimitError
 from chordlab.graphs import K22, Graph, complete_graph, pattern_graph
 from chordlab.lattices import fence_lattice, spurred_fence_lattice
 
-from oracles import graph_json_objects, graphs, seeded_permutation
+from oracles import (
+    generating_set,
+    graph_json_objects,
+    graphs,
+    random_length3_lattice,
+    seeded_permutation,
+)
 
 
 def run_cli(capsys, *argv):
@@ -79,6 +87,60 @@ def test_reports_are_byte_identical(tmp_path, capsys):
     _, out1 = run_cli(capsys, *args)
     _, out2 = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def _pinned_lattice_files():
+    """A relabelled spurred fence lattice and three seeded random length-3
+    lattices, written to the working directory; yields (file name, n)."""
+    lat, gens, _ = spurred_fence_lattice(13)
+    perm = seeded_permutation(13, lat.n)
+    pairs = [(perm[x], perm[y]) for x, y in lat.leq_pairs()]
+    inputs = [("spurred13.json", lat.n, pairs, [perm[g] for g in gens])]
+    for seed in (6, 9, 27):  # seeds whose trees hold fences of 3 or more
+        n, pairs = random_length3_lattice(random.Random(seed))
+        gens = generating_set(lattices.FiniteLattice(n, pairs))
+        inputs.append(("random%d.json" % seed, n, pairs, gens))
+    for name, n, pairs, gens in inputs:
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(formats.lattice_to_json(n, pairs, gens))
+        yield name, n
+
+
+def _lattice_report_digests(capsys):
+    """SHA-256 of the ``lattice verify`` report and of the ``lattice fences``
+    reports at every odd target, with exit codes, per input."""
+    digests = {}
+    for name, n in _pinned_lattice_files():
+        code, out = run_cli(capsys, "lattice", "verify", "--lattice", name)
+        digests[name, "verify"] = hashlib.sha256(b"%d\0%s" % (code, out.encode())).hexdigest()
+        h = hashlib.sha256()
+        for target in range(1, n, 2):
+            code, out = run_cli(
+                capsys, "lattice", "fences", "--lattice", name, "--target", str(target)
+            )
+            h.update(b"%d\0%d\0%s\0" % (target, code, out.encode()))
+        digests[name, "fences"] = h.hexdigest()
+    return digests
+
+
+# A report's bytes are part of its contract: a digest changes only with a
+# deliberate change to what a lattice command reports.
+PINNED_LATTICE_REPORTS = {
+    ('spurred13.json', 'verify'): "795ec4b0e399bf5bdc6414c14cda2a36a4765c6c49fc115508b007a2e362aae4",
+    ('spurred13.json', 'fences'): "ef16575757abc82e1b230132bb0cf2964fd0228fcda72594fa2a2c9a35ae73d8",
+    ('random6.json', 'verify'): "12be91d3864ac493d0e98038c600acb43f5fb56ca093dee05683703e49d29624",
+    ('random6.json', 'fences'): "e5b50099ccb725afcb128e81f4f1e1565d7a0817930d2b3fa756d5e64225afff",
+    ('random9.json', 'verify'): "fd7dc4eaff424dc20d1c8411047221c554c337cd24e6b179581f03050bb35213",
+    ('random9.json', 'fences'): "99e59b12239f800daabea452f8270b66c3aa4d36dd0b6eba582f4f748baaa4b2",
+    ('random27.json', 'verify'): "ad40f43bd79a78c5b807cf989356eea5f5661b3c6e2b3fc43f87c115d2dfecdb",
+    ('random27.json', 'fences'): "e2333d269c380e1c796a2528765c32033dc138b9f4223f5c8879ca9d0d18f82a",
+}
+
+
+def test_lattice_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    # reports echo the lattice path, so it is relative and the same every run
+    monkeypatch.chdir(tmp_path)
+    assert _lattice_report_digests(capsys) == PINNED_LATTICE_REPORTS
 
 
 def test_decode_command(capsys):
@@ -212,6 +274,18 @@ def test_pipeline_command(tmp_path, capsys):
     report = last_json(out)
     assert report["results"]["outcome"] == "k22"
     assert report["results"]["certificate"]["color"] == [0, 0]
+
+
+def test_pipeline_rejects_an_untraceable_host_like_dichotomy(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text('{"vertices":[0,1,2,3,4],"edges":[[0,1],[1,2],[2,3]]}')
+    for command in ("dichotomy", "pipeline"):
+        assert main([command, "--graph", str(path), "--n", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "host is not traceable in its stored order"
+        }
 
 
 def test_lattice_commands(tmp_path, capsys):

@@ -24,6 +24,7 @@ from chordlab.graphs import (
 )
 
 from oracles import (
+    all_pairs_k22,
     brute_chordless_path,
     brute_embedding_exists,
     middle_edge_4path,
@@ -165,6 +166,22 @@ def test_find_k22_is_the_least_brute_force_copy():
         else:
             a0, a1, b0, b1 = (g.position(brute[name]) for name in K22.vertex_names)
             assert found == (b0, b1, a0, a1)
+
+
+def test_find_k22_equals_the_all_pairs_scan():
+    # asymmetric rows with self bits; only rows of two or more bits are paired
+    rng = random.Random(29)
+    found = 0
+    for _ in range(3000):
+        size = rng.randint(0, 12)
+        p = rng.choice([0.1, 0.25, 0.4])
+        rows = [
+            sum(1 << j for j in range(size) if rng.random() < p) for _ in range(size)
+        ]
+        witness = find_k22(rows)
+        assert witness == all_pairs_k22(rows)
+        found += witness is not None
+    assert 300 < found < 2700
 
 
 def test_pattern_graphs():

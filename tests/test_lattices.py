@@ -37,6 +37,7 @@ from oracles import (
     naive_closure_and_rank,
     naive_lattice_axioms,
     naive_tree_levels,
+    pairwise_fence,
     random_bounded_poset,
     random_length3_lattice,
 )
@@ -317,6 +318,69 @@ def test_validate_fence():
     assert not validate_fence(lat, elems[:2] + elems[1:2])  # repeats
 
 
+def _fence_candidates(rng, lat):
+    """A random chordless walk through non-bound elements (a fence or a
+    reversed fence when its count is even), then the same walk reversed, with
+    a repeat, with one element dropped and with one entry swapped for a
+    random element."""
+    inner = [x for x in range(lat.n) if not lat.is_bound(x)]
+    walk = [rng.choice(inner)]
+    for _ in range(rng.randint(1, 7)):
+        step = [
+            y
+            for y in inner
+            if y not in walk
+            and lat.comparable(walk[-1], y)
+            and not any(lat.comparable(x, y) for x in walk[:-1])
+        ]
+        if not step:
+            break
+        walk.append(rng.choice(step))
+    swapped = list(walk)
+    swapped[rng.randrange(len(walk))] = rng.choice(inner)
+    return [walk, walk[::-1], walk + walk[:1], walk[:-1], swapped]
+
+
+def test_validate_fence_equals_the_pairwise_scan():
+    rng = random.Random(31)
+    verdicts = []
+    for _ in range(300):
+        n, pairs = random_length3_lattice(rng, 20)
+        lat = FiniteLattice(n, pairs)
+        for seq in _fence_candidates(rng, lat):
+            verdict = validate_fence(lat, seq)
+            assert verdict == pairwise_fence(lat, seq), seq
+            verdicts.append(verdict)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
+
+
+def test_comparability_graph_rows_are_the_comparabilities():
+    rng = random.Random(37)
+    for _ in range(60):
+        n, pairs = random_length3_lattice(rng, 20)
+        lat = FiniteLattice(n, pairs)
+        inner = [x for x in range(n) if not lat.is_bound(x)]
+        elems = rng.sample(inner, rng.randint(0, len(inner)))
+        g = comparability_graph(lat, elems)
+        assert g.vertices == tuple(elems)
+        for e, row in zip(elems, g.rows):
+            assert row == sum(
+                1 << j
+                for j, f in enumerate(elems)
+                if f != e and (lat.leq(e, f) or lat.leq(f, e))
+            )
+
+
+def test_elements_outside_the_lattice_are_input_errors():
+    lat, _ = fence_lattice(5)
+    for bad in (-1, lat.n):
+        with pytest.raises(InvalidInputError, match="outside 0..%d" % (lat.n - 1)):
+            comparability_graph(lat, (1, bad))
+        for seq in ((1, bad), (bad, 1, 2), (1, 2, 3, bad)):
+            with pytest.raises(InvalidInputError, match="outside 0..%d" % (lat.n - 1)):
+                validate_fence(lat, seq)
+
+
 def test_fence_lattice_capacity_is_one():
     # Interior fence elements are only derivable from both neighbours, so
     # every generating set keeps ranks at 0 or 1 and the tree shallow.
@@ -408,9 +472,7 @@ def test_tree_check_catches_a_bad_last_entry():
         levels = list(tree.levels)
         levels[i + 1] += (prefix + (x,),)
         with pytest.raises(StructuralError, match=message):
-            _assert_tree_properties(
-                lat, ranks, GenTree(tuple(levels)), atoms, coatoms, ranks.max_rank
-            )
+            _assert_tree_properties(lat, ranks, GenTree(tuple(levels)), ranks.max_rank)
 
 
 def test_find_fences_none_when_tree_too_shallow():

@@ -343,6 +343,13 @@ def test_dichotomy_rejects_untraceable_hosts():
         dichotomy(Graph([0, 1], []), 2)
 
 
+def test_proof_pipeline_rejects_untraceable_hosts():
+    # a chordless 4-path 0-1-2-3 exists, but 3 and 4 are not adjacent
+    g = Graph(range(5), [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(InvalidInputError, match="not traceable"):
+        proof_pipeline(g, 4)
+
+
 def test_dichotomy_k22_is_the_least_brute_force_copy():
     # Names descend or have gaps, so the least copy by position is not the
     # least by name.
