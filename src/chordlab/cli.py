@@ -290,8 +290,16 @@ def cmd_lattice_fences(args) -> int:
     return _finish("lattice-fences", parameters, results, checks)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one JSON line on stderr, like other input errors."""
+
+    def error(self, message):
+        print(json.dumps({"error": message}, sort_keys=True), file=sys.stderr)
+        sys.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chordlab",
         description="Staged graph constructions, the finite K22/chordless-path "
         "dichotomy, and lattice fence extraction.",
@@ -362,7 +370,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (StructuralError, ContradictionError) as exc:
         error = str(exc)
-        return _finish(args.command, {}, {"error": error}, [("internal", False, error)])
+        command = args.command
+        if command == "lattice":  # named as its successful reports name it
+            command += "-" + args.lattice_command
+        return _finish(command, {}, {"error": error}, [("internal", False, error)])
     except (ChordlabError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2

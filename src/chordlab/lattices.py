@@ -239,17 +239,19 @@ def check_no_double_cover(poset: BoundedPoset):
 
 @dataclass(frozen=True)
 class RankTable:
-    generators: tuple
-    rank: tuple  # rank[x] for every element
+    """An element's rank is the first closure round that generates it."""
+
     levels: tuple  # levels[k] = bitmask of elements generated within k steps
-    rank_bound: dict  # rank -> largest element code of that rank
 
     @property
     def max_rank(self) -> int:
-        return max(self.rank)
+        return len(self.levels) - 1
 
-    def elements_of_rank(self, r: int):
-        return tuple(x for x in range(len(self.rank)) if self.rank[x] == r)
+    def rank_mask(self, r: int) -> int:
+        """Bitmask of the elements of rank r (empty past the last round)."""
+        if r > self.max_rank:
+            return 0
+        return self.levels[r] & ~self.levels[r - 1] if r else self.levels[0]
 
 
 def closure_and_rank(lat: FiniteLattice, generators) -> RankTable:
@@ -266,25 +268,20 @@ def closure_and_rank(lat: FiniteLattice, generators) -> RankTable:
         raise InvalidInputError("generator set must be nonempty")
     if any(g < 0 or g >= lat.n for g in gens):
         raise InvalidInputError("generators outside the lattice: %r" % (gens,))
-    current = 0
-    for g in gens:
-        current |= 1 << g
+    current = sum(1 << g for g in gens)
     levels = [current]
-    rank = {g: 0 for g in gens}
+    members, added = list(gens), gens
     meet, join = lat._meet, lat._join
-    added = current
     while True:
-        new = current
-        members = list(iter_bits(current))
-        for x in iter_bits(added):
-            mrow, jrow = meet[x], join[x]
-            for y in members:
-                new |= (1 << mrow[y]) | (1 << jrow[y])
+        made = set()
+        for x in added:
+            made.update(map(meet[x].__getitem__, members))
+            made.update(map(join[x].__getitem__, members))
+        new = current | sum(1 << z for z in made)
         if new == current:
             break
-        added = new & ~current
-        for x in iter_bits(added):
-            rank[x] = len(levels)
+        added = list(iter_bits(new & ~current))
+        members += added
         levels.append(new)
         current = new
     if current != (1 << lat.n) - 1:
@@ -293,14 +290,7 @@ def closure_and_rank(lat: FiniteLattice, generators) -> RankTable:
             "generators do not generate the lattice; unreached: %r" % (unreached,),
             unreached=unreached,
         )
-    ranks = tuple(rank[x] for x in range(lat.n))
-    bound = {}
-    for x in range(lat.n):
-        r = ranks[x]
-        bound[r] = max(bound.get(r, 0), x)
-    return RankTable(
-        generators=tuple(gens), rank=ranks, levels=tuple(levels), rank_bound=bound
-    )
+    return RankTable(levels=tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -312,10 +302,6 @@ class GenTree:
     def nodes(self):
         for level in self.levels:
             yield from level
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
 
     def deepest_branches(self):
         for level in reversed(self.levels):
@@ -332,6 +318,11 @@ class GenTree:
 MAX_TREE_NODES = 200_000
 
 
+def _require_length3(lat: FiniteLattice) -> None:
+    if not check_length3(lat):
+        raise InvalidInputError("fence extraction needs a length-3 lattice")
+
+
 def build_tree(lat: FiniteLattice, ranks: RankTable, depth: int) -> GenTree:
     """All derivation sequences down to ``depth``; structural checks included.
 
@@ -341,38 +332,32 @@ def build_tree(lat: FiniteLattice, ranks: RankTable, depth: int) -> GenTree:
     comparable, atom/coatom alternation, and the per-position element bound.
     Every non-bound element of rank <= depth must be reachable as some node's
     last entry; a miss is a structural error in the rank table.
+
+    Only length-3 lattices are accepted, and there no meet or join is read.
+    A non-bound x of rank i >= 1 is new in round i, so it is the meet of two
+    coatoms over it (or the join of two atoms under it) of lower rank.  For a
+    node ending at e < x or e > x, one of the two differs from e and with e
+    gives x again, since nothing lies strictly between x and e.  So the node
+    extends by exactly the elements of rank i comparable to e.
     """
     if depth < 0:
         raise InvalidInputError("depth must be >= 0")
-    roots = tuple(
-        (x,) for x in sorted(ranks.elements_of_rank(0)) if not lat.is_bound(x)
-    )
-    levels = [roots]
-    total = len(roots)
-    # producers[x]: bitmask of the e with meet(e, a) == x or join(e, a) == x
-    # for some a of rank below the current level, grown one rank at a time
-    producers = [0] * lat.n
-    bits = [1 << e for e in range(lat.n)]
+    _require_length3(lat)
+    rows, inner = lat.rows, lat.atom_mask | lat.coatom_mask
+    levels = [tuple((x,) for x in iter_bits(ranks.rank_mask(0) & inner))]
+    total = len(levels[0])
     for i in range(1, depth + 1):
-        for a in ranks.elements_of_rank(i - 1):
-            for bit, m, j in zip(bits, lat._meet[a], lat._join[a]):
-                producers[m] |= bit
-                producers[j] |= bit
-        targets = [
-            x for x in ranks.elements_of_rank(i) if not lat.is_bound(x)
-        ]
+        targets = ranks.rank_mask(i) & inner
+        # prefixes are sorted and x ascends within each, so the level is too
         nodes = [
-            node + (x,)
-            for node in levels[i - 1]
-            for x in targets
-            if (producers[x] >> node[-1]) & 1
+            node + (x,) for node in levels[i - 1] for x in iter_bits(rows[node[-1]] & targets)
         ]
         total += len(nodes)
         if total > MAX_TREE_NODES:
             raise ResourceLimitError(
                 "derivation tree exceeds %d nodes" % MAX_TREE_NODES
             )
-        levels.append(tuple(sorted(nodes)))
+        levels.append(tuple(nodes))
     tree = GenTree(levels=tuple(levels))
     _assert_tree_properties(lat, ranks, tree, depth)
     return tree
@@ -382,6 +367,7 @@ def _assert_tree_properties(lat, ranks, tree, depth):
     # A node's prefix is a node of the previous level, already checked, so
     # only its last entry and last pair are new.
     atoms, coatoms = lat.atom_mask, lat.coatom_mask
+    bounds = [ranks.rank_mask(i).bit_length() - 1 for i in range(len(tree.levels))]
     reached = 0
     for node in tree.nodes():
         i = len(node) - 1
@@ -398,19 +384,18 @@ def _assert_tree_properties(lat, ranks, tree, depth):
                 raise StructuralError(
                     "tree entries do not alternate atom/coatom: %r" % (node,)
                 )
-        if b > ranks.rank_bound[i]:
+        if b > bounds[i]:  # the largest element of rank i
             raise StructuralError(
-                "node entry %d exceeds the rank-%d bound %d" % (b, i, ranks.rank_bound[i])
+                "node entry %d exceeds the rank-%d bound %d" % (b, i, bounds[i])
             )
         reached |= 1 << b
     # reachability: every non-bound element of rank <= depth ends some node
-    for x in range(lat.n):
-        if lat.is_bound(x) or ranks.rank[x] > depth:
-            continue
-        if not (reached >> x) & 1:
+    for i in range(depth + 1):
+        missed = ranks.rank_mask(i) & (atoms | coatoms) & ~reached
+        if missed:
             raise StructuralError(
                 "element %d (rank %d) is not reachable in the tree"
-                % (x, ranks.rank[x])
+                % ((missed & -missed).bit_length() - 1, i)
             )
 
 
@@ -469,9 +454,16 @@ def validate_fence(lat: FiniteLattice, seq) -> bool:
 
 
 def _full_tree(lat: FiniteLattice, generators) -> GenTree:
-    """The derivation tree to full depth; only length-3 lattices are accepted."""
-    if not check_length3(lat):
-        raise InvalidInputError("fence extraction needs a length-3 lattice")
+    """The derivation tree to full depth.  Length 3 is checked first, then
+    that no two atoms lie under two coatoms: the tree step takes two coatoms
+    over an atom to meet in it, and dually, which a double cover breaks."""
+    _require_length3(lat)
+    double = check_no_double_cover(lat)
+    if double is not None:
+        raise ContradictionError(
+            "K22 copy inside a validated length-3 lattice: atoms %r under coatoms %r"
+            % (double[:2], double[2:])
+        )
     ranks = closure_and_rank(lat, generators)
     return build_tree(lat, ranks, ranks.max_rank)
 
@@ -490,12 +482,6 @@ def find_fences(lat: FiniteLattice, generators, target_n: int):
     if target_n < 1 or target_n % 2 == 0:
         raise InvalidInputError("fence length must be odd and >= 1")
     tree = _full_tree(lat, generators)
-    double = check_no_double_cover(lat)
-    if double is not None:
-        raise ContradictionError(
-            "K22 copy inside a validated length-3 lattice: atoms %r under coatoms %r"
-            % (double[:2], double[2:])
-        )
     want = target_n + 1
     for branch in tree.branches_by_depth():
         if len(branch) < want:

@@ -330,7 +330,6 @@ class PipelineTrace:
     n: int
     q: int
     outcome: str
-    witness_kind: str | None = None
     path: tuple | None = None
     embedding: Embedding | None = None
     certificate: HomogeneousCertificate | None = None
@@ -351,7 +350,6 @@ def proof_pipeline(g: Graph, n: int) -> PipelineTrace:
     direct = find_chordless_path(g, n)
     if direct is not None:
         trace.outcome = "chordless_path"
-        trace.witness_kind = "chordless_path"
         trace.path = direct
         trace.notes.append("host already contains a chordless %d-path" % n)
         return trace
@@ -373,12 +371,10 @@ def proof_pipeline(g: Graph, n: int) -> PipelineTrace:
     if cert.color == RESIDUAL:
         path = extract_chordless(cert, g, paths, n)
         trace.outcome = "chordless_path"
-        trace.witness_kind = "chordless_path"
         trace.path = path
     else:
         emb = extract_k22(cert, g, paths)
         trace.outcome = "k22"
-        trace.witness_kind = "k22"
         trace.embedding = emb
     return trace
 

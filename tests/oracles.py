@@ -325,12 +325,11 @@ def naive_lattice_axioms(n, leq_pairs):
 
 
 def naive_closure_and_rank(lat, generators):
-    """(rank, levels, rank_bound) by recombining every pair of members per round."""
+    """Closure levels by recombining every pair of members per round."""
     current = 0
     for g in generators:
         current |= 1 << g
     levels = [current]
-    rank = {g: 0 for g in generators}
     while True:
         new = current
         members = [x for x in range(lat.n) if (current >> x) & 1]
@@ -339,28 +338,28 @@ def naive_closure_and_rank(lat, generators):
             new |= 1 << lat.join(x, y)
         if new == current:
             break
-        for x in range(lat.n):
-            if (new >> x) & 1 and not (current >> x) & 1:
-                rank[x] = len(levels)
         levels.append(new)
         current = new
-    ranks = tuple(rank[x] for x in range(lat.n))
-    bound = {}
-    for x in range(lat.n):
-        bound[ranks[x]] = max(bound.get(ranks[x], 0), x)
-    return ranks, tuple(levels), bound
+    return tuple(levels)
 
 
 def naive_tree_levels(lat, ranks, depth):
-    """Derivation-tree levels, with producer sets from a literal triple loop."""
+    """Derivation-tree levels, with producer sets from a literal triple loop.
+
+    An element's rank is the index of the first level mask holding it.
+    """
+    rank = [
+        next(k for k, level in enumerate(ranks.levels) if (level >> x) & 1)
+        for x in range(lat.n)
+    ]
     levels = [
-        tuple((x,) for x in range(lat.n) if ranks.rank[x] == 0 and not lat.is_bound(x))
+        tuple((x,) for x in range(lat.n) if rank[x] == 0 and not lat.is_bound(x))
     ]
     for i in range(1, depth + 1):
         targets = [
-            x for x in range(lat.n) if ranks.rank[x] == i and not lat.is_bound(x)
+            x for x in range(lat.n) if rank[x] == i and not lat.is_bound(x)
         ]
-        lower = [a for a in range(lat.n) if ranks.rank[a] < i]
+        lower = [a for a in range(lat.n) if rank[a] < i]
         producers = {x: set() for x in targets}
         for x in targets:
             for a in lower:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from chordlab import formats, lattices, ramsey
 from chordlab.cli import main
-from chordlab.errors import ResourceLimitError
+from chordlab.errors import InvalidInputError, ResourceLimitError, StructuralError
 from chordlab.graphs import K22, Graph, complete_graph, pattern_graph
 from chordlab.lattices import fence_lattice, spurred_fence_lattice
 
@@ -354,6 +354,21 @@ def test_input_errors_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_usage_errors_are_one_json_line(capsys):
+    for argv in (
+        ["mn-search", "--n", "abc", "--max-size", "7", "--report", "r.json"],
+        ["mn-search", "--n", "4", "--max-size", "7"],
+        ["lattice", "fences", "--target", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and "error" in json.loads(lines[0])
+
+
 # bottom 0, atoms 1 and 2, their join 3, coatoms 4 and 5 above 3, top 6
 TALL = (
     [(x, x) for x in range(7)] + [(0, x) for x in range(1, 7)] + [(x, 6) for x in range(6)]
@@ -369,6 +384,13 @@ def test_lattice_fences_rejects_a_lattice_longer_than_3(tmp_path, capsys):
     checks = {c["name"]: c["pass"] for c in last_json(out)["checks"]}
     assert checks["lattice-axioms"] and not checks["length-3"]
     assert_input_error(capsys, ["lattice", "fences", "--lattice", str(lat_path), "--target", "3"])
+
+
+def test_build_tree_rejects_a_lattice_longer_than_3():
+    lat = lattices.FiniteLattice(7, TALL)
+    table = lattices.closure_and_rank(lat, [1, 2, 4, 5])  # generates all of TALL
+    with pytest.raises(InvalidInputError, match="length-3"):
+        lattices.build_tree(lat, table, table.max_rank)
 
 
 def test_lattice_with_huge_n_fails_before_allocating(tmp_path, capsys):
@@ -424,6 +446,22 @@ def test_lattice_fences_double_cover_gives_an_internal_report(tmp_path, monkeypa
         ["lattice", "fences", "--lattice", str(lat_path), "--target", "3"],
         "K22 copy inside a validated length-3 lattice",
     )
+
+
+def test_lattice_internal_reports_name_the_subcommand(tmp_path, monkeypatch):
+    lat, gens, _ = spurred_fence_lattice(5)
+    lat_path = tmp_path / "spurred.json"
+    formats.save_lattice(lat_path, lat.n, lat.leq_pairs(), gens)
+
+    def fail(*args):
+        raise StructuralError("broken")
+
+    monkeypatch.setattr(lattices, "find_fences", fail)
+    monkeypatch.setattr(lattices, "check_no_double_cover", fail)
+    for sub, extra in (("verify", []), ("fences", ["--target", "3"])):
+        code, out, err = _run_isolated(["lattice", sub, "--lattice", str(lat_path)] + extra)
+        assert (code, err) == (1, "")
+        assert json.loads(out)["command"] == "lattice-" + sub
 
 
 def test_lattice_fences_tree_budget_exits_2(tmp_path, capsys, monkeypatch):

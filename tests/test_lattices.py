@@ -207,9 +207,9 @@ def test_random_length3_lattices_have_no_double_cover():
 def test_closure_and_rank_boolean_square():
     lat = FiniteLattice(4, DIAMOND)
     table = closure_and_rank(lat, [1, 2])
-    assert table.rank == (1, 0, 0, 1)
-    assert table.rank_bound == {0: 2, 1: 3}
-    assert table.levels[0] == 0b0110
+    assert table.levels == (0b0110, 0b1111)
+    assert (table.rank_mask(0), table.rank_mask(1)) == (0b0110, 0b1001)
+    assert (table.max_rank, table.rank_mask(2)) == (1, 0)
 
 
 def test_closure_coverage_error():
@@ -222,7 +222,7 @@ def test_closure_coverage_error():
 def test_closure_all_elements_rank_zero():
     lat = FiniteLattice(4, DIAMOND)
     table = closure_and_rank(lat, range(4))
-    assert set(table.rank) == {0}
+    assert table.levels == (0b1111,)
 
 
 def test_closure_levels_monotone():
@@ -239,17 +239,17 @@ def test_closure_levels_monotone():
 
 def test_closure_and_tree_match_naive_oracles():
     cases = [fence_lattice(n) for n in (1, 3, 7, 11)]
-    cases += [spurred_fence_lattice(n)[:2] for n in (3, 5, 9, 15)]
+    cases += [spurred_fence_lattice(n)[:2] for n in (3, 5, 9, 15, 33, 45)]
     rng = random.Random(8)
-    for _ in range(25):
-        n, pairs = random_length3_lattice(rng, 24)
+    for _ in range(40):
+        n, pairs = random_length3_lattice(rng, 42)  # up to 40 inner elements
         lat = FiniteLattice(n, pairs)
-        cases.append((lat, generating_set(lat)))
+        gens = generating_set(lat)
+        extra = [x for x in range(n) if x not in gens and rng.random() < 0.2]
+        cases += [(lat, gens), (lat, sorted(gens + extra))]
     for lat, gens in cases:
         table = closure_and_rank(lat, gens)
-        assert (table.rank, table.levels, table.rank_bound) == naive_closure_and_rank(
-            lat, gens
-        )
+        assert table.levels == naive_closure_and_rank(lat, gens)
         tree = build_tree(lat, table, table.max_rank)
         assert tree.levels == naive_tree_levels(lat, table, table.max_rank)
 
@@ -437,12 +437,7 @@ def test_build_tree_structural_error_on_corrupt_ranks():
 
     lat, _ = fence_lattice(3)
     # claims element 3 has rank 2; nothing of rank 1 exists to reach it from
-    fake = RankTable(
-        generators=(1, 2, 4),
-        rank=(1, 0, 0, 2, 0, 1),
-        levels=(0b010110,),
-        rank_bound={0: 4, 1: 5, 2: 3},
-    )
+    fake = RankTable(levels=(0b010110, 0b110111, 0b111111))
     with pytest.raises(StructuralError):
         build_tree(lat, fake, 2)
 
@@ -465,7 +460,8 @@ def test_tree_check_catches_a_bad_last_entry():
         "incomparable": next(x for x in fresh if not lat.comparable(last, x)),
         "do not alternate": lat.top,
         "exceeds the rank-%d bound" % (i + 1): next(
-            x for x in fresh if lat.comparable(last, x) and x > ranks.rank_bound[i + 1]
+            x for x in fresh
+            if lat.comparable(last, x) and x >= ranks.rank_mask(i + 1).bit_length()
         ),
     }
     for message, x in cases.items():
