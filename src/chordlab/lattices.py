@@ -90,48 +90,44 @@ def validate_order(n: int, leq_pairs):
     return None, below, above
 
 
-def _meet_join_tables(below, above):
-    """Meet and join tables by mask lookup, or the first pair lacking one.
+def _missing_meet_or_join(below, above):
+    """The first pair x < y, row by row, that lacks a meet or a join, or None.
 
     The common lower bounds of x and y form a down-set, which has a greatest
     element g exactly when it equals ``below[g]``; ``below`` masks are
-    distinct by antisymmetry, so the meet is one dict lookup.  Joins work the
-    same way with ``above``.  Returns ``(meet, join, None)``, or
-    ``(None, None, (kind, (x, y)))`` for the first pair x < y, row by row,
-    that lacks a ``"meet"`` (checked first) or a ``"join"``.
+    distinct by antisymmetry, so each meet is one set lookup.  Joins work the
+    same way with ``above``.  Returns ``(kind, (x, y))`` for the least y in
+    the first failing row, with ``"meet"`` checked before ``"join"``; row x
+    starts at x + 1, since meets and joins are symmetric and every earlier
+    row already passed.
     """
-    greatest = {mask: g for g, mask in enumerate(below)}.get
-    least = {mask: g for g, mask in enumerate(above)}.get
-    meet, join = [], []
+    downs, ups = set(below), set(above)
     for x, (bx, ax) in enumerate(zip(below, above)):
-        mrow = [greatest(bx & b) for b in below]
-        jrow = [least(ax & a) for a in above]
-        if None in mrow or None in jrow:
-            # rows are symmetric, so earlier rows already cleared every y < x
-            y = min(row.index(None) for row in (mrow, jrow) if None in row)
-            return None, None, ("meet" if mrow[y] is None else "join", (x, y))
-        meet.append(mrow)
-        join.append(jrow)
-    return meet, join, None
+        if {bx & b for b in below[x + 1:]} <= downs and {ax & a for a in above[x + 1:]} <= ups:
+            continue
+        for y in range(x + 1, len(below)):
+            if bx & below[y] not in downs:
+                return "meet", (x, y)
+            if ax & above[y] not in ups:
+                return "join", (x, y)
+    return None
 
 
 def validate_lattice(n: int, leq_pairs) -> LatticeReport:
     """Partial-order axioms, bounds, and existence of all meets and joins.
 
-    On a pass the report's ``lattice`` is the FiniteLattice over the tables
-    built here, so they are not built again.
+    On a pass the report's ``lattice`` is the FiniteLattice over the masks
+    built here, so the order is not validated again.
     """
     bad, below, above = validate_order(n, leq_pairs)
     if bad is not None:
         return bad
-    meet, join, missing = _meet_join_tables(below, above)
+    missing = _missing_meet_or_join(below, above)
     if missing is not None:
         kind, pair = missing
         return LatticeReport(False, kind + "-exists", pair)
     lat = FiniteLattice.__new__(FiniteLattice)
     lat._set_order(n, below, above)
-    lat._meet = meet
-    lat._join = join
     return LatticeReport(True, lattice=lat)
 
 
@@ -195,22 +191,14 @@ class BoundedPoset:
 
 
 class FiniteLattice(BoundedPoset):
-    """Bounded poset whose meets and joins all exist; tables are computed."""
+    """Bounded poset whose meets and joins all exist."""
 
     def __init__(self, n: int, leq_pairs):
         super().__init__(n, leq_pairs)
-        meet, join, missing = _meet_join_tables(self.below, self.above)
+        missing = _missing_meet_or_join(self.below, self.above)
         if missing is not None:
             kind, pair = missing
             raise InvalidInputError("not a lattice: pair %r lacks a %s" % (pair, kind))
-        self._meet = meet  # flat rows: meet[x][y]
-        self._join = join
-
-    def meet(self, x: int, y: int) -> int:
-        return self._meet[x][y]
-
-    def join(self, x: int, y: int) -> int:
-        return self._join[x][y]
 
 
 def check_length3(lat: FiniteLattice) -> bool:
@@ -262,26 +250,35 @@ def closure_and_rank(lat: FiniteLattice, generators) -> RankTable:
     unreached elements.  Each round is semi-naive: it combines only pairs
     with an element added in the previous round, since pairs of older
     members were already combined when the current level was formed.
+
+    A meet is one dict lookup of the common lower bounds' mask, and only
+    partners that can give a new meet are tried: a meet of x and y missing
+    from the round's mask lies below x, outside that mask, and below y.
+    Joins are dual.
     """
     gens = sorted(set(int(g) for g in generators))
     if not gens:
         raise InvalidInputError("generator set must be nonempty")
     if any(g < 0 or g >= lat.n for g in gens):
         raise InvalidInputError("generators outside the lattice: %r" % (gens,))
-    current = sum(1 << g for g in gens)
+    duals = (
+        (lat.below, lat.above, {b: g for g, b in enumerate(lat.below)}),
+        (lat.above, lat.below, {a: g for g, a in enumerate(lat.above)}),
+    )
+    current = added = sum(1 << g for g in gens)
     levels = [current]
-    members, added = list(gens), gens
-    meet, join = lat._meet, lat._join
     while True:
-        made = set()
-        for x in added:
-            made.update(map(meet[x].__getitem__, members))
-            made.update(map(join[x].__getitem__, members))
-        new = current | sum(1 << z for z in made)
+        new = current
+        for x in iter_bits(added):
+            for down, up, extreme in duals:
+                partners = 0
+                for g in iter_bits(down[x] & ~new):
+                    partners |= up[g]
+                for y in iter_bits(partners & current):
+                    new |= 1 << extreme[down[x] & down[y]]
         if new == current:
             break
-        added = list(iter_bits(new & ~current))
-        members += added
+        added = new & ~current
         levels.append(new)
         current = new
     if current != (1 << lat.n) - 1:

@@ -324,8 +324,24 @@ def naive_lattice_axioms(n, leq_pairs):
     return None
 
 
+def meet_join_tables(lat):
+    """Full n x n meet and join tables, ``meet[x][y]`` and ``join[x][y]``.
+
+    The common lower bounds of x and y form a down-set whose greatest
+    element g, if any, has exactly that down-set as ``below[g]``, so each
+    entry is one dict lookup; joins use ``above``.  None marks a pair with
+    no meet (or join).
+    """
+    greatest = {mask: g for g, mask in enumerate(lat.below)}.get
+    least = {mask: g for g, mask in enumerate(lat.above)}.get
+    meet = [[greatest(bx & b) for b in lat.below] for bx in lat.below]
+    join = [[least(ax & a) for a in lat.above] for ax in lat.above]
+    return meet, join
+
+
 def naive_closure_and_rank(lat, generators):
     """Closure levels by recombining every pair of members per round."""
+    meet, join = meet_join_tables(lat)
     current = 0
     for g in generators:
         current |= 1 << g
@@ -334,8 +350,8 @@ def naive_closure_and_rank(lat, generators):
         new = current
         members = [x for x in range(lat.n) if (current >> x) & 1]
         for x, y in itertools.combinations_with_replacement(members, 2):
-            new |= 1 << lat.meet(x, y)
-            new |= 1 << lat.join(x, y)
+            new |= 1 << meet[x][y]
+            new |= 1 << join[x][y]
         if new == current:
             break
         levels.append(new)
@@ -348,6 +364,7 @@ def naive_tree_levels(lat, ranks, depth):
 
     An element's rank is the index of the first level mask holding it.
     """
+    meet, join = meet_join_tables(lat)
     rank = [
         next(k for k, level in enumerate(ranks.levels) if (level >> x) & 1)
         for x in range(lat.n)
@@ -364,7 +381,7 @@ def naive_tree_levels(lat, ranks, depth):
         for x in targets:
             for a in lower:
                 for e in range(lat.n):
-                    if lat.meet(e, a) == x or lat.join(e, a) == x:
+                    if meet[e][a] == x or join[e][a] == x:
                         producers[x].add(e)
         nodes = [
             node + (x,)
@@ -529,6 +546,26 @@ def random_length3_lattice(rng, max_elements=30):
                 below[c].add(a)
                 pairs.add((a, c))
     return n, sorted(pairs)
+
+
+def inclusion_order(rng, sets):
+    """The distinct bitmask sets ``sets`` ordered by inclusion, each given a
+    random code: ``(n, pairs)``."""
+    sets = list(sets)
+    rng.shuffle(sets)
+    pairs = [(i, j) for i, a in enumerate(sets) for j, b in enumerate(sets) if a & ~b == 0]
+    return len(sets), pairs
+
+
+def random_closure_system(rng, k):
+    """Random intersection-closed family of subsets of a k-set, full set
+    included, as an inclusion order: a lattice of any length, whose meets
+    are intersections and whose joins are the least members holding both."""
+    family = {(1 << k) - 1}
+    for _ in range(rng.randint(0, 2 * k)):
+        s = rng.getrandbits(k)
+        family |= {s & t for t in family}
+    return inclusion_order(rng, family)
 
 
 def random_bounded_poset(rng, max_elements=12):

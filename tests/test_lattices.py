@@ -34,11 +34,13 @@ from chordlab.lattices import (
 from oracles import (
     brute_double_cover,
     generating_set,
+    inclusion_order,
     naive_closure_and_rank,
     naive_lattice_axioms,
     naive_tree_levels,
     pairwise_fence,
     random_bounded_poset,
+    random_closure_system,
     random_length3_lattice,
 )
 
@@ -107,6 +109,16 @@ def _with_bounds(n, pairs):
     return sorted(pairs | bounds | {(x, x) for x in range(n)})
 
 
+def _lattices_of_any_length(rng, count):
+    """``count`` random intersection-closed families of subsets of a k-set
+    (k <= 7), chains of 1 to 7 elements and the boolean lattice 2^4, each
+    ordered by inclusion and relabelled at random."""
+    orders = [random_closure_system(rng, rng.randint(1, 7)) for _ in range(count)]
+    orders += [inclusion_order(rng, [(1 << i) - 1 for i in range(m)]) for m in range(1, 8)]
+    orders.append(inclusion_order(rng, range(16)))
+    return orders
+
+
 def test_validate_lattice_matches_naive_oracle():
     rng = random.Random(2)
     orders = []
@@ -122,6 +134,14 @@ def test_validate_lattice_matches_naive_oracle():
     inner = {(a, m) for a in (6, 7) for m in (1, 3, 4, 5)}
     inner |= {(m, c) for m in (1, 2) for c in (4, 5)}
     orders.append((9, _with_bounds(9, inner)))
+    # lattices of any length, and copies one pair short or one pair over
+    for n, pairs in _lattices_of_any_length(rng, 60):
+        orders.append((n, pairs))
+        strict = [p for p in pairs if p[0] != p[1]]
+        if strict:
+            drop = rng.choice(strict)
+            orders.append((n, [p for p in pairs if p != drop]))
+        orders.append((n, pairs + [(rng.randrange(n), rng.randrange(n))]))
     seen = set()
     for n, pairs in orders:
         mine = validate_lattice(n, pairs)
@@ -252,6 +272,27 @@ def test_closure_and_tree_match_naive_oracles():
         assert table.levels == naive_closure_and_rank(lat, gens)
         tree = build_tree(lat, table, table.max_rank)
         assert tree.levels == naive_tree_levels(lat, table, table.max_rank)
+
+
+def test_closure_matches_naive_oracle_beyond_length_3():
+    # the closure's partner rule holds in every lattice, not only at length 3
+    rng = random.Random(13)
+    longer = covered = 0
+    for n, pairs in _lattices_of_any_length(rng, 150):
+        lat = FiniteLattice(n, pairs)
+        longer += not check_length3(lat)
+        for _ in range(3):
+            gens = rng.sample(range(n), rng.randint(1, min(n, 5)))
+            levels = naive_closure_and_rank(lat, gens)
+            unreached = tuple(x for x in range(n) if not (levels[-1] >> x) & 1)
+            if unreached:
+                with pytest.raises(CoverageError) as exc:
+                    closure_and_rank(lat, gens)
+                assert exc.value.unreached == unreached
+            else:
+                assert closure_and_rank(lat, gens).levels == levels
+                covered += 1
+    assert longer > 30 and 100 < covered < 400
 
 
 def test_build_tree_boolean_square():
