@@ -77,7 +77,6 @@ from .ramsey import (
     HomogeneousCertificate,
     build_coloring,
     build_increasing_paths,
-    color_4subset,
     dichotomy,
     estimate_min_m,
     extract_chordless,

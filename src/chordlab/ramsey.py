@@ -121,27 +121,8 @@ class FourColoring:
     assignment: dict
 
 
-def color_4subset(rows, paths, quad, n: int):
-    """Lexicographically least applicable (i, j), else the residual color.
-
-    The first n-1 vertices of path(u, v) form the mask ``far``; i is the first
-    index on path(x, y) whose row meets it, and j the index of the lowest
-    vertex met, which is the least j because paths ascend.
-    """
-    x, y, u, v = quad
-    puv = paths[u, v][: n - 1]
-    far = 0
-    for w in puv:
-        far |= 1 << w
-    for i, a in enumerate(paths[x, y][: n - 1]):
-        hit = rows[a] & far
-        if hit:
-            return (i, puv.index((hit & -hit).bit_length() - 1))
-    return RESIDUAL
-
-
-# 4-subsets one coloring may hold, at about 167 bytes each (some 330 MB);
-# hosts of up to 84 vertices fit.
+# 4-subsets one coloring may hold, at about 115 bytes each once built and
+# 128 while it is built (some 250 MB); hosts of up to 84 vertices fit.
 MAX_COLORED_QUADS = 2_000_000
 
 
@@ -155,11 +136,50 @@ def _check_coloring_budget(size: int) -> None:
 
 
 def build_coloring(rows, paths, n: int) -> FourColoring:
-    _check_coloring_budget(len(rows))
-    assignment = {}
-    for quad in itertools.combinations(range(len(rows)), 4):
-        assignment[quad] = color_4subset(rows, paths, quad, n)
+    """Color every ascending 4-subset, keyed in ``itertools.combinations`` order.
+
+    Each pair's part is built once: ``near[x, y]`` holds the rows of the first
+    n-1 vertices of path(x, y), each with its row of the shared (i, j) colors,
+    and ``far[u, v]`` the mask of the first n-1 vertices of path(u, v) with a
+    map from each one's bit to its index j.  A 4-subset's i is then the first
+    near row that meets ``far``, and j the index of the lowest bit it meets,
+    which is the least j because paths ascend.
+    """
+    if n < 1:
+        raise InvalidInputError("path length must be >= 1, got %d" % n)
+    size = len(rows)
+    _check_coloring_budget(size)
+    side = n - 1
+    classes = [tuple((i, j) for j in range(side)) for i in range(side)]
+    near = {}
+    far = {}
+    for key, path in paths.items():
+        head = path[:side]
+        near[key] = [(rows[a], classes[i]) for i, a in enumerate(head)]
+        index = {1 << w: j for j, w in enumerate(head)}
+        far[key] = (sum(index), index)  # distinct bits: their sum is their OR
+    # tails[y]: far[u, v] for every y < u < v, in combinations order
+    tails = [[far[uv] for uv in itertools.combinations(range(y + 1, size), 2)]
+             for y in range(size)]
+    colors = []
+    for x, y in itertools.combinations(range(size), 2):
+        head = near[x, y]
+        for mask, index in tails[y]:
+            for row, row_colors in head:
+                hit = row & mask
+                if hit:
+                    colors.append(row_colors[index[hit & -hit]])
+                    break
+            else:
+                colors.append(RESIDUAL)
+    assignment = dict(zip(itertools.combinations(range(size), 4), colors))
     return FourColoring(n=n, assignment=assignment)
+
+
+# Candidate vertices one homogeneous search may try: about 100 times the
+# 45,802 that the benchmark's 43-vertex staged host needs at q = 8.  A
+# 69-vertex staged host (T = 16) runs out of it after about 23 s.
+HOMOGENEOUS_BUDGET = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -172,7 +192,8 @@ def find_homogeneous(coloring: FourColoring, size: int, q: int):
     """Exact ordered backtracking search for a q-subset of positions
     ``0..size-1`` monochromatic on 4-subsets.
 
-    Returns the lexicographically least certificate, or None.
+    Returns the lexicographically least certificate, or None.  Trying more
+    than ``HOMOGENEOUS_BUDGET`` candidate vertices raises ResourceLimitError.
     """
     if q < 4:
         raise InvalidInputError("homogeneous size must be >= 4, got %d" % q)
@@ -180,12 +201,20 @@ def find_homogeneous(coloring: FourColoring, size: int, q: int):
         return None
     color_of = coloring.assignment
     chosen = []
+    tried, budget = 0, HOMOGENEOUS_BUDGET
 
     def search(start: int, color):
         """The class color once ``chosen`` is completed to q, else None."""
+        nonlocal tried
         if len(chosen) == q:
             return color
         for v in range(start, size - (q - len(chosen)) + 1):
+            tried += 1
+            if tried > budget:
+                raise ResourceLimitError(
+                    "homogeneous %d-subset search passed its budget of %d "
+                    "candidate vertices" % (q, budget)
+                )
             c = color
             for trip in itertools.combinations(chosen, 3):
                 got = color_of[trip + (v,)]

@@ -503,16 +503,26 @@ def relabel(g, names):
     return Graph(names, [(names[g.position(u)], names[g.position(v)]) for u, v in g.edges()])
 
 
-def random_no_c5_host(rng, max_size=20):
+def random_no_c5_host(rng, max_size=20, min_size=4):
     """Random traceable host with no chordless 5-path, by rejection."""
     from chordlab.graphs import find_chordless_path
 
-    size = rng.randint(4, max_size)
+    size = rng.randint(min_size, max_size)
     while True:
         p = rng.choice([0.55, 0.7, 0.85])
         g = random_traceable_graph(rng, size, p)
         if find_chordless_path(g, 5) is None:
             return g
+
+
+def staged_pipeline_host():
+    """The fixed 43-vertex staged host of T=12 stages, f a ``random.Random(0)``
+    permutation of 0..11: a traceable cograph, so every fixed path has at
+    most 2 edges."""
+    from chordlab.construction import run
+
+    f = random.Random(0).sample(range(12), 12)
+    return run(f, 12).state(12).graph()
 
 
 def random_length3_lattice(rng, max_elements=30):

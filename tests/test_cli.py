@@ -23,7 +23,9 @@ from oracles import (
     graph_json_objects,
     graphs,
     random_length3_lattice,
+    random_no_c5_host,
     seeded_permutation,
+    staged_pipeline_host,
 )
 
 
@@ -141,6 +143,56 @@ def test_lattice_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     # reports echo the lattice path, so it is relative and the same every run
     monkeypatch.chdir(tmp_path)
     assert _lattice_report_digests(capsys) == PINNED_LATTICE_REPORTS
+
+
+def _pipeline_report_digests(capsys):
+    """SHA-256 of the ``pipeline`` report, with its exit code, for n = 4, 5
+    and 6 on the fixed staged host and on six seeded traceable hosts of 12-20
+    vertices with no chordless 5-path, written to the working directory."""
+    hosts = [("staged12.json", staged_pipeline_host())]
+    for seed in range(6):
+        g = random_no_c5_host(random.Random(seed), max_size=20, min_size=12)
+        hosts.append(("random%d.json" % seed, g))
+    digests = {}
+    for name, g in hosts:
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(formats.graph_to_json(g))
+        for n in (4, 5, 6):
+            code, out = run_cli(capsys, "pipeline", "--graph", name, "--n", str(n))
+            digests[name, n] = hashlib.sha256(b"%d\0%s" % (code, out.encode())).hexdigest()
+    return digests
+
+
+# Like the lattice reports, a pipeline report changes only with a deliberate
+# change to what the command reports.
+PINNED_PIPELINE_REPORTS = {
+    ('staged12.json', 4): "f0c19838e1be2db41093cd98b20fc440ea1773591fcdc721bd2a256cc4868a4a",
+    ('staged12.json', 5): "30cd99a4ba7c1d0e492812f7cadfc2d0393b8e7f2b195924af8f64727417735d",
+    ('staged12.json', 6): "3cf25f8ee0c3d7456648598b978fdeaebe2f1f9fc936e8043ab9e0b42e30d24d",
+    ('random0.json', 4): "4065b3ffcb3377d6bd122b44baf051f304c15178b3aa466058909791544e5d09",
+    ('random0.json', 5): "9db38c3ddd480c7440b09502293dc34ec486e146caf8d74b9743b0896e5086c2",
+    ('random0.json', 6): "9a35d3ae78266dea59f8fb033a0d51943e0cfca2852202669facfebc860f6e25",
+    ('random1.json', 4): "5586749de941261104de8405438cb3876bbbeb97f9f226e71547c394f2a5f34d",
+    ('random1.json', 5): "863780e8298bdc7baca2af6bba70ec74190efd39fefe89da61f557613b57cdb1",
+    ('random1.json', 6): "d1ccc8f27b142f3a0851aa07ce988dd92e53b6e86030277582bf3ffd39e89823",
+    ('random2.json', 4): "ba4f53cefc82eee73919cefcc2b431526166a10ae657fca66975fd2797246057",
+    ('random2.json', 5): "765dd9dd4ee93481acc49904d6828fd9124eb22934a8f637d20a619b6714c01b",
+    ('random2.json', 6): "d28bceb07b0f9ea59603291a4a3c9b4806ef33cfab9e8df05fa37b16ba8cf7bd",
+    ('random3.json', 4): "f01874430b563658c62b51fad907475b62947a3fdd1d910a1b070e231755903d",
+    ('random3.json', 5): "d0e6190a031680c2142b5245eb4bcbc2fb7a0e3d452a988215cad7ee2c983482",
+    ('random3.json', 6): "23fe8ace846197e349603d00965051cd6865fac0c70d435c055a296cb9fad41e",
+    ('random4.json', 4): "70e90d515263313eae66cb0092da4f82fc7b88acee0bbef7fbd1ed0cc814c3e1",
+    ('random4.json', 5): "e2c29b44b9eae4fb2d04da5b207625a097779da6e179cc5f79a8bce4544c49a1",
+    ('random4.json', 6): "2520dca3a49dd2605f2a5ae960bc8557f1f09cd85341f917704e137f866d9472",
+    ('random5.json', 4): "5023212bc7250820bc4b675e784f2022ecfde2020ea1ef661cfd3c5b8c2d289c",
+    ('random5.json', 5): "09f5cfac4583fb0bd2d91ff1e71807ce5c81629d01b19e5a1668331968d157d7",
+    ('random5.json', 6): "dc98208bdf46e2294c85c8fcea17be01d1fae4a58526864c3f924a5bac44345f",
+}
+
+
+def test_pipeline_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _pipeline_report_digests(capsys) == PINNED_PIPELINE_REPORTS
 
 
 def test_decode_command(capsys):
@@ -274,6 +326,18 @@ def test_pipeline_command(tmp_path, capsys):
     report = last_json(out)
     assert report["results"]["outcome"] == "k22"
     assert report["results"]["certificate"]["color"] == [0, 0]
+
+
+def test_pipeline_homogeneous_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # Every 4-subset of K9 has color (0, 0), so the search takes 0..7 in
+    # turn: 8 candidate vertices.
+    path = tmp_path / "k9.json"
+    path.write_text(formats.graph_to_json(complete_graph(9)))
+    argv = ["pipeline", "--graph", str(path), "--n", "5"]
+    monkeypatch.setattr(ramsey, "HOMOGENEOUS_BUDGET", 8)
+    assert run_cli(capsys, *argv)[0] == 0
+    monkeypatch.setattr(ramsey, "HOMOGENEOUS_BUDGET", 7)
+    assert_input_error(capsys, argv)
 
 
 def test_pipeline_rejects_an_untraceable_host_like_dichotomy(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections.abc import Mapping
 
 import pytest
 
@@ -29,7 +30,6 @@ from chordlab.ramsey import (
     HomogeneousCertificate,
     build_coloring,
     build_increasing_paths,
-    color_4subset,
     concatenated_path,
     dichotomy,
     estimate_min_m,
@@ -52,6 +52,7 @@ from oracles import (
     random_no_c5_host,
     random_traceable_graph,
     relabel,
+    staged_pipeline_host,
 )
 
 
@@ -100,21 +101,21 @@ def test_table_enforces_edge_count_bound():
 def test_color_edge_between_left_endpoints_is_00():
     g = Graph(range(6), [(i, i + 1) for i in range(5)] + [(0, 2), (0, 3), (2, 4)])
     t = build_increasing_paths(g)
-    assert color_4subset(g.rows, t, (0, 1, 2, 4), 4)[0:2] == (0, 0)  # edge(0, 2)
+    assert build_coloring(g.rows, t, 4).assignment[0, 1, 2, 4][0:2] == (0, 0)  # edge(0, 2)
 
 
 def test_color_residual_when_no_cross_edges():
     g = path_graph(8)
     t = build_increasing_paths(g)
     # {0,1,4,7}: fixed paths 0-1 and 4..7 share no cross edge
-    assert color_4subset(g.rows, t, (0, 1, 4, 7), 9) == RESIDUAL
+    assert build_coloring(g.rows, t, 9).assignment[0, 1, 4, 7] == RESIDUAL
 
 
 def test_color_lexicographically_least_pair():
     g = Graph(range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2), (1, 4), (3, 5)])
     t = build_increasing_paths(g)
     quad = (0, 1, 2, 4)
-    color = color_4subset(g.rows, t, quad, 4)
+    color = build_coloring(g.rows, t, 4).assignment[quad]
     x, y, u, v = quad
     i, j = color
     assert len(t[x, y]) - 1 >= i and len(t[u, v]) - 1 >= j
@@ -146,9 +147,21 @@ def test_coloring_budget_is_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(ramsey, "MAX_COLORED_QUADS", math.comb(8, 4))
     assert len(build_coloring(g.rows, t, 5).assignment) == math.comb(8, 4)
     monkeypatch.setattr(ramsey, "MAX_COLORED_QUADS", math.comb(8, 4) - 1)
-    monkeypatch.setattr(ramsey, "color_4subset", None)  # never reached
+
+    class Unread(Mapping):
+        def __getitem__(self, *args):
+            raise AssertionError("paths read before the budget check")
+
+        __iter__ = __len__ = __getitem__
+
     with pytest.raises(ResourceLimitError):
-        build_coloring(g.rows, t, 5)
+        build_coloring(g.rows, Unread(), 5)
+
+
+def test_coloring_rejects_paths_of_no_vertices():
+    g = path_graph(5)
+    with pytest.raises(InvalidInputError, match="path length must be >= 1"):
+        build_coloring(g.rows, build_increasing_paths(g), 0)
 
 
 def test_coloring_agrees_with_name_oracle_on_relabelled_hosts():
@@ -163,6 +176,40 @@ def test_coloring_agrees_with_name_oracle_on_relabelled_hosts():
         col = build_coloring(g.rows, build_increasing_paths(g), n)
         by_name = {tuple(names[p] for p in quad): c for quad, c in col.assignment.items()}
         assert by_name == naive_four_coloring(g, n)
+
+
+def _oracle_items(g, n):
+    """``naive_four_coloring`` keyed by positions, in its own order."""
+    return [(tuple(g.position(v) for v in quad), c)
+            for quad, c in naive_four_coloring(g, n).items()]
+
+
+def test_coloring_items_match_the_oracle_in_combinations_order():
+    # Keys, values and their order.  Sparse hosts have fixed paths longer
+    # than n - 1 vertices, dense ones paths shorter than that.
+    rng = random.Random(29)
+    shorter = longer = False
+    for _ in range(40):
+        g = random_traceable_graph(rng, rng.randint(4, 10), rng.choice([0.1, 0.3, 0.6]))
+        t = build_increasing_paths(g)
+        quads = list(itertools.combinations(range(len(g)), 4))
+        for n in range(1, 8):
+            items = list(build_coloring(g.rows, t, n).assignment.items())
+            assert [quad for quad, _ in items] == quads
+            assert items == _oracle_items(g, n)
+            shorter |= any(len(p) < n - 1 for p in t.values())
+            longer |= any(len(p) > n - 1 for p in t.values())
+    assert shorter and longer
+
+
+def test_coloring_items_match_the_oracle_on_the_staged_pipeline_host():
+    g = staged_pipeline_host()
+    t = build_increasing_paths(g)
+    for n in range(1, 8):
+        expected = _oracle_items(g, n)
+        assert list(build_coloring(g.rows, t, n).assignment.items()) == expected
+        if n == 5:  # the n of the benchmark's pipeline command on this host
+            assert proof_pipeline(g, n).colors_used == len(set(c for _, c in expected))
 
 
 def test_pipeline_checks_the_coloring_budget_before_the_table(monkeypatch):
@@ -239,6 +286,18 @@ def test_find_homogeneous_single_deviation():
     forced = type(col)(n=col.n, assignment=assignment)
     assert find_homogeneous(forced, len(g), 7) is None
     assert find_homogeneous(forced, len(g), 6) is not None
+
+
+def test_find_homogeneous_budget_counts_candidate_vertices(monkeypatch):
+    # The search tries exactly 45,802 candidate vertices on this host at q = 8.
+    g = staged_pipeline_host()
+    col = build_coloring(g.rows, build_increasing_paths(g, 5), 5)
+    monkeypatch.setattr(ramsey, "HOMOGENEOUS_BUDGET", 45_802)
+    cert = find_homogeneous(col, len(g), 8)
+    assert (cert.subset, cert.color) == ((0, 5, 16, 23, 26, 28, 29, 30), (1, 0))
+    monkeypatch.setattr(ramsey, "HOMOGENEOUS_BUDGET", 45_801)
+    with pytest.raises(ResourceLimitError, match="budget of 45801 candidate vertices"):
+        find_homogeneous(col, len(g), 8)
 
 
 def test_find_homogeneous_rejects_small_q():
