@@ -54,7 +54,6 @@ from .graphs import (
 )
 from .lattices import (
     BoundedPoset,
-    Fence,
     FiniteLattice,
     GenTree,
     RankTable,

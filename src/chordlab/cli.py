@@ -284,8 +284,8 @@ def cmd_lattice_fences(args) -> int:
         results = {"fence": None}
         checks.append(("fence-found", False, {"target": args.target}))
     else:
-        results = {"fence": list(fence.seq)}
-        checks.append(("fence-valid", lattices.validate_fence(lat, fence.seq), None))
+        results = {"fence": list(fence)}
+        checks.append(("fence-valid", lattices.validate_fence(lat, fence), None))
     parameters = {"lattice": args.lattice, "target": args.target, "dot": args.dot}
     return _finish("lattice-fences", parameters, results, checks)
 

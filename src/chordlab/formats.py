@@ -148,8 +148,8 @@ def save_graph(g: Graph, path) -> None:
         fh.write(graph_to_json(g))
 
 
-def graph_to_dot(g: Graph, name: str = "G") -> str:
-    parts = ["graph %s {\n" % name]
+def graph_to_dot(g: Graph) -> str:
+    parts = ["graph G {\n"]
     parts += map("  %d;\n".__mod__, sorted(g.vertices))
     if _add_edges(parts, g, ";\n", "  %d -- "):
         parts.append(";\n")
@@ -201,9 +201,9 @@ def save_lattice(path, n, leq_pairs, generators=None) -> None:
         fh.write(lattice_to_json(n, leq_pairs, generators))
 
 
-def lattice_to_dot(poset: BoundedPoset | FiniteLattice, name: str = "L") -> str:
+def lattice_to_dot(poset: BoundedPoset | FiniteLattice) -> str:
     """Hasse diagram: cover edges only, drawn bottom-up."""
-    lines = ["digraph %s {" % name, "  rankdir=BT;", "  node [shape=circle];"]
+    lines = ["digraph L {", "  rankdir=BT;", "  node [shape=circle];"]
     for v in range(poset.n):
         lines.append("  %d;" % v)
     for x, y in poset.covers():

@@ -169,7 +169,9 @@ def find_chordless_positions(masks, size: int, n: int):
     Depth-first search over positions; a candidate extension must be adjacent
     to the current endpoint and non-adjacent to every earlier vertex, which
     prunes chords as the path grows.  The first path found is the
-    lexicographically least one.
+    lexicographically least one.  The search keeps an explicit stack, one
+    frame per path vertex, so Python's recursion limit does not bound the
+    path length.
 
     On a chordless path ... x, y, z the vertex z is adjacent to y and outside
     N[x], so a vertex that must still be followed lies in ``onward`` of its
@@ -190,30 +192,37 @@ def find_chordless_positions(masks, size: int, n: int):
             if masks[bit.bit_length() - 1] & outside:
                 keep |= bit
         onward.append(keep)
-    path = []
-
-    def extend(last: int, used: int, banned: int):
-        # banned: positions adjacent to any path vertex except the endpoint.
-        if len(path) == n:
-            return True
-        cand = masks[last] & ~used & ~banned
-        if len(path) < n - 1:
-            cand &= onward[last]
-        while cand:
-            bit = cand & -cand
-            cand ^= bit
-            nxt = bit.bit_length() - 1
-            path.append(nxt)
-            if extend(nxt, used | bit, banned | masks[last]):
-                return True
-            path.pop()
-        return False
-
+    # The stack: at depth d, path[d] is a path vertex, cands[d] its untried
+    # extensions and blocked[d] the positions path[d + 1] may not take (the
+    # path up to d and the neighbours of path[:d]).
+    path = [0] * n
+    cands = [0] * n
+    blocked = [0] * n
+    last = n - 2  # the depth whose extension completes the path
     for start in range(size):
-        path.append(start)
-        if extend(start, 1 << start, 0):
-            return tuple(path)
-        path.pop()
+        path[0] = start
+        cands[0] = masks[start] & onward[start] if last else masks[start]
+        blocked[0] = 1 << start
+        d = 0
+        while d >= 0:
+            cand = cands[d]
+            if not cand:
+                d -= 1
+                continue
+            bit = cand & -cand
+            cands[d] = cand ^ bit
+            nxt = bit.bit_length() - 1
+            if d == last:
+                path[d + 1] = nxt
+                return tuple(path)
+            ban = blocked[d] | masks[path[d]]
+            d += 1
+            path[d] = nxt
+            cand = masks[nxt] & ~ban
+            if d < last:
+                cand &= onward[nxt]
+            cands[d] = cand
+            blocked[d] = ban
     return None
 
 

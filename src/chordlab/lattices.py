@@ -300,12 +300,6 @@ class GenTree:
         for level in self.levels:
             yield from level
 
-    def deepest_branches(self):
-        for level in reversed(self.levels):
-            if level:
-                return level
-        return ()
-
     def branches_by_depth(self):
         """All nodes, deepest level first, lexicographic within a level."""
         for level in reversed(self.levels):
@@ -320,15 +314,15 @@ def _require_length3(lat: FiniteLattice) -> None:
         raise InvalidInputError("fence extraction needs a length-3 lattice")
 
 
-def build_tree(lat: FiniteLattice, ranks: RankTable, depth: int) -> GenTree:
-    """All derivation sequences down to ``depth``; structural checks included.
+def build_tree(lat: FiniteLattice, ranks: RankTable) -> GenTree:
+    """All derivation sequences, to the last rank; structural checks included.
 
     A node extends a shorter one by one element of the next rank obtained as
     a meet or join with something of strictly lower rank.  Nodes never touch
     bottom or top.  Checked per node: entries distinct, consecutive entries
     comparable, atom/coatom alternation, and the per-position element bound.
-    Every non-bound element of rank <= depth must be reachable as some node's
-    last entry; a miss is a structural error in the rank table.
+    Every non-bound element must be reachable as some node's last entry; a
+    miss is a structural error in the rank table.
 
     Only length-3 lattices are accepted, and there no meet or join is read.
     A non-bound x of rank i >= 1 is new in round i, so it is the meet of two
@@ -337,13 +331,11 @@ def build_tree(lat: FiniteLattice, ranks: RankTable, depth: int) -> GenTree:
     gives x again, since nothing lies strictly between x and e.  So the node
     extends by exactly the elements of rank i comparable to e.
     """
-    if depth < 0:
-        raise InvalidInputError("depth must be >= 0")
     _require_length3(lat)
     rows, inner = lat.rows, lat.atom_mask | lat.coatom_mask
     levels = [tuple((x,) for x in iter_bits(ranks.rank_mask(0) & inner))]
     total = len(levels[0])
-    for i in range(1, depth + 1):
+    for i in range(1, len(ranks.levels)):
         targets = ranks.rank_mask(i) & inner
         # prefixes are sorted and x ascends within each, so the level is too
         nodes = [
@@ -356,11 +348,11 @@ def build_tree(lat: FiniteLattice, ranks: RankTable, depth: int) -> GenTree:
             )
         levels.append(tuple(nodes))
     tree = GenTree(levels=tuple(levels))
-    _assert_tree_properties(lat, ranks, tree, depth)
+    _assert_tree_properties(lat, ranks, tree)
     return tree
 
 
-def _assert_tree_properties(lat, ranks, tree, depth):
+def _assert_tree_properties(lat, ranks, tree):
     # A node's prefix is a node of the previous level, already checked, so
     # only its last entry and last pair are new.
     atoms, coatoms = lat.atom_mask, lat.coatom_mask
@@ -386,8 +378,8 @@ def _assert_tree_properties(lat, ranks, tree, depth):
                 "node entry %d exceeds the rank-%d bound %d" % (b, i, bounds[i])
             )
         reached |= 1 << b
-    # reachability: every non-bound element of rank <= depth ends some node
-    for i in range(depth + 1):
+    # reachability: every non-bound element ends some node
+    for i in range(len(ranks.levels)):
         missed = ranks.rank_mask(i) & (atoms | coatoms) & ~reached
         if missed:
             raise StructuralError(
@@ -424,17 +416,6 @@ def comparability_graph(lat: FiniteLattice, elems) -> Graph:
 # Fences
 
 
-@dataclass(frozen=True)
-class Fence:
-    """Alternating sequence x0 < x1 > x2 < x3 ... with no other comparabilities."""
-
-    seq: tuple
-
-    @property
-    def length(self) -> int:
-        return len(self.seq) - 1
-
-
 def validate_fence(lat: FiniteLattice, seq) -> bool:
     """True iff ``seq`` has an even number of elements, is a chordless path
     of the comparability graph, and each even entry lies below both of its
@@ -462,11 +443,12 @@ def _full_tree(lat: FiniteLattice, generators) -> GenTree:
             % (double[:2], double[2:])
         )
     ranks = closure_and_rank(lat, generators)
-    return build_tree(lat, ranks, ranks.max_rank)
+    return build_tree(lat, ranks)
 
 
 def find_fences(lat: FiniteLattice, generators, target_n: int):
-    """Extract a fence with ``target_n + 1`` elements through the tree pipeline.
+    """Extract a fence x0 < x1 > x2 < ... with ``target_n + 1`` elements, as a
+    tuple, through the tree pipeline.
 
     Builds the derivation tree to its full depth, then searches the
     comparability graph of each sufficiently long branch, deepest first, for
@@ -490,7 +472,7 @@ def find_fences(lat: FiniteLattice, generators, target_n: int):
             seq = tuple(reversed(seq))
         if not validate_fence(lat, seq):
             raise StructuralError("pipeline produced a non-fence: %r" % (seq,))
-        return Fence(seq=seq)
+        return seq
     return None
 
 
@@ -500,10 +482,10 @@ def pipeline_capacity(lat: FiniteLattice, generators) -> int:
     The deepest branch has ``depth + 1`` entries; a fence with ``t + 1``
     elements needs a branch at least that long.
     """
-    deepest = _full_tree(lat, generators).deepest_branches()
-    if not deepest:
+    deepest = next(_full_tree(lat, generators).branches_by_depth(), None)
+    if deepest is None:
         return 0
-    best = len(deepest[0]) - 1
+    best = len(deepest) - 1
     return best if best % 2 == 1 else best - 1
 
 

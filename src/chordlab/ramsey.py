@@ -46,15 +46,13 @@ def _require_traceable(g: Graph) -> None:
         raise InvalidInputError("host is not traceable in its stored order")
 
 
-def build_increasing_paths(g: Graph, n: int | None = None) -> dict:
+def build_increasing_paths(g: Graph) -> dict:
     """Fixed-path table ``{(x, y): path}`` over positions x < y of a traceable host.
 
     ``path`` is the lexicographically least among the minimal-length strictly
     increasing paths from x to y.  A minimal-length increasing path is
-    necessarily chordless: a chord would shortcut it.  When ``n`` is given,
-    every pair must need at most ``n - 2`` edges (which holds whenever the
-    host has no chordless n-path); the least pair above the bound is rejected
-    as invalid input.
+    necessarily chordless: a chord would shortcut it.  So on a host with no
+    chordless n-path no pair needs more than ``n - 2`` edges.
     """
     if len(g) < 2:
         raise InvalidInputError("need at least 2 vertices")
@@ -63,7 +61,6 @@ def build_increasing_paths(g: Graph, n: int | None = None) -> dict:
     rows = g.rows
     verts = g.vertices
     paths = {}
-    over = None  # least (x, y, edges) above the bound
     for y in range(size):
         # dist[v]: fewest increasing edges from v up to y; layers[d]: the v at d.
         dist = [None] * size
@@ -86,21 +83,11 @@ def build_increasing_paths(g: Graph, n: int | None = None) -> dict:
                     "no increasing path %r -> %r; host order is not a tracing"
                     % (verts[x], verts[y])
                 )
-            if n is not None and total > n - 2:
-                if over is None or (x, y) < over[:2]:
-                    over = (x, y, total)
-                continue
             step = rows[x] & layers[total - 1] & ~((2 << x) - 1)
             p = (x,) + tails[(step & -step).bit_length() - 1]
             if not is_chordless_positions(rows, p):
                 raise StructuralError("minimal increasing path %r is not chordless" % (p,))
             tails[x] = paths[x, y] = p
-    if over is not None:
-        x, y, total = over
-        raise InvalidInputError(
-            "pair %r needs %d edges, above the bound %d; host has a "
-            "chordless %d-path" % ((verts[x], verts[y]), total, n - 2, n)
-        )
     return paths
 
 
@@ -149,7 +136,7 @@ def build_coloring(rows, paths, n: int) -> FourColoring:
         raise InvalidInputError("path length must be >= 1, got %d" % n)
     size = len(rows)
     _check_coloring_budget(size)
-    side = n - 1
+    side = min(n - 1, size)  # no fixed path has more vertices than the host
     classes = [tuple((i, j) for j in range(side)) for i in range(side)]
     near = {}
     far = {}
@@ -383,7 +370,7 @@ def proof_pipeline(g: Graph, n: int) -> PipelineTrace:
         trace.notes.append("host already contains a chordless %d-path" % n)
         return trace
     _check_coloring_budget(len(g))
-    paths = build_increasing_paths(g, n)
+    paths = build_increasing_paths(g)
     trace.table_pairs = len(paths)
     coloring = build_coloring(g.rows, paths, n)
     trace.colors_used = len(set(coloring.assignment.values()))
@@ -565,24 +552,21 @@ def _verified_example(level, size: int, n: int):
 # Tower bound
 
 
-def tower(k: int, x: int = 2):
-    """t_k(x) with t_1(x) = x and t_k(x) = 2^t_{k-1}(x); None above 64 bits."""
+def tower(k: int):
+    """t_k with t_1 = 2 and t_k = 2^t_{k-1}; None above 64 bits."""
     if k < 1:
         raise InvalidInputError("tower height must be >= 1")
-    value = x
+    value = 2
     for _ in range(k - 1):
         if value >= 64:
             return None
         value = 1 << value
-    if value >= 1 << 63:
-        return None
     return value
 
 
 @dataclass(frozen=True)
 class TowerBound:
     n: int
-    constant: int
     height: int
     value: int | None
 
@@ -591,9 +575,9 @@ class TowerBound:
         return self.value is None
 
 
-def tower_bound(n: int, constant: int = 1) -> TowerBound:
-    """Tower-of-twos threshold bound: height is ``constant * ceil(log2 n)``."""
+def tower_bound(n: int) -> TowerBound:
+    """Tower-of-twos threshold bound: height is ``ceil(log2 n)``."""
     if n < 2:
         raise InvalidInputError("bound is defined for n >= 2")
-    height = constant * ((n - 1).bit_length())
-    return TowerBound(n=n, constant=constant, height=height, value=tower(height, 2))
+    height = (n - 1).bit_length()
+    return TowerBound(n=n, height=height, value=tower(height))

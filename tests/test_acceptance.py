@@ -220,7 +220,7 @@ def test_criterion_9_lattice_pipeline():
         ok = ok and cap == 1
         for target in range(1, cap + 1, 2):
             fence = find_fences(lat, gens, target)
-            ok = ok and fence is not None and validate_fence(lat, fence.seq)
+            ok = ok and fence is not None and validate_fence(lat, fence)
         ok = ok and find_fences(lat, gens, cap + 2) is None
         if not ok:
             break
@@ -232,8 +232,8 @@ def test_criterion_9_lattice_pipeline():
         ok = ok and cap == n - 2
         for target in range(1, cap + 1, 2):
             fence = find_fences(lat, gens, target)
-            ok = ok and fence is not None and validate_fence(lat, fence.seq)
-            ok = ok and len(fence.seq) == target + 1
+            ok = ok and fence is not None and validate_fence(lat, fence)
+            ok = ok and len(fence) == target + 1
         if not ok:
             break
     rng = random.Random(99)
@@ -251,7 +251,7 @@ def test_criterion_10_tree_properties():
 
     def tree_checks(lat, gens):
         table = closure_and_rank(lat, gens)
-        tree = build_tree(lat, table, table.max_rank)
+        tree = build_tree(lat, table)
         atoms, coatoms = set(lat.atoms()), set(lat.coatoms())
         good = True
         tails = set()

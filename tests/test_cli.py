@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from chordlab import formats, lattices, ramsey
 from chordlab.cli import main
 from chordlab.errors import InvalidInputError, ResourceLimitError, StructuralError
-from chordlab.graphs import K22, Graph, complete_graph, pattern_graph
+from chordlab.graphs import K22, Graph, complete_graph, path_graph, pattern_graph
 from chordlab.lattices import fence_lattice, spurred_fence_lattice
 
 from oracles import (
@@ -454,7 +454,7 @@ def test_build_tree_rejects_a_lattice_longer_than_3():
     lat = lattices.FiniteLattice(7, TALL)
     table = lattices.closure_and_rank(lat, [1, 2, 4, 5])  # generates all of TALL
     with pytest.raises(InvalidInputError, match="length-3"):
-        lattices.build_tree(lat, table, table.max_rank)
+        lattices.build_tree(lat, table)
 
 
 def test_lattice_with_huge_n_fails_before_allocating(tmp_path, capsys):
@@ -531,16 +531,16 @@ def test_lattice_internal_reports_name_the_subcommand(tmp_path, monkeypatch):
 def test_lattice_fences_tree_budget_exits_2(tmp_path, capsys, monkeypatch):
     lat, gens, _ = spurred_fence_lattice(7)
     table = lattices.closure_and_rank(lat, gens)
-    size = len(list(lattices.build_tree(lat, table, table.max_rank).nodes()))
+    size = len(list(lattices.build_tree(lat, table).nodes()))
     lat_path = tmp_path / "spurred.json"
     formats.save_lattice(lat_path, lat.n, lat.leq_pairs(), gens)
     argv = ["lattice", "fences", "--lattice", str(lat_path), "--target", "5"]
     monkeypatch.setattr(lattices, "MAX_TREE_NODES", size)
-    lattices.build_tree(lat, table, table.max_rank)
+    lattices.build_tree(lat, table)
     assert run_cli(capsys, *argv)[0] == 0
     monkeypatch.setattr(lattices, "MAX_TREE_NODES", size - 1)
     with pytest.raises(ResourceLimitError):
-        lattices.build_tree(lat, table, table.max_rank)
+        lattices.build_tree(lat, table)
     assert_input_error(capsys, argv)
 
 
@@ -687,6 +687,8 @@ def _graph_doc(g):
 @example(doc=b'{"vertices": [-1, 0], "edges": [[0, 3]]}', n=4)
 @example(doc=b"\xff\xfe", n=4)  # not UTF-8
 @example(doc=b"[" * 100_000, n=4)  # deeper than the JSON parser recurses
+@example(doc=_graph_doc(path_graph(1_500)), n=1_200)  # deeper than Python recurses
+@example(doc=_graph_doc(complete_graph(12)), n=100_000)  # far more colours than quads
 def test_graph_commands_never_crash_on_malformed_json(doc, n):
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "graph.json")

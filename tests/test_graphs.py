@@ -118,6 +118,11 @@ def test_find_chordless_path_examples():
         find_chordless_path(path_graph(3), 0)
 
 
+def test_chordless_search_is_not_bounded_by_the_recursion_limit():
+    rows = path_graph(1_200).rows
+    assert find_chordless_positions(rows, 1_200, 1_100) == tuple(range(1_100))
+
+
 def test_find_chordless_path_agrees_with_brute_force():
     rng = random.Random(11)
     for _ in range(200):

@@ -15,7 +15,6 @@ from chordlab.errors import (
 from chordlab.graphs import check_traceable
 from chordlab.lattices import (
     BoundedPoset,
-    Fence,
     FiniteLattice,
     build_tree,
     check_length3,
@@ -270,7 +269,7 @@ def test_closure_and_tree_match_naive_oracles():
     for lat, gens in cases:
         table = closure_and_rank(lat, gens)
         assert table.levels == naive_closure_and_rank(lat, gens)
-        tree = build_tree(lat, table, table.max_rank)
+        tree = build_tree(lat, table)
         assert tree.levels == naive_tree_levels(lat, table, table.max_rank)
 
 
@@ -298,7 +297,7 @@ def test_closure_matches_naive_oracle_beyond_length_3():
 def test_build_tree_boolean_square():
     lat = FiniteLattice(4, DIAMOND)
     table = closure_and_rank(lat, [1, 2])
-    tree = build_tree(lat, table, table.max_rank)
+    tree = build_tree(lat, table)
     assert tree.levels[0] == ((1,), (2,))
     assert tree.levels[1] == ()  # rank-1 elements are the bounds, excluded
 
@@ -306,7 +305,7 @@ def test_build_tree_boolean_square():
 def test_build_tree_fence_roots():
     lat, gens = fence_lattice(7)
     table = closure_and_rank(lat, gens)
-    tree = build_tree(lat, table, table.max_rank)
+    tree = build_tree(lat, table)
     assert tree.levels[0] == tuple((g,) for g in gens)
     # every branch alternates atoms and coatoms and stays comparable
     atoms, coatoms = set(lat.atoms()), set(lat.coatoms())
@@ -323,7 +322,7 @@ def test_tree_reachability_matches_ranks():
         lat = FiniteLattice(n, pairs)
         gens = generating_set(lat)
         table = closure_and_rank(lat, gens)
-        tree = build_tree(lat, table, table.max_rank)
+        tree = build_tree(lat, table)
         tails = {node[-1] for node in tree.nodes()}
         for x in range(lat.n):
             if not lat.is_bound(x):
@@ -431,7 +430,7 @@ def test_fence_lattice_capacity_is_one():
         assert table.max_rank <= 1
         assert pipeline_capacity(lat, gens) == 1
         fence = find_fences(lat, gens, 1)
-        assert fence is not None and validate_fence(lat, fence.seq)
+        assert fence is not None and validate_fence(lat, fence)
         assert find_fences(lat, gens, 3) is None
 
 
@@ -463,8 +462,8 @@ def test_spurred_fence_pipeline_reaches_every_target():
         for target in range(1, n - 1, 2):
             result = find_fences(lat, gens, target)
             assert result is not None
-            assert validate_fence(lat, result.seq)
-            assert len(result.seq) == target + 1
+            assert validate_fence(lat, result)
+            assert len(result) == target + 1
 
 
 def test_find_fences_rejects_even_targets():
@@ -480,7 +479,7 @@ def test_build_tree_structural_error_on_corrupt_ranks():
     # claims element 3 has rank 2; nothing of rank 1 exists to reach it from
     fake = RankTable(levels=(0b010110, 0b110111, 0b111111))
     with pytest.raises(StructuralError):
-        build_tree(lat, fake, 2)
+        build_tree(lat, fake)
 
 
 def test_tree_check_catches_a_bad_last_entry():
@@ -489,7 +488,7 @@ def test_tree_check_catches_a_bad_last_entry():
 
     lat, gens, _ = spurred_fence_lattice(7)
     ranks = closure_and_rank(lat, gens)
-    tree = build_tree(lat, ranks, ranks.max_rank)
+    tree = build_tree(lat, ranks)
     atoms, coatoms = set(lat.atoms()), set(lat.coatoms())
     i = ranks.max_rank - 1
     prefix = tree.levels[i][0]
@@ -509,7 +508,7 @@ def test_tree_check_catches_a_bad_last_entry():
         levels = list(tree.levels)
         levels[i + 1] += (prefix + (x,),)
         with pytest.raises(StructuralError, match=message):
-            _assert_tree_properties(lat, ranks, GenTree(tuple(levels)), ranks.max_rank)
+            _assert_tree_properties(lat, ranks, GenTree(tuple(levels)))
 
 
 def test_find_fences_none_when_tree_too_shallow():
@@ -526,9 +525,9 @@ def test_fence_from_chordless_path_property():
     for n in (9, 13):
         lat, gens, _ = spurred_fence_lattice(n)
         table = closure_and_rank(lat, gens)
-        tree = build_tree(lat, table, table.max_rank)
+        tree = build_tree(lat, table)
         atoms = set(lat.atoms())
-        for branch in list(tree.deepest_branches())[:3]:
+        for branch in tree.levels[-1][:3]:
             g = comparability_graph(lat, branch)
             for want in range(2, len(branch) + 1, 2):
                 p = find_chordless_path(g, want)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections.abc import Mapping
 
 import pytest
@@ -90,12 +91,11 @@ def test_table_paths_are_chordless_and_minimal():
             assert p[0] == x and p[-1] == y
             assert all(a < b for a, b in zip(p, p[1:]))
             assert is_chordless(g, p)
-
-
-def test_table_enforces_edge_count_bound():
-    g = path_graph(6)  # has a chordless 5-path, so the n=5 bound must trip
-    with pytest.raises(InvalidInputError):
-        build_increasing_paths(g, n=5)
+        # a chordless table path of n vertices would start a chordless
+        # n-path, so a host with none needs at most n - 2 edges per pair
+        for n in range(4, 8):
+            if find_chordless_path(g, n) is None:
+                assert all(len(p) <= n - 1 for p in t.values())
 
 
 def test_color_edge_between_left_endpoints_is_00():
@@ -131,7 +131,7 @@ def test_coloring_covers_every_4subset_once():
     rng = random.Random(8)
     g = random_traceable_graph(rng, 9, 0.4)
     if find_chordless_path(g, 5) is None:
-        t = build_increasing_paths(g, n=5)
+        t = build_increasing_paths(g)
         col = build_coloring(g.rows, t, 5)
         quads = list(itertools.combinations(g.vertices, 4))
         assert set(col.assignment) == set(quads)
@@ -200,6 +200,21 @@ def test_coloring_items_match_the_oracle_in_combinations_order():
             shorter |= any(len(p) < n - 1 for p in t.values())
             longer |= any(len(p) > n - 1 for p in t.values())
     assert shorter and longer
+
+
+def test_coloring_memory_does_not_grow_with_n():
+    # No fixed path has more vertices than the host, so every n above its
+    # size gives the n = size + 1 colouring, in the same small space.
+    g = random_traceable_graph(random.Random(4), 12, 0.3)
+    t = build_increasing_paths(g)
+    tracemalloc.start()
+    try:
+        items = list(build_coloring(g.rows, t, 1_200).assignment.items())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert items == list(build_coloring(g.rows, t, 13).assignment.items())
+    assert peak < 1_000_000
 
 
 def test_coloring_items_match_the_oracle_on_the_staged_pipeline_host():
@@ -291,7 +306,7 @@ def test_find_homogeneous_single_deviation():
 def test_find_homogeneous_budget_counts_candidate_vertices(monkeypatch):
     # The search tries exactly 45,802 candidate vertices on this host at q = 8.
     g = staged_pipeline_host()
-    col = build_coloring(g.rows, build_increasing_paths(g, 5), 5)
+    col = build_coloring(g.rows, build_increasing_paths(g), 5)
     monkeypatch.setattr(ramsey, "HOMOGENEOUS_BUDGET", 45_802)
     cert = find_homogeneous(col, len(g), 8)
     assert (cert.subset, cert.color) == ((0, 5, 16, 23, 26, 28, 29, 30), (1, 0))
@@ -560,7 +575,6 @@ def test_tower_values():
     assert tower(3) == 16
     assert tower(4) == 65536
     assert tower(5) is None
-    assert tower(1, 7) == 7
 
 
 def test_tower_bound():
@@ -568,7 +582,6 @@ def test_tower_bound():
     assert (tb.height, tb.value) == (2, 4)
     assert tower_bound(2).height == 1
     assert tower_bound(5).height == 3
-    assert tower_bound(16, constant=2).height == 8
     # ceil(log2 100) = 7 and t_7(2) is astronomically large
     assert tower_bound(100).overflow is True
     assert tower_bound(100).value is None
