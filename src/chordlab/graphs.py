@@ -178,8 +178,10 @@ def find_chordless_positions(masks, size: int, n: int):
     predecessor: the neighbours of x with a neighbour outside N[x].  The prune
     cuts only dead branches, so it never changes the path found.
     """
+    if n > size:  # the path needs n distinct positions
+        return None
     if n == 1:
-        return (0,) if size else None
+        return (0,)
     onward = []
     for x in range(size):
         row = masks[x]
@@ -280,10 +282,7 @@ def find_chordless_path(g: Graph, n: int):
     """Lexicographically least chordless path on exactly ``n`` vertices, or None."""
     if n < 1:
         raise InvalidInputError("path length must be >= 1, got %d" % n)
-    size = len(g)
-    if n > size:
-        return None
-    found = find_chordless_positions(g.rows, size, n)
+    found = find_chordless_positions(g.rows, len(g), n)
     if found is None:
         return None
     return tuple(g.vertices[i] for i in found)

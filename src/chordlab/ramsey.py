@@ -479,7 +479,7 @@ def estimate_min_m(n: int, size_bound: int) -> MnReport:
                             "m(%d) search passed its budget of %d candidate "
                             "extensions at size %d" % (n, EXTENSION_BUDGET, size)
                         )
-                    if size < n or find_chordless_positions(ext, size, n) is None:
+                    if find_chordless_positions(ext, size, n) is None:
                         grown.append(ext)
             level = grown
         example = None

@@ -234,6 +234,18 @@ def test_mn_search_command(tmp_path, capsys):
     assert payload["sizes"][4]["neither"] == 1
 
 
+def test_mn_search_with_huge_n_runs_in_host_sized_memory(tmp_path, capsys):
+    # no host of at most 3 vertices holds a chordless 10^9-path, so every
+    # traceable K22-free host is a neither instance
+    code, out = run_cli(
+        capsys, "mn-search", "--n", str(10**9), "--max-size", "3",
+        "--report", str(tmp_path / "mn.json"),
+    )
+    assert code == 0
+    results = last_json(out)["results"]
+    assert [s["neither"] for s in results["sizes"]] == [1, 1, 2]
+
+
 def test_mn_search_reports_exact_threshold(tmp_path, capsys):
     report_path = tmp_path / "mn.json"
     code, out = run_cli(

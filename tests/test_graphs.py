@@ -123,6 +123,12 @@ def test_chordless_search_is_not_bounded_by_the_recursion_limit():
     assert find_chordless_positions(rows, 1_200, 1_100) == tuple(range(1_100))
 
 
+def test_chordless_search_longer_than_the_host_allocates_nothing():
+    # a path longer than the host is refused before any per-vertex state
+    assert find_chordless_positions((0,), 1, 10**9) is None
+    assert find_chordless_positions(path_graph(3).rows, 3, 4) is None
+
+
 def test_find_chordless_path_agrees_with_brute_force():
     rng = random.Random(11)
     for _ in range(200):

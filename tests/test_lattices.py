@@ -527,7 +527,8 @@ def test_fence_from_chordless_path_property():
         table = closure_and_rank(lat, gens)
         tree = build_tree(lat, table)
         atoms = set(lat.atoms())
-        for branch in tree.levels[-1][:3]:
+        deepest = next(level for level in reversed(tree.levels) if level)
+        for branch in deepest[:3]:
             g = comparability_graph(lat, branch)
             for want in range(2, len(branch) + 1, 2):
                 p = find_chordless_path(g, want)
