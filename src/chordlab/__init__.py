@@ -15,22 +15,17 @@ from .construction import (
     StageState,
     build_decode_context,
     check_history_lemmas,
-    check_stage_lemmas,
     coding_change_law,
     decode_range,
     embed_via_coding,
     history_has_no_chordless4,
-    init,
     run,
     seeded_injective,
-    stable_coding,
     stable_coding_prefix,
-    step,
 )
 from .errors import (
     CapacityError,
     ChordlabError,
-    ContradictionError,
     CoverageError,
     ExtractionError,
     InvalidContextError,

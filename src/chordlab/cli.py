@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import construction, formats, lattices, ramsey
-from .errors import ChordlabError, ContradictionError, StructuralError
+from .errors import ChordlabError, StructuralError
 from .graphs import Pattern, check_traceable, embedding_is_valid, is_chordless
 
 SCHEMA_VERSION = 1
@@ -259,7 +259,8 @@ def cmd_lattice_verify(args) -> int:
         lat = axioms.lattice
         length3 = lattices.check_length3(lat)
         checks.append(("length-3", length3, None))
-        # two atoms under two coatoms contradict the axioms only at length 3
+        # two atoms under two coatoms contradict the axioms only at length 3,
+        # so once both checks above pass this one always passes too
         if length3:
             witness = lattices.check_no_double_cover(lat)
             checks.append(
@@ -275,10 +276,10 @@ def cmd_lattice_fences(args) -> int:
     if gens is None:
         raise ChordlabError("lattice JSON must carry 'generators' for fence search")
     lat = lattices.FiniteLattice(n, pairs)
-    if args.dot:
+    fence = lattices.find_fences(lat, gens, args.target)
+    if args.dot:  # written only once the search has accepted its input
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(formats.lattice_to_dot(lat))
-    fence = lattices.find_fences(lat, gens, args.target)
     checks = []
     if fence is None:
         results = {"fence": None}
@@ -368,7 +369,7 @@ def main(argv=None) -> int:
             if isinstance(value, list):  # argparse in Python 3.11 reads --x=-- as []
                 raise ChordlabError("bad value for --%s" % name.replace("_", "-"))
         return args.func(args)
-    except (StructuralError, ContradictionError) as exc:
+    except StructuralError as exc:
         error = str(exc)
         command = args.command
         if command == "lattice":  # named as its successful reports name it

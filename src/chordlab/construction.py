@@ -81,11 +81,6 @@ class StageState:
         return Graph.from_rows(self.rows)
 
 
-def init() -> StageState:
-    """Stage 0: single vertex 0, one singleton block, no edges."""
-    return StageState(stage=0, k=0, coding=(0,), rows=(0,))
-
-
 def _advance(rows: list, coding: list, stage: int, n: int) -> None:
     """Apply one stage transition in place; ``rows``/``coding`` are mutated.
 
@@ -110,25 +105,6 @@ def _advance(rows: list, coding: list, stage: int, n: int) -> None:
     coding_bit = 1 << first_new
     for x in range(lo, first_new):
         rows[x] |= coding_bit
-
-
-def step(state: StageState, n: int) -> StageState:
-    """Pure single-stage transition.
-
-    Injectivity of the consumed values across stages is the caller's
-    contract; every natural number is a legal input at every stage.
-    """
-    if n < 0:
-        raise InvalidInputError("stage input must be a natural number")
-    rows = list(state.rows)
-    coding = list(state.coding)
-    _advance(rows, coding, state.stage, n)
-    return StageState(
-        stage=state.stage + 1,
-        k=len(rows) - 1,
-        coding=tuple(coding),
-        rows=tuple(rows),
-    )
 
 
 # Vertex count above which a run is refused before any row is built: rows
@@ -188,9 +164,6 @@ class StagedHistory:
     def final_coding(self):
         return self._snapshots[-1][1]
 
-    def k_at(self, s: int) -> int:
-        return self._snapshots[s][0]
-
     def coding_at(self, s: int):
         return self._snapshots[s][1]
 
@@ -204,9 +177,6 @@ class StagedHistory:
             coding=coding,
             rows=tuple(self._rows[x] & mask for x in range(k + 1)),
         )
-
-    def stage_graph(self, s: int) -> Graph:
-        return self.state(s).graph()
 
     def final_graph(self) -> Graph:
         return self.state(self.stages).graph()
@@ -346,28 +316,6 @@ def _stage_report(stage: int, least, consec: int, k: int) -> LemmaReport:
     )
 
 
-def check_stage_lemmas(state: StageState) -> LemmaReport:
-    """Exact check of the five per-stage invariants, with counterexamples.
-
-    Each lemma reports the lexicographically least witness over the blocks.
-    Failures are report content, not exceptions: a failing check on a state
-    produced by :func:`run` indicates a construction bug.  Rows must be
-    symmetric.
-    """
-    rows = state.rows
-    least = _PASS
-    lo = lower = 0
-    for j, c in enumerate(state.coding):
-        meet, union = -1, 0
-        for x in range(lo, c + 1):
-            meet &= rows[x]
-            union |= rows[x]
-        least = _least(least, _block_witnesses(rows, j, lo, c, lower, meet, union))
-        lower |= 1 << c
-        lo = c + 1
-    return _stage_report(state.stage, least, _consecutive_edges(rows, state.k), state.k)
-
-
 @dataclass(frozen=True)
 class HistoryLemmaReport:
     stage_reports: tuple
@@ -380,7 +328,11 @@ class HistoryLemmaReport:
 def check_history_lemmas(history: StagedHistory) -> HistoryLemmaReport:
     """Check all five invariants at every stage of a history.
 
-    Stage ``s``'s report equals :func:`check_stage_lemmas` on ``state(s)``.
+    Each lemma reports, per stage, the lexicographically least witness over
+    the stage's blocks; failures are report content, not exceptions, and a
+    failure on an unaltered history indicates a construction bug.  Rows must
+    be symmetric.
+
     A dump replaces only a suffix of the blocks, so a block keeps its index,
     its span and the coding vertices below it while it exists, and its
     verdict reads only bits up to its coding vertex, where the final rows
@@ -448,27 +400,15 @@ def coding_change_law(history: StagedHistory) -> bool:
     return True
 
 
-def _stable_count(history: StagedHistory) -> int:
-    """Index k is stable exactly when it exists and is below every unconsumed
-    entry of ``f``, so the stable indices are ``0..count-1``."""
-    return min((len(history.final_coding),) + history.f[history.stages :])
-
-
-def stable_coding(history: StagedHistory, k: int):
-    """Final value of coding index ``k`` when it can no longer move.
+def stable_coding_prefix(history: StagedHistory):
+    """All stable coding vertices, in index order.
 
     Requires the history's ``f`` to be the complete intended input: index
-    ``k`` is stable when it exists and no unconsumed entry of ``f`` is <= k.
-    Returns None when the index has not been created yet or is still movable.
+    ``k`` can no longer move when it exists and every unconsumed entry of
+    ``f`` is above ``k``, so the stable indices are ``0..count-1``.
     """
-    if 0 <= k < _stable_count(history):
-        return history.final_coding[k]
-    return None
-
-
-def stable_coding_prefix(history: StagedHistory):
-    """All stable coding vertices, in index order (stability is downward closed)."""
-    return history.final_coding[: _stable_count(history)]
+    count = min((len(history.final_coding),) + history.f[history.stages :])
+    return history.final_coding[:count]
 
 
 def embed_via_coding(history: StagedHistory, pattern: Pattern) -> Embedding:

@@ -45,9 +45,5 @@ class StructuralError(ChordlabError):
     """An internal structural guarantee failed (bug indicator)."""
 
 
-class ContradictionError(ChordlabError):
-    """A mathematically impossible configuration was observed (bug indicator)."""
-
-
 class ResourceLimitError(ChordlabError):
     """Requested exhaustive search exceeds the supported budget."""

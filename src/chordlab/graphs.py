@@ -82,9 +82,6 @@ class Graph:
             raise InvalidInputError("vertex %r not in graph" % (v,))
         return frozenset(self.vertices[j] for j in iter_bits(self.rows[self._pos[v]]))
 
-    def degree(self, v) -> int:
-        return len(self.neighbors(v))
-
     def edges(self):
         """Edge list as sorted (u, v) pairs with u < v.
 

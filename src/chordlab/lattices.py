@@ -4,10 +4,11 @@ A length-3 lattice has bottom, top, and only atoms and coatoms in between.
 Two atoms can never lie under the same two coatoms (their join would sit
 strictly between), which is exactly why comparability graphs of non-bound
 elements contain no K22 copy; chordless paths in such graphs are fences.
-The extraction pipeline mirrors that argument: rule out two atoms under two
-coatoms once, generate the lattice from a finite set, rank elements by
-generation level, grow the tree of one-meet-or-join-per-step sequences, and
-search the deepest branches for chordless paths.
+The lattice axioms thus rule out that K22 once length 3 holds, so the
+extraction pipeline checks only length 3, generates the lattice from a
+finite set, ranks elements by generation level, grows the tree of
+one-meet-or-join-per-step sequences, and searches the deepest branches for
+chordless paths.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
-    ContradictionError,
     CoverageError,
     InvalidInputError,
     ResourceLimitError,
@@ -210,10 +210,11 @@ def check_length3(lat: FiniteLattice) -> bool:
 def check_no_double_cover(poset: BoundedPoset):
     """Two atoms x < y under two coatoms u < v, as ``(x, y, u, v)``, or None.
 
-    No genuine length-3 lattice has one; a witness means the input violates
-    the lattice axioms somewhere.  It is the K22 kernel's answer on rows that
-    hold, for each coatom, the atoms below it, and nothing for any other
-    element: the least coatom pair with two common atoms, and its least two.
+    No genuine length-3 lattice has one, so on a lattice that passes the
+    axioms and the length-3 check it always returns None; ``lattice verify``
+    still reports it.  It is the K22 kernel's answer on rows that hold, for
+    each coatom, the atoms below it, and nothing for any other element: the
+    least coatom pair with two common atoms, and its least two.
     """
     atoms, coatoms = poset.atom_mask, poset.coatom_mask
     return find_k22(
@@ -432,18 +433,10 @@ def validate_fence(lat: FiniteLattice, seq) -> bool:
 
 
 def _full_tree(lat: FiniteLattice, generators) -> GenTree:
-    """The derivation tree to full depth.  Length 3 is checked first, then
-    that no two atoms lie under two coatoms: the tree step takes two coatoms
-    over an atom to meet in it, and dually, which a double cover breaks."""
+    """The derivation tree to full depth; length 3 is checked before the
+    closure runs."""
     _require_length3(lat)
-    double = check_no_double_cover(lat)
-    if double is not None:
-        raise ContradictionError(
-            "K22 copy inside a validated length-3 lattice: atoms %r under coatoms %r"
-            % (double[:2], double[2:])
-        )
-    ranks = closure_and_rank(lat, generators)
-    return build_tree(lat, ranks)
+    return build_tree(lat, closure_and_rank(lat, generators))
 
 
 def find_fences(lat: FiniteLattice, generators, target_n: int):
@@ -453,10 +446,11 @@ def find_fences(lat: FiniteLattice, generators, target_n: int):
     Builds the derivation tree to its full depth, then searches the
     comparability graph of each sufficiently long branch, deepest first, for
     a chordless path; oriented to start at an atom, it is the fence.  A K22
-    copy in a branch would put two atoms under two coatoms, which is
-    impossible in a genuine length-3 lattice; that is checked once, on the
-    whole lattice, and raises.  Returns None when no branch is long enough or
-    no branch yields a chordless path of the target size.
+    copy in a branch would put two atoms under two coatoms, whose join would
+    lie strictly between them; a ``FiniteLattice`` has passed the axioms, so
+    at length 3 none exists and nothing checks for one.  Returns None when
+    no branch is long enough or no branch yields a chordless path of the
+    target size.
     """
     if target_n < 1 or target_n % 2 == 0:
         raise InvalidInputError("fence length must be odd and >= 1")

@@ -124,7 +124,11 @@ def literal_stage_rule(f, stages):
 
 
 def naive_stage_lemmas(state):
-    """The five stage invariants, written as literal loops. Returns failures."""
+    """The five stage invariants, written as literal loops.
+
+    Returns ``(lemma, witness)`` failures; every lemma that fails has its
+    lexicographically least witness among them.
+    """
     blocks = [list(b) for b in state.blocks()]
     coding = state.coding
     k = state.k
@@ -148,17 +152,30 @@ def naive_stage_lemmas(state):
         for x in block:
             block_of[x] = j
     coding_set = set(coding)
-    for x, y in g.edges():
+    edges = g.edges()
+    for x, y in edges:
         if block_of[x] != block_of[y] and x not in coding_set:
             failures.append(("components", (x, y)))
-    for x, y in g.edges():
+    # Each block is scanned once per vertex x below it, from x's first edge
+    # into it; later edges (x, y') would repeat the same misses with a larger y'.
+    scanned = set()
+    for x, y in edges:
         j = block_of[y]
-        if block_of[x] == j:
+        if block_of[x] == j or (x, j) in scanned:
             continue
+        scanned.add((x, j))
         for z in blocks[j]:
             if z != x and not g.has_edge(x, z):
                 failures.append(("goup", (x, y, z)))
     return failures
+
+
+def least_failures(failures):
+    """The lexicographically least witness of each failing lemma, by name."""
+    least = {}
+    for name, witness in failures:
+        least[name] = min(least.get(name, witness), witness)
+    return least
 
 
 def _bits(mask):

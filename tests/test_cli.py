@@ -462,6 +462,31 @@ def test_lattice_fences_rejects_a_lattice_longer_than_3(tmp_path, capsys):
     assert_input_error(capsys, ["lattice", "fences", "--lattice", str(lat_path), "--target", "3"])
 
 
+# SHA-256 of the Hasse diagram DOT of fence_lattice(5)
+FENCE5_DOT = "f7f4f179ac542d7943b7350e2312221d8432a4b8704e164425b8935930610473"
+
+
+def test_lattice_fences_writes_the_dot_only_once_the_search_accepts(tmp_path, capsys):
+    lat, gens = fence_lattice(5)
+    lat_path = tmp_path / "lat.json"
+    formats.save_lattice(lat_path, lat.n, lat.leq_pairs(), gens)
+    tall_path = tmp_path / "tall.json"
+    formats.save_lattice(tall_path, 7, TALL, [1, 2, 4, 5])
+    dot_path = tmp_path / "x.dot"
+    # an even target, and a lattice longer than 3, exit 2 and leave no file
+    for path, target in ((lat_path, "4"), (tall_path, "3")):
+        assert_input_error(capsys, ["lattice", "fences", "--lattice", str(path),
+                                    "--target", target, "--dot", str(dot_path)])
+        assert not dot_path.exists()
+    # a found fence (exit 0) and a missed one (exit 1) both write the diagram
+    for target, code in (("1", 0), ("5", 1)):
+        argv = ["lattice", "fences", "--lattice", str(lat_path),
+                "--target", target, "--dot", str(dot_path)]
+        assert run_cli(capsys, *argv)[0] == code
+        assert hashlib.sha256(dot_path.read_bytes()).hexdigest() == FENCE5_DOT
+        dot_path.unlink()
+
+
 def test_build_tree_rejects_a_lattice_longer_than_3():
     lat = lattices.FiniteLattice(7, TALL)
     table = lattices.closure_and_rank(lat, [1, 2, 4, 5])  # generates all of TALL
@@ -510,17 +535,6 @@ def test_failed_witness_rechecks_give_an_internal_report(tmp_path, monkeypatch):
     monkeypatch.setattr(ramsey, "is_chordless_positions", lambda rows, p: False)
     _assert_internal_report(
         ["pipeline", "--graph", str(k9), "--n", "5"], "not chordless"
-    )
-
-
-def test_lattice_fences_double_cover_gives_an_internal_report(tmp_path, monkeypatch):
-    lat, gens, _ = spurred_fence_lattice(5)
-    lat_path = tmp_path / "spurred.json"
-    formats.save_lattice(lat_path, lat.n, lat.leq_pairs(), gens)
-    monkeypatch.setattr(lattices, "check_no_double_cover", lambda poset: (1, 3, 2, 4))
-    _assert_internal_report(
-        ["lattice", "fences", "--lattice", str(lat_path), "--target", "3"],
-        "K22 copy inside a validated length-3 lattice",
     )
 
 

@@ -6,22 +6,19 @@ import pytest
 
 from chordlab import construction
 from chordlab.construction import (
+    LEMMA_NAMES,
     MAX_SEEDED_LENGTH,
     DecodeContext,
     StageState,
     build_decode_context,
     check_history_lemmas,
-    check_stage_lemmas,
     coding_change_law,
     decode_range,
     embed_via_coding,
     history_has_no_chordless4,
-    init,
     run,
     seeded_injective,
-    stable_coding,
     stable_coding_prefix,
-    step,
 )
 from chordlab.errors import (
     CapacityError,
@@ -43,6 +40,7 @@ from chordlab.graphs import (
 
 from oracles import (
     edges_from_rows,
+    least_failures,
     literal_stage_rule,
     middle_edge_4path,
     naive_stage_lemmas,
@@ -53,35 +51,23 @@ from oracles import (
 
 
 def test_init():
-    s = init()
+    s = run([], 0).state(0)
     assert (s.stage, s.k, s.coding) == (0, 0, (0,))
     assert [list(b) for b in s.blocks()] == [[0]]
     assert check_traceable(s.graph())
 
 
 def test_step_large_case():
-    s1 = step(init(), 5)
+    s1 = run([5], 1).state(1)
     assert (s1.stage, s1.k, s1.coding) == (1, 1, (0, 1))
     assert s1.graph().edges() == [(0, 1)]
 
 
 def test_step_small_case_dumps():
-    s2 = step(step(init(), 5), 0)
+    s2 = run([5, 0], 2).state(2)
     assert (s2.stage, s2.k, s2.coding) == (2, 4, (2, 3, 4))
     assert sorted(s2.graph().edges()) == [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
     assert [list(b) for b in s2.blocks()] == [[0, 1, 2], [3], [4]]
-
-
-def test_run_matches_stepping():
-    f = seeded_injective(3, 15)
-    h = run(f, 15)
-    s = init()
-    for i in range(15):
-        s = step(s, f[i])
-        hs = h.state(i + 1)
-        assert hs.coding == s.coding
-        assert hs.rows == s.rows
-    assert h.final_k == s.k
 
 
 def test_run_examples():
@@ -91,7 +77,7 @@ def test_run_examples():
     h = run(range(8), 8)
     assert h.final_k == 16
     for s in range(8):
-        assert h.k_at(s + 1) == h.k_at(s) + 2
+        assert h.state(s + 1).k == h.state(s).k + 2
 
 
 def test_run_rejects_bad_f():
@@ -106,16 +92,16 @@ def test_run_rejects_bad_f():
 def test_every_stage_is_traceable():
     h = run(seeded_injective(9, 12), 12)
     for s in range(13):
-        assert check_traceable(h.stage_graph(s))
+        assert check_traceable(h.state(s).graph())
 
 
 def test_stage_lemmas_match_naive_oracle():
     for seed in range(10):
         h = run(seeded_injective(seed, 14), 14)
+        reports = check_history_lemmas(h).stage_reports
         for s in range(15):
-            state = h.state(s)
-            assert check_stage_lemmas(state).ok
-            assert naive_stage_lemmas(state) == []
+            assert reports[s].ok
+            assert naive_stage_lemmas(h.state(s)) == []
 
 
 def _toggle_pairs(rows, rng, count):
@@ -136,10 +122,11 @@ def test_history_checker_equals_per_stage_checker():
             _toggle_pairs(h._rows, rng, rng.randint(1, 3))
         hist = check_history_lemmas(h)
         for s, report in enumerate(hist.stage_reports):
-            state = h.state(s)
-            assert report == check_stage_lemmas(state)
-            failed = {c.name for c in report.failures()}
-            assert failed == {name for name, _ in naive_stage_lemmas(state)}
+            assert report.stage == s
+            assert tuple(c.name for c in report.checks) == LEMMA_NAMES
+            assert all(c.passed == (c.witness is None) for c in report.checks)
+            failed = {c.name: c.witness for c in report.failures()}
+            assert failed == least_failures(naive_stage_lemmas(h.state(s)))
             failing += bool(failed)
         if seed < 10:
             assert hist.ok
@@ -165,8 +152,9 @@ def test_history_checker_reports_the_least_witness_per_lemma():
         for x, y in toggles:
             h._rows[x] ^= 1 << y
             h._rows[y] ^= 1 << x
-        for report in (check_stage_lemmas(h.state(4)), check_history_lemmas(h).stage_reports[4]):
-            assert [(c.name, c.witness) for c in report.failures()] == failures
+        report = check_history_lemmas(h).stage_reports[4]
+        assert [(c.name, c.witness) for c in report.failures()] == failures
+        assert least_failures(naive_stage_lemmas(h.state(4))) == dict(failures)
 
 
 def test_run_matches_literal_stage_rule():
@@ -200,20 +188,18 @@ def test_construction_size_is_bounded_before_building(monkeypatch):
 
 
 def test_adversarial_state_fails_codeconnection():
-    s2 = step(step(init(), 5), 0)
-    rows = list(s2.rows)
-    c0, c1 = s2.coding[0], s2.coding[1]
-    rows[c0] &= ~(1 << c1)
-    rows[c1] &= ~(1 << c0)
-    bad = StageState(stage=s2.stage, k=s2.k, coding=s2.coding, rows=tuple(rows))
-    report = check_stage_lemmas(bad)
+    h = run([5, 0], 2)
+    c0, c1 = h.final_coding[0], h.final_coding[1]
+    h._rows[c0] &= ~(1 << c1)
+    h._rows[c1] &= ~(1 << c0)
+    report = check_history_lemmas(h).stage_reports[2]
     failed = {c.name for c in report.failures()}
     assert "codeconnection" in failed
     assert report.checks[1].witness == (c0, c1)
 
 
 def test_stage2_components_cross_block_edges_only_from_coding():
-    s2 = step(step(init(), 5), 0)
+    s2 = run([5, 0], 2).state(2)
     blocks = [list(b) for b in s2.blocks()]
     coding = set(s2.coding)
     block_of = {x: j for j, b in enumerate(blocks) for x in b}
@@ -335,12 +321,12 @@ def test_stage_graph_edges_match_rows():
 def test_monotone_growth_and_restriction():
     h = run(seeded_injective(4, 12), 12)
     for s in range(12):
-        assert h.k_at(s + 1) > h.k_at(s)
+        k = h.state(s).k
+        assert h.state(s + 1).k > k
         prev = set(h.state(s).graph().edges())
         cur = set(h.state(s + 1).graph().edges())
         assert prev <= cur
         # restriction: no new edges among old vertices
-        k = h.k_at(s)
         assert all(v > k or u > k for u, v in cur - prev)
         # coding vertices never decrease at a fixed index
         before, after = h.coding_at(s), h.coding_at(s + 1)
@@ -362,8 +348,9 @@ def test_degree_growth_only_through_coding_vertices():
 
     T = 30
     h = run(seeded_injective(12, T), T)
+    k_at = [h.state(s).k for s in range(T + 1)]
     degs = [
-        [bin(h.state(s).rows[x]).count("1") if x <= h.k_at(s) else 0
+        [bin(h.state(s).rows[x]).count("1") if x <= k_at[s] else 0
          for x in range(h.final_k + 1)]
         for s in range(T + 1)
     ]
@@ -373,7 +360,7 @@ def test_degree_growth_only_through_coding_vertices():
         n = f[s]
         dumped = n <= s
         new_coding = h.coding_at(s + 1)[n] if dumped else None
-        for x in range(h.k_at(s) + 1):
+        for x in range(k_at[s] + 1):
             grew = degs[s + 1][x] - degs[s][x]
             if grew == 0 or x in coding_after:
                 continue
@@ -383,7 +370,7 @@ def test_degree_growth_only_through_coding_vertices():
     # freeze: a non-coding vertex whose block no remaining value can reach
     # gains nothing more (stable coding vertices keep acquiring edges instead)
     for x in range(h.final_k + 1):
-        born = next(s for s in range(T + 1) if h.k_at(s) >= x)
+        born = next(s for s in range(T + 1) if k_at[s] >= x)
         for s in range(born, T):
             if x in h.coding_at(s):
                 continue
@@ -409,8 +396,8 @@ def test_coding_change_law_rejects_tampered_history():
 
 def test_stable_coding_examples():
     h = run([5, 0], 2)
-    assert stable_coding(h, 0) == 2
-    assert stable_coding(h, 3) is None
+    # index 0 is 2; index 3 was never created
+    assert stable_coding_prefix(h) == (2, 3, 4)
     # permutation input: every created index is stable after the last stage
     h2 = run(seeded_permutation(1, 12), 12)
     assert len(stable_coding_prefix(h2)) == 13
@@ -419,9 +406,7 @@ def test_stable_coding_examples():
 def test_stable_coding_respects_unconsumed_tail():
     # only 2 of 3 entries consumed; the pending 1 keeps indices >= 1 unstable
     h = run([5, 3, 1], 2)
-    assert stable_coding(h, 0) == h.final_coding[0]
-    assert stable_coding(h, 1) is None
-    assert stable_coding(h, 2) is None
+    assert len(h.final_coding) == 3
     assert stable_coding_prefix(h) == (h.final_coding[0],)
 
 
@@ -446,13 +431,9 @@ def test_stable_coding_matches_the_per_index_definition():
             coding[k] if 0 <= k < len(coding) and all(t > k for t in tail) else None
             for k in range(-1, len(coding) + 2)
         ]
-        assert [stable_coding(h, k) for k in range(-1, len(coding) + 2)] == per_index
-        prefix = []
-        for v in per_index[1:]:
-            if v is None:
-                break
-            prefix.append(v)
-        assert stable_coding_prefix(h) == tuple(prefix)
+        # stability is downward closed: the prefix holds every stable index
+        prefix = stable_coding_prefix(h)
+        assert per_index == [None, *prefix] + [None] * (len(coding) + 2 - len(prefix))
     assert len(stable_coding_prefix(h)) == 150
 
 

@@ -5,9 +5,7 @@ import re
 
 import pytest
 
-from chordlab import lattices
 from chordlab.errors import (
-    ContradictionError,
     CoverageError,
     InvalidInputError,
     StructuralError,
@@ -204,13 +202,6 @@ def test_double_cover_equals_the_coatom_pair_scan():
         found += witness is not None
         both += bool(set(poset.atoms()) & set(poset.coatoms()))
     assert found > 30 and both > 100  # double covers and atom-coatoms both occur
-
-
-def test_find_fences_refuses_a_double_cover(monkeypatch):
-    lat, gens, _ = spurred_fence_lattice(5)
-    monkeypatch.setattr(lattices, "check_no_double_cover", lambda poset: (1, 3, 2, 4))
-    with pytest.raises(ContradictionError, match=r"atoms \(1, 3\) under coatoms \(2, 4\)"):
-        find_fences(lat, gens, 3)
 
 
 def test_random_length3_lattices_have_no_double_cover():
