@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import construction, formats, lattices, ramsey
@@ -18,8 +19,19 @@ from .graphs import Pattern, check_traceable, embedding_is_valid, is_chordless
 SCHEMA_VERSION = 1
 
 
-def _finish(command: str, parameters: dict, results: dict, checks: list) -> int:
-    """Print the run report; the exit code is 0 when every check passed, else 1."""
+def _echo(args, **parsed) -> dict:
+    """The parameter echo: each option as argparse read it, or as ``parsed``
+    gives it for an option the command parses further."""
+    skip = ("command", "lattice_command", "func")
+    return {name: v for name, v in vars(args).items() if name not in skip} | parsed
+
+
+def _finish(args, parameters: dict, results: dict, checks: list) -> int:
+    """Print the report of the command ``args`` ran (``lattice-<sub>`` for a
+    lattice subcommand); the exit code is 0 when every check passed, else 1."""
+    command = args.command
+    if command == "lattice":
+        command += "-" + args.lattice_command
     report = {
         "schema": SCHEMA_VERSION,
         "command": command,
@@ -68,10 +80,7 @@ def parse_pattern(spec: str) -> Pattern:
 
 
 def _embedding_obj(emb):
-    return {
-        "pattern": str(emb.pattern),
-        "assignment": {name: emb.assignment[name] for name in emb.pattern.vertex_names},
-    }
+    return {"pattern": str(emb.pattern), "assignment": emb.assignment}
 
 
 def cmd_construct(args) -> int:
@@ -80,8 +89,13 @@ def cmd_construct(args) -> int:
     final = history.final_graph()
     formats.save_graph(final, args.out)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(formats.graph_to_dot(final))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(formats.graph_to_dot(final))
+        except OSError:  # a failed run leaves no graph behind
+            if os.path.isfile(args.out):  # never a device such as /dev/null
+                os.remove(args.out)
+            raise
     if args.trace_stages:
         for s in range(args.stages + 1):
             print(json.dumps(history.stage_trace(s), sort_keys=True))
@@ -93,14 +107,7 @@ def cmd_construct(args) -> int:
         "edges": final.edge_count(),
         "out": args.out,
     }
-    parameters = {
-        "f": f_echo,
-        "stages": args.stages,
-        "out": args.out,
-        "dot": args.dot,
-        "trace_stages": args.trace_stages,
-    }
-    return _finish("construct", parameters, results, checks)
+    return _finish(args, _echo(args, f=f_echo), results, checks)
 
 
 def cmd_verify(args) -> int:
@@ -125,12 +132,7 @@ def cmd_verify(args) -> int:
         ok = construction.history_has_no_chordless4(history)
         checks.append(("no-chordless-4paths", ok, None))
     results = {"stages": args.stages, "final_k": history.final_k}
-    parameters = {
-        "f": f_echo,
-        "stages": args.stages,
-        "exhaustive_chordless": args.exhaustive_chordless,
-    }
-    return _finish("verify", parameters, results, checks)
+    return _finish(args, _echo(args, f=f_echo), results, checks)
 
 
 def cmd_decode(args) -> int:
@@ -155,13 +157,7 @@ def cmd_decode(args) -> int:
         "embedding": _embedding_obj(ctx.embedding),
         "queries": rows,
     }
-    parameters = {
-        "f": f_echo,
-        "stages": args.stages,
-        "pattern": args.pattern,
-        "query": queries,
-    }
-    return _finish("decode", parameters, results, checks)
+    return _finish(args, _echo(args, f=f_echo, query=queries), results, checks)
 
 
 def cmd_dichotomy(args) -> int:
@@ -183,8 +179,7 @@ def cmd_dichotomy(args) -> int:
         with open(args.witness, "w", encoding="utf-8") as fh:
             json.dump(results, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    parameters = {"graph": args.graph, "n": args.n, "witness": args.witness}
-    return _finish("dichotomy", parameters, results, checks)
+    return _finish(args, _echo(args), results, checks)
 
 
 def cmd_mn_search(args) -> int:
@@ -207,12 +202,7 @@ def cmd_mn_search(args) -> int:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
     checks = [("search-complete", True, None)]
-    parameters = {
-        "n": args.n,
-        "max_size": args.max_size,
-        "report": args.report,
-    }
-    return _finish("mn-search", parameters, payload, checks)
+    return _finish(args, _echo(args), payload, checks)
 
 
 def cmd_pipeline(args) -> int:
@@ -228,10 +218,10 @@ def cmd_pipeline(args) -> int:
     }
     checks = []
     if trace.certificate is not None:
+        color = trace.certificate.color
         results["certificate"] = {
             "subset": list(trace.certificate.subset),
-            "color": "K" if trace.certificate.color == ramsey.RESIDUAL
-            else list(trace.certificate.color),
+            "color": color if color == ramsey.RESIDUAL else list(color),
         }
     if trace.path is not None:
         results["path"] = list(trace.path)
@@ -241,7 +231,7 @@ def cmd_pipeline(args) -> int:
         checks.append(("witness-valid", embedding_is_valid(g, trace.embedding), None))
     if not checks:
         checks.append(("pipeline-ran", True, None))
-    return _finish("pipeline", {"graph": args.graph, "n": args.n}, results, checks)
+    return _finish(args, _echo(args), results, checks)
 
 
 def cmd_lattice_verify(args) -> int:
@@ -268,7 +258,7 @@ def cmd_lattice_verify(args) -> int:
             )
         results["atoms"] = lat.atoms()
         results["coatoms"] = lat.coatoms()
-    return _finish("lattice-verify", {"lattice": args.lattice}, results, checks)
+    return _finish(args, _echo(args), results, checks)
 
 
 def cmd_lattice_fences(args) -> int:
@@ -287,8 +277,7 @@ def cmd_lattice_fences(args) -> int:
     else:
         results = {"fence": list(fence)}
         checks.append(("fence-valid", lattices.validate_fence(lat, fence), None))
-    parameters = {"lattice": args.lattice, "target": args.target, "dot": args.dot}
-    return _finish("lattice-fences", parameters, results, checks)
+    return _finish(args, _echo(args), results, checks)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -371,10 +360,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except StructuralError as exc:
         error = str(exc)
-        command = args.command
-        if command == "lattice":  # named as its successful reports name it
-            command += "-" + args.lattice_command
-        return _finish(command, {}, {"error": error}, [("internal", False, error)])
+        return _finish(args, {}, {"error": error}, [("internal", False, error)])
     except (ChordlabError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return 2

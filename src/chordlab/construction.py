@@ -379,7 +379,7 @@ def history_has_no_chordless4(history: StagedHistory) -> bool:
     with no chordless 4-path are closed under induced subgraphs, so the
     cotree split of the final host decides every stage.
     """
-    return is_cograph(history._rows, history.final_k + 1)
+    return is_cograph(history._rows)
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +427,7 @@ def embed_via_coding(history: StagedHistory, pattern: Pattern) -> Embedding:
             "%d stages" % (need, len(stable), need - len(stable)),
             shortfall=need - len(stable),
         )
-    assignment = {}
-    for i in range(pattern.k):
-        assignment["a%d" % i] = stable[i]
-        assignment["b%d" % i] = stable[pattern.k + i]
-    emb = Embedding(pattern, assignment)
+    emb = Embedding(pattern, stable[:need])
     if not embedding_is_valid(history.final_graph(), emb):
         raise StructuralError("coding-vertex embedding failed validation")
     return emb
@@ -444,7 +440,8 @@ class DecodeContext:
     ``gprime[n]`` is the largest host vertex used by the first n+1 a-side
     pattern vertices; querying whether some value k was ever consumed only
     requires scanning stages up to ``gprime[k]``.  The embedding is validated
-    against ``host`` once, here: an invalid one raises InvalidContextError.
+    against ``host`` here too, so a hand-built context is checked: an invalid
+    one raises InvalidContextError.
     """
 
     embedding: Embedding
@@ -457,13 +454,11 @@ class DecodeContext:
 
 
 def build_decode_context(history: StagedHistory, pattern: Pattern) -> DecodeContext:
+    """Decode context of ``pattern`` embedded through stable coding vertices;
+    these ascend, so the a-side image is its own running maximum."""
     emb = embed_via_coding(history, pattern)
-    best = -1
-    gprime = []
-    for i in range(pattern.k):
-        best = max(best, emb.assignment["a%d" % i])
-        gprime.append(best)
-    return DecodeContext(embedding=emb, gprime=tuple(gprime), host=history.final_graph())
+    gprime = emb.image[: pattern.k]
+    return DecodeContext(embedding=emb, gprime=gprime, host=history.final_graph())
 
 
 def decode_range(ctx: DecodeContext, f, k: int) -> bool:

@@ -26,11 +26,7 @@ class InvalidContextError(ChordlabError):
 
 
 class ExtractionError(ChordlabError):
-    """A witness extraction failed; carries the offending data."""
-
-    def __init__(self, message, detail=None):
-        super().__init__(message)
-        self.detail = detail
+    """A witness extraction failed; the message names the offending vertices."""
 
 
 class CoverageError(ChordlabError):

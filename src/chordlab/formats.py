@@ -157,18 +157,11 @@ def graph_to_dot(g: Graph) -> str:
     return "".join(parts)
 
 
-def lattice_to_json_obj(n: int, leq_pairs, generators=None) -> dict:
+def lattice_to_json(n, leq_pairs, generators=None) -> str:
     obj = {"n": n, "leq": [[x, y] for x, y in sorted(leq_pairs)]}
     if generators is not None:
         obj["generators"] = sorted(generators)
-    return obj
-
-
-def lattice_to_json(n, leq_pairs, generators=None) -> str:
-    return (
-        json.dumps(lattice_to_json_obj(n, leq_pairs, generators), sort_keys=True, indent=2)
-        + "\n"
-    )
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def lattice_from_json_obj(obj):

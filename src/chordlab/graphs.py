@@ -160,21 +160,22 @@ def is_chordless(g: Graph, p) -> bool:
     return is_chordless_positions(g.rows, [g.position(v) for v in p])
 
 
-def find_chordless_positions(masks, size: int, n: int):
+def find_chordless_positions(masks, n: int):
     """Chordless ``n``-vertex path over raw adjacency bitmasks, or None.
 
-    Depth-first search over positions; a candidate extension must be adjacent
-    to the current endpoint and non-adjacent to every earlier vertex, which
-    prunes chords as the path grows.  The first path found is the
-    lexicographically least one.  The search keeps an explicit stack, one
-    frame per path vertex, so Python's recursion limit does not bound the
-    path length.
+    Depth-first search over positions ``0..len(masks)-1``; a candidate
+    extension must be adjacent to the current endpoint and non-adjacent to
+    every earlier vertex, which prunes chords as the path grows.  The first
+    path found is the lexicographically least one.  The search keeps an
+    explicit stack, one frame per path vertex, so Python's recursion limit
+    does not bound the path length.
 
     On a chordless path ... x, y, z the vertex z is adjacent to y and outside
     N[x], so a vertex that must still be followed lies in ``onward`` of its
     predecessor: the neighbours of x with a neighbour outside N[x].  The prune
     cuts only dead branches, so it never changes the path found.
     """
+    size = len(masks)
     if n > size:  # the path needs n distinct positions
         return None
     if n == 1:
@@ -252,8 +253,8 @@ def _pieces(masks, part: int, co: bool) -> list:
     return pieces
 
 
-def is_cograph(masks, size: int) -> bool:
-    """True iff positions ``0..size-1`` hold no chordless 4-path.
+def is_cograph(masks) -> bool:
+    """True iff the positions ``0..len(masks)-1`` hold no chordless 4-path.
 
     Those graphs are the cographs: every induced subgraph on two or more
     vertices is disconnected or has a disconnected complement (Seinsche 1974;
@@ -264,7 +265,7 @@ def is_cograph(masks, size: int) -> bool:
     split; a piece of two or more vertices that it leaves whole is connected
     and co-connected, and holds a chordless 4-path.
     """
-    stack = [(p, True) for p in _pieces(masks, (1 << size) - 1, False)]
+    stack = [(p, True) for p in _pieces(masks, (1 << len(masks)) - 1, False)]
     while stack:
         part, co = stack.pop()
         if part & (part - 1):  # two or more vertices
@@ -279,7 +280,7 @@ def find_chordless_path(g: Graph, n: int):
     """Lexicographically least chordless path on exactly ``n`` vertices, or None."""
     if n < 1:
         raise InvalidInputError("path length must be >= 1, got %d" % n)
-    found = find_chordless_positions(g.rows, len(g), n)
+    found = find_chordless_positions(g.rows, n)
     if found is None:
         return None
     return tuple(g.vertices[i] for i in found)
@@ -362,21 +363,25 @@ def pattern_graph(pattern: Pattern) -> Graph:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Injective, edge-preserving map from a pattern into a host graph."""
+    """Injective, edge-preserving map from a pattern into a host graph;
+    ``image[i]`` is the host vertex of ``pattern.vertex_names[i]``."""
 
     pattern: Pattern
-    assignment: dict
+    image: tuple
+
+    @property
+    def assignment(self) -> dict:
+        """Host vertex of each pattern vertex name, in ``vertex_names`` order."""
+        return dict(zip(self.pattern.vertex_names, self.image))
 
 
 def embedding_is_valid(g: Graph, emb: Embedding) -> bool:
-    names = emb.pattern.vertex_names
-    if set(emb.assignment) != set(names):
-        return False
-    image = [emb.assignment[name] for name in names]
-    if len(set(image)) != len(image):
+    """True iff the image holds one distinct host vertex per pattern vertex
+    and every pattern edge is a host edge."""
+    image = emb.image
+    if len(image) != 2 * emb.pattern.k or len(set(image)) != len(image):
         return False
     if any(v not in g for v in image):
         return False
-    return all(
-        g.has_edge(emb.assignment[a], emb.assignment[b]) for a, b in emb.pattern.edges()
-    )
+    place = emb.assignment
+    return all(g.has_edge(place[a], place[b]) for a, b in emb.pattern.edges())

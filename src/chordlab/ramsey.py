@@ -59,7 +59,6 @@ def build_increasing_paths(g: Graph) -> dict:
     _require_traceable(g)
     size = len(g)
     rows = g.rows
-    verts = g.vertices
     paths = {}
     for y in range(size):
         # dist[v]: fewest increasing edges from v up to y; layers[d]: the v at d.
@@ -76,14 +75,9 @@ def build_increasing_paths(g: Graph) -> dict:
         # x's path steps to the lowest w above x one layer nearer to y, then
         # follows w's path, built just before.
         tails = {y: (y,)}
+        # The host is traceable, so x -> x+1 -> ... -> y reaches every x.
         for x in range(y - 1, -1, -1):
-            total = dist[x]
-            if total is None:
-                raise InvalidInputError(
-                    "no increasing path %r -> %r; host order is not a tracing"
-                    % (verts[x], verts[y])
-                )
-            step = rows[x] & layers[total - 1] & ~((2 << x) - 1)
+            step = rows[x] & layers[dist[x] - 1] & ~((2 << x) - 1)
             p = (x,) + tails[(step & -step).bit_length() - 1]
             if not is_chordless_positions(rows, p):
                 raise StructuralError("minimal increasing path %r is not chordless" % (p,))
@@ -255,15 +249,11 @@ def extract_k22(cert: HomogeneousCertificate, g: Graph, paths: dict) -> Embeddin
     b0, b1 = path_vertex(x5, x6, j), path_vertex(x7, x8, j)
     image = tuple(verts[p] for p in (a0, a1, b0, b1))
     if len({a0, a1, b0, b1}) != 4:
-        raise ExtractionError(
-            "extracted vertices collide: %r" % (image,), detail=image
-        )
+        raise ExtractionError("extracted vertices collide: %r" % (image,))
     rows = g.rows
     if not all(rows[a] >> b & 1 for a in (a0, a1) for b in (b0, b1)):
-        raise ExtractionError(
-            "extracted vertices do not form a K22 copy: %r" % (image,), detail=image
-        )
-    return Embedding(K22, dict(zip(K22.vertex_names, image)))
+        raise ExtractionError("extracted vertices do not form a K22 copy: %r" % (image,))
+    return Embedding(K22, image)
 
 
 def concatenated_path(cert: HomogeneousCertificate, paths: dict, n: int):
@@ -302,13 +292,12 @@ def extract_chordless(cert: HomogeneousCertificate, g: Graph, paths: dict, n: in
         best = (rows[cur] & walk_mask).bit_length() - 1
         if best <= cur:
             raise ExtractionError(
-                "greedy walk stalled at %r after %d vertices" % (verts[cur], len(ys)),
-                detail=tuple(verts[y] for y in ys),
+                "greedy walk stalled at %r after %d vertices" % (verts[cur], len(ys))
             )
         ys.append(best)
     result = tuple(verts[y] for y in ys)
     if not is_chordless_positions(rows, ys):
-        raise ExtractionError("greedy result %r is not chordless" % (result,), detail=result)
+        raise ExtractionError("greedy result %r is not chordless" % (result,))
     return result
 
 
@@ -333,7 +322,7 @@ def dichotomy(g: Graph, n: int) -> DichotomyWitness:
     if found is None:
         return DichotomyWitness(kind="neither")
     p, q, r, s = (g.vertices[i] for i in found)
-    emb = Embedding(K22, {"a0": r, "a1": s, "b0": p, "b1": q})
+    emb = Embedding(K22, (r, s, p, q))
     if not embedding_is_valid(g, emb):
         raise StructuralError("K22 search produced an invalid embedding: %r" % (emb,))
     return DichotomyWitness(kind="k22", embedding=emb)
@@ -399,11 +388,6 @@ def proof_pipeline(g: Graph, n: int) -> PipelineTrace:
 # Exact threshold search by hereditary extension
 
 
-def chord_slots(size: int):
-    """Non-consecutive vertex pairs of the fixed path 0 - 1 - ... - size-1."""
-    return [(i, j) for i in range(size) for j in range(i + 2, size)]
-
-
 @dataclass(frozen=True)
 class SizeCount:
     size: int
@@ -415,7 +399,6 @@ class SizeCount:
 @dataclass(frozen=True)
 class MnReport:
     n: int
-    size_bound: int
     sizes: tuple
     largest_neither: int | None
 
@@ -479,13 +462,13 @@ def estimate_min_m(n: int, size_bound: int) -> MnReport:
                             "m(%d) search passed its budget of %d candidate "
                             "extensions at size %d" % (n, EXTENSION_BUDGET, size)
                         )
-                    if find_chordless_positions(ext, size, n) is None:
+                    if find_chordless_positions(ext, n) is None:
                         grown.append(ext)
             level = grown
         example = None
         if level:
             largest = size
-            example = _verified_example(level, size, n)
+            example = _verified_example(level, n)
         counts.append(
             SizeCount(
                 size=size,
@@ -494,9 +477,7 @@ def estimate_min_m(n: int, size_bound: int) -> MnReport:
                 example=example,
             )
         )
-    return MnReport(
-        n=n, size_bound=size_bound, sizes=tuple(counts), largest_neither=largest
-    )
+    return MnReport(n=n, sizes=tuple(counts), largest_neither=largest)
 
 
 def _k22_free_extensions(rows):
@@ -529,17 +510,16 @@ def _k22_free_extensions(rows):
                 stack.append((v + 1, nbrs | 1 << v, banned | reach[v]))
 
 
-def _verified_example(level, size: int, n: int):
-    """Edges of the instance with the least chord bitmask, re-checked."""
-    slots = chord_slots(size)
-    best = min(
-        level,
-        key=lambda rows: sum(1 << b for b, (i, j) in enumerate(slots) if rows[i] >> j & 1),
-    )
-    if (
-        find_chordless_positions(best, size, n) is not None
-        or find_k22(best) is not None
-    ):
+def _verified_example(level, n: int):
+    """Edges of the instance with the least chord bitmask, re-checked.
+
+    The bitmask numbers chords (i, j), j > i + 1, row by row, so a chord
+    outranks every chord of a lower row: the least bitmask has the least
+    chord rows ``rows[i] >> (i + 2)``, read from the last row down.
+    """
+    size = len(level[0])
+    best = min(level, key=lambda rows: [rows[i] >> (i + 2) for i in reversed(range(size))])
+    if find_chordless_positions(best, n) is not None or find_k22(best) is not None:
         raise StructuralError(
             "m(%d) example on %d vertices is not a neither instance" % (n, size)
         )

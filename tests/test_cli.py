@@ -12,8 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chordlab import formats, lattices, ramsey
+from chordlab import construction, formats, lattices, ramsey
 from chordlab.cli import main
+from chordlab.construction import seeded_injective
 from chordlab.errors import InvalidInputError, ResourceLimitError, StructuralError
 from chordlab.graphs import K22, Graph, complete_graph, path_graph, pattern_graph
 from chordlab.lattices import fence_lattice, spurred_fence_lattice
@@ -193,6 +194,72 @@ PINNED_PIPELINE_REPORTS = {
 def test_pipeline_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _pipeline_report_digests(capsys) == PINNED_PIPELINE_REPORTS
+
+
+def _dichotomy_hosts():
+    """Hosts with gaps in their vertex names, one per dichotomy witness kind
+    at n = 4, written to the working directory."""
+    path = Graph([0, 2, 5, 7, 8, 11],
+                 [(0, 2), (2, 5), (5, 7), (7, 8), (8, 11), (2, 7), (0, 5)])
+    staged = construction.run(seeded_injective(4, 10), 10).final_graph()
+    k22 = Graph.from_rows(staged.rows, [2 * v + 1 for v in staged.vertices])
+    # the one 5-vertex host with no chordless 4-path and no K22
+    neither = Graph([1, 4, 6, 9, 10], [(1, 4), (1, 6), (4, 6), (6, 9), (6, 10), (9, 10)])
+    for name, g in (("path.json", path), ("k22.json", k22), ("neither.json", neither)):
+        formats.save_graph(g, name)
+
+
+def _rederived_report_digests(capsys):
+    """SHA-256 of the exit code, stdout and output files of the commands
+    whose parameter echo, command name or embedding the CLI derives."""
+    _dichotomy_hosts()
+    cases = {
+        "construct": (["construct", "--f", "seed:3,len:14", "--stages", "12", "--out",
+                       "g.json", "--dot", "g.dot", "--trace-stages"], ["g.json", "g.dot"]),
+        "verify": (["verify", "--f", "5,0,3,1,2", "--stages", "5"], []),
+        "verify-exhaustive": (["verify", "--f", "seed:9,len:12", "--stages", "12",
+                               "--exhaustive-chordless"], []),
+        "decode-A": (["decode", "--f", "seed:2,len:30", "--stages", "30",
+                      "--pattern", "A:4", "--query", "0,1,2,3"], []),
+        "decode-Kkk": (["decode", "--f", "seed:2,len:30", "--stages", "30",
+                        "--pattern", "Kkk:3", "--query", "2,0,1"], []),
+        "mn-search": (["mn-search", "--n", "5", "--max-size", "9", "--report", "mn.json"],
+                      ["mn.json"]),
+    }
+    for kind in ("path", "k22", "neither"):
+        cases["dichotomy-" + kind] = (
+            ["dichotomy", "--graph", kind + ".json", "--n", "4", "--witness", kind + "-w.json"],
+            [kind + "-w.json"])
+    digests = {}
+    for key, (argv, outputs) in cases.items():
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, key
+        h = hashlib.sha256(b"%d\0%s" % (code, out.encode()))
+        for name in outputs:
+            with open(name, "rb") as fh:
+                h.update(b"\0" + fh.read())
+        digests[key] = h.hexdigest()
+    return digests
+
+
+# Like the lattice and pipeline reports, these change only with a deliberate
+# change to what the commands report.
+PINNED_REDERIVED_REPORTS = {
+    "construct": "080a3a9dbe2844b1c5718764890bee58f7b531f605a333197325c4fcff54fcbf",
+    "verify": "aeff427eaab3b9457103d3b642582c5d4fdce2243de0713e3942d4c1d3ea4fbb",
+    "verify-exhaustive": "389d122fb5b6b5e9acc4ff73cd4772aa86a2888d4a5117b69deb3822ed676a62",
+    "decode-A": "e7186640d60fee16b8e77196d9b4afc36b9574f5a5ff61799f1aabeac5fb3767",
+    "decode-Kkk": "7a733beb179c2906b999a2755153aee1533ca8249c9066910c610685e2802e87",
+    "mn-search": "a4f445d01297aae18f9318f561ec032d623ceeb984c2af68d3e9c073b2988e02",
+    "dichotomy-path": "02fefc6832827970c9541d65d7ebdd2c7dbc17b8137b79ac5a5d927d85b2ce1e",
+    "dichotomy-k22": "03fd1ac06830525961f804ec066e6cef4f3cc00c82f0cfa5c07904ad1265dc37",
+    "dichotomy-neither": "cb3aa0fe0b4c3a2551b0f0ee9d2a486f93b164006f55f003683255765243028f",
+}
+
+
+def test_rederived_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _rederived_report_digests(capsys) == PINNED_REDERIVED_REPORTS
 
 
 def test_decode_command(capsys):
@@ -485,6 +552,29 @@ def test_lattice_fences_writes_the_dot_only_once_the_search_accepts(tmp_path, ca
         assert run_cli(capsys, *argv)[0] == code
         assert hashlib.sha256(dot_path.read_bytes()).hexdigest() == FENCE5_DOT
         dot_path.unlink()
+
+
+# SHA-256 of exit code 0, the report and the graph JSON and DOT files of
+# ``construct --f 5,0 --stages 2 --out g.json --dot x.dot``.
+CONSTRUCT_DOT_RUN = "e733d40ed127dea6ee426f16f4fbc9e234e151aaebc17ed27b1214810fa1d9fc"
+
+
+def test_construct_leaves_no_graph_when_the_dot_cannot_be_written(tmp_path, capsys,
+                                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["construct", "--f", "5,0", "--stages", "2", "--out", "g.json"]
+    assert_input_error(capsys, argv + ["--dot", "nodir/x.dot"])
+    assert os.listdir() == []
+    # an --out that cannot be written is reported first, as before
+    assert main(argv[:-1] + ["nodir/g.json", "--dot", "other/x.dot"]) == 2
+    assert "nodir/g.json" in json.loads(capsys.readouterr().err)["error"]
+    assert os.listdir() == []
+    code, out = run_cli(capsys, *argv, "--dot", "x.dot")
+    h = hashlib.sha256(b"%d\0%s" % (code, out.encode()))
+    for name in ("g.json", "x.dot"):
+        with open(name, "rb") as fh:
+            h.update(b"\0" + fh.read())
+    assert h.hexdigest() == CONSTRUCT_DOT_RUN
 
 
 def test_build_tree_rejects_a_lattice_longer_than_3():

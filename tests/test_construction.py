@@ -212,7 +212,7 @@ def test_no_chordless4_on_construction_states():
         h = run(seeded_injective(seed, 20), 20)
         assert history_has_no_chordless4(h)
         final = h.state(20)
-        assert find_chordless_positions(final.rows, final.k + 1, 4) is None
+        assert find_chordless_positions(final.rows, 4) is None
 
 
 def test_final_scan_agrees_with_per_stage_oracle():
@@ -260,7 +260,7 @@ def test_cotree_verdict_sees_a_4path_planted_anywhere():
                          [k - 3, k - 2, k - 1, k], spread):
                 h = run(seeded_injective(seed, T), T)
                 _plant_4path(h._rows, path)
-                assert find_chordless_positions(h._rows, k + 1, 4) is not None
+                assert find_chordless_positions(h._rows, 4) is not None
                 assert not history_has_no_chordless4(h)
 
 
@@ -284,9 +284,9 @@ def test_kernel_agrees_with_middle_edge_scan():
         g = random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.4, 0.6, 0.8]))
         hosts.append(list(g.rows))
     for rows in hosts:
-        found = find_chordless_positions(rows, len(rows), 4)
+        found = find_chordless_positions(rows, 4)
         assert (found is None) == (middle_edge_4path(rows, len(rows) - 1) is None)
-        assert (found is None) == is_cograph(rows, len(rows))
+        assert (found is None) == is_cograph(rows)
         if found is not None:
             assert is_chordless(Graph.from_rows(rows), found)
 
@@ -298,13 +298,13 @@ def test_chordless4_found_on_plain_path():
         coding=(3,),
         rows=(0b0010, 0b0101, 0b1010, 0b0100),
     )
-    assert find_chordless_positions(s.rows, s.k + 1, 4) == (0, 1, 2, 3)
+    assert find_chordless_positions(s.rows, 4) == (0, 1, 2, 3)
 
 
 def test_find_chordless_4path_direct():
     # 4-cycle has no chordless 4-path
     rows = [0b1010, 0b0101, 0b1010, 0b0101]
-    assert find_chordless_positions(rows, 4, 4) is None
+    assert find_chordless_positions(rows, 4) is None
 
 
 def test_stage_graph_edges_match_rows():
@@ -467,7 +467,7 @@ def test_decode_context_validates_its_embedding_once():
     ctx = build_decode_context(h, pattern_A(3))
     # a vertex off the coding list misses an edge the pattern needs
     loner = next(v for v in range(h.final_k + 1) if v not in h.final_coding)
-    broken = Embedding(ctx.embedding.pattern, dict(ctx.embedding.assignment, a0=loner))
+    broken = Embedding(ctx.embedding.pattern, (loner,) + ctx.embedding.image[1:])
     assert not embedding_is_valid(ctx.host, broken)
     with pytest.raises(InvalidContextError):
         DecodeContext(embedding=broken, gprime=ctx.gprime, host=ctx.host)

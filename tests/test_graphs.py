@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from chordlab.errors import InvalidInputError
 from chordlab.graphs import (
     K22,
+    Embedding,
     Graph,
     check_traceable,
     complete_graph,
+    embedding_is_valid,
     find_chordless_path,
     find_chordless_positions,
     find_k22,
@@ -119,13 +121,13 @@ def test_find_chordless_path_examples():
 
 def test_chordless_search_is_not_bounded_by_the_recursion_limit():
     rows = path_graph(1_200).rows
-    assert find_chordless_positions(rows, 1_200, 1_100) == tuple(range(1_100))
+    assert find_chordless_positions(rows, 1_100) == tuple(range(1_100))
 
 
 def test_chordless_search_longer_than_the_host_allocates_nothing():
     # a path longer than the host is refused before any per-vertex state
-    assert find_chordless_positions((0,), 1, 10**9) is None
-    assert find_chordless_positions(path_graph(3).rows, 3, 4) is None
+    assert find_chordless_positions((0,), 10**9) is None
+    assert find_chordless_positions(path_graph(3).rows, 4) is None
 
 
 def test_find_chordless_path_agrees_with_brute_force():
@@ -207,6 +209,30 @@ def test_a_pattern_edges_subset_of_kkk():
     assert set(pattern_A(4).edges()) <= set(pattern_Kkk(4).edges())
 
 
+def test_embedding_image_is_read_in_vertex_name_order():
+    # in K7 every image of distinct vertices keeps every pattern edge, so
+    # only the image's length and distinctness can make one invalid
+    host = complete_graph(7)
+    cases = [
+        (K22, ("a0", "a1", "b0", "b1")),
+        (pattern_A(3), ("a0", "a1", "a2", "b0", "b1", "b2")),
+        (pattern_Kkk(2), ("a0", "a1", "b0", "b1")),
+    ]
+    for pattern, names in cases:
+        image = tuple(range(6, 6 - len(names), -1))
+        emb = Embedding(pattern, image)
+        assert pattern.vertex_names == names
+        assert list(emb.assignment.items()) == list(zip(names, image))
+        assert embedding_is_valid(host, emb)
+        assert not embedding_is_valid(host, Embedding(pattern, image[:-1]))
+        assert not embedding_is_valid(host, Embedding(pattern, image + (0,)))
+        # a1 repeats a0: no pattern edge joins them, so every edge is kept
+        repeated = image[:1] * 2 + image[2:]
+        place = Embedding(pattern, repeated).assignment
+        assert all(host.has_edge(place[a], place[b]) for a, b in pattern.edges())
+        assert not embedding_is_valid(host, Embedding(pattern, repeated))
+
+
 def test_check_traceable():
     assert check_traceable(path_graph(4))
     assert not check_traceable(Graph([0, 1], []))
@@ -222,8 +248,8 @@ def test_cotree_verdict_agrees_with_both_4path_searches():
     for _ in range(3000):
         size = rng.randint(0, 10)
         rows = list(random_graph(rng, size, rng.choice([0.2, 0.4, 0.5, 0.6, 0.8])).rows)
-        verdict = is_cograph(rows, size)
-        assert verdict == (find_chordless_positions(rows, size, 4) is None)
+        verdict = is_cograph(rows)
+        assert verdict == (find_chordless_positions(rows, 4) is None)
         assert verdict == (middle_edge_4path(rows, size - 1) is None)
         seen.add(verdict)
     assert seen == {True, False}

@@ -512,7 +512,7 @@ def test_estimate_min_m_matches_gray_code_enumeration():
             if find_k22(masks) is not None:
                 continue
             for n in range(2, 7):
-                if find_chordless_positions(masks, size, n) is None:
+                if find_chordless_positions(masks, n) is None:
                     count, least = brute.get((n, size), (0, bits))
                     brute[n, size] = (count + 1, min(least, bits))
     for n in range(2, 7):
