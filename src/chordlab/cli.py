@@ -92,8 +92,9 @@ def cmd_construct(args) -> int:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(formats.graph_to_dot(final))
-        except OSError:  # a failed run leaves no graph behind
-            if os.path.isfile(args.out):  # never a device such as /dev/null
+        except OSError:  # a failed run leaves no graph behind, but removes
+            # only a regular file: never a device such as /dev/null, nor a symlink
+            if os.path.isfile(args.out) and not os.path.islink(args.out):
                 os.remove(args.out)
             raise
     if args.trace_stages:

@@ -569,6 +569,13 @@ def test_construct_leaves_no_graph_when_the_dot_cannot_be_written(tmp_path, caps
     assert main(argv[:-1] + ["nodir/g.json", "--dot", "other/x.dot"]) == 2
     assert "nodir/g.json" in json.loads(capsys.readouterr().err)["error"]
     assert os.listdir() == []
+    # a symlinked --out is the user's own; it is not removed
+    open("target.json", "w").close()
+    os.symlink("target.json", "g.json")
+    assert_input_error(capsys, argv + ["--dot", "nodir/x.dot"])
+    assert os.path.islink("g.json")
+    os.remove("g.json")
+    os.remove("target.json")
     code, out = run_cli(capsys, *argv, "--dot", "x.dot")
     h = hashlib.sha256(b"%d\0%s" % (code, out.encode()))
     for name in ("g.json", "x.dot"):

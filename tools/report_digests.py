@@ -10,8 +10,9 @@ Each workload of ``perfbench/workloads.py`` is built at each seed under DIR,
 and its commands run one after another through ``chordlab.cli.main`` of the
 chordlab found in ``--src``.  Reports echo input paths, so DIR must be the
 same for both runs; the workloads get relative paths inside it.  Each output
-line is ``workload seed index kind digest``, the digest covering the exit
-code, stdout, stderr and every file the command declares as output.
+line is ``workload seed index kind digest``: ``perfbench/run.py``'s digest of
+the exit code, stdout and stderr, and every file the command declares as
+output.  A declared output that is missing stops the tool.
 
 ``perfbench/`` is only read: its modules are loaded without writing bytecode.
 """
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import importlib
 import io
 import os
@@ -42,22 +42,15 @@ def import_chordlab(src: str):
     return package
 
 
-def command_digest(package, command) -> str:
-    """Run one command; SHA-256 of its exit code, stdout, stderr and outputs."""
+def command_digest(run, package, command) -> str:
+    """Run one command; perfbench's digest of its exit code, stdout plus stderr, and outputs."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = package.cli.main(list(command.argv))
         except SystemExit as exc:
             code = "exit %r" % (exc.code,)
-    h = hashlib.sha256(("%r\0%s\0%s" % (code, out.getvalue(), err.getvalue())).encode())
-    for path in command.outputs:
-        try:
-            with open(path, "rb") as fh:
-                h.update(b"\0" + hashlib.sha256(fh.read()).digest())
-        except FileNotFoundError:
-            h.update(b"\0missing")
-    return h.hexdigest()
+    return run.digest(code, out.getvalue() + "\0" + err.getvalue(), command.outputs)
 
 
 def main(argv=None) -> int:
@@ -66,23 +59,22 @@ def main(argv=None) -> int:
                         help="the src/ directory of the checkout to run")
     parser.add_argument("--work", required=True, help="work directory, the same for every run")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    parser.add_argument("--workload", action="append",
-                        help="run only this workload (repeatable); default all")
     args = parser.parse_args(argv)
 
     package = import_chordlab(args.src)
     sys.dont_write_bytecode = True
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    run = importlib.import_module("run")
     workloads = importlib.import_module("workloads")
     os.makedirs(args.work, exist_ok=True)
     os.chdir(args.work)
-    for name in args.workload or sorted(workloads.WORKLOADS):
+    for name in sorted(workloads.WORKLOADS):
         for seed in args.seeds:
             shutil.rmtree(name, ignore_errors=True)
             os.makedirs(name)
             commands = workloads.WORKLOADS[name](random.Random(seed), package, name)
             for i, command in enumerate(commands):
-                print(name, seed, i, command.kind, command_digest(package, command), flush=True)
+                print(name, seed, i, command.kind, command_digest(run, package, command), flush=True)
     return 0
 
 
