@@ -83,7 +83,14 @@ def _embedding_obj(emb):
     return {"pattern": str(emb.pattern), "assignment": emb.assignment}
 
 
+def _dot_apart(dot, other: str, option: str) -> None:
+    """Refuse a ``--dot`` path naming the same file as ``option``'s path."""
+    if dot and os.path.realpath(dot) == os.path.realpath(other):
+        raise ChordlabError("--dot names the same file as %s: %r" % (option, dot))
+
+
 def cmd_construct(args) -> int:
+    _dot_apart(args.dot, args.out, "--out")
     f, f_echo = parse_f(args.f)
     history = construction.run(f, args.stages)
     final = history.final_graph()
@@ -263,6 +270,7 @@ def cmd_lattice_verify(args) -> int:
 
 
 def cmd_lattice_fences(args) -> int:
+    _dot_apart(args.dot, args.lattice, "--lattice")
     n, pairs, gens = formats.load_lattice_candidate(args.lattice)
     if gens is None:
         raise ChordlabError("lattice JSON must carry 'generators' for fence search")

@@ -109,10 +109,14 @@ def graph_from_json_obj(obj) -> Graph:
     rows = [0] * len(vertices)
     outside = {}  # edges with an endpoint outside the vertices, in file order
     for pair in _json_list(obj["edges"]):
-        if not isinstance(pair, list) or len(pair) != 2:
+        # the exact-type tests pass every well-formed edge without isinstance
+        if type(pair) is not list and not isinstance(pair, list) or len(pair) != 2:
             raise InvalidInputError("graph JSON edge must be a pair: %r" % (pair,))
-        u = _int_entry(pair[0], "graph JSON edge entry")
-        v = _int_entry(pair[1], "graph JSON edge entry")
+        u, v = pair
+        if type(u) is not int:
+            u = _int_entry(u, "graph JSON edge entry")
+        if type(v) is not int:
+            v = _int_entry(v, "graph JSON edge entry")
         if not u < v:
             raise InvalidInputError("graph JSON edges must satisfy u < v: %r" % (pair,))
         i = position(u)

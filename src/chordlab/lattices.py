@@ -275,6 +275,8 @@ def closure_and_rank(lat: FiniteLattice, generators) -> RankTable:
                 partners = 0
                 for g in iter_bits(down[x] & ~new):
                     partners |= up[g]
+                    if partners & current == current:
+                        break  # only partners & current is read
                 for y in iter_bits(partners & current):
                     new |= 1 << extreme[down[x] & down[y]]
         if new == current:

@@ -584,6 +584,36 @@ def test_construct_leaves_no_graph_when_the_dot_cannot_be_written(tmp_path, caps
     assert h.hexdigest() == CONSTRUCT_DOT_RUN
 
 
+def test_construct_refuses_a_dot_path_that_names_the_out_file(tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["construct", "--f", "5,0", "--stages", "2"]
+    assert_input_error(capsys, argv + ["--out", "x", "--dot", "x"])
+    assert os.listdir() == []
+    # the same file under another name, here through a symlink, is refused too
+    with open("g.json", "wb") as fh:
+        fh.write(b"old bytes")
+    os.symlink("g.json", "link")
+    assert_input_error(capsys, argv + ["--out", "g.json", "--dot", "link"])
+    with open("g.json", "rb") as fh:
+        assert fh.read() == b"old bytes"
+
+
+def test_lattice_fences_refuses_a_dot_path_that_names_its_input(tmp_path, capsys,
+                                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lat, gens = fence_lattice(5)
+    formats.save_lattice("lat.json", lat.n, lat.leq_pairs(), gens)
+    with open("lat.json", "rb") as fh:
+        before = fh.read()
+    for dot in ("lat.json", os.path.join(str(tmp_path), "lat.json"), "./lat.json"):
+        assert_input_error(capsys, ["lattice", "fences", "--lattice", "lat.json",
+                                    "--target", "1", "--dot", dot])
+        with open("lat.json", "rb") as fh:
+            assert fh.read() == before
+    assert os.listdir() == ["lat.json"]
+
+
 def test_build_tree_rejects_a_lattice_longer_than_3():
     lat = lattices.FiniteLattice(7, TALL)
     table = lattices.closure_and_rank(lat, [1, 2, 4, 5])  # generates all of TALL

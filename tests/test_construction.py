@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from chordlab import construction
+from chordlab import construction, graphs
 from chordlab.construction import (
     LEMMA_NAMES,
     MAX_SEEDED_LENGTH,
@@ -31,6 +31,7 @@ from chordlab.graphs import (
     Graph,
     check_traceable,
     embedding_is_valid,
+    find_chordless_path,
     find_chordless_positions,
     is_chordless,
     is_cograph,
@@ -262,6 +263,52 @@ def test_cotree_verdict_sees_a_4path_planted_anywhere():
                 _plant_4path(h._rows, path)
                 assert find_chordless_positions(h._rows, 4) is not None
                 assert not history_has_no_chordless4(h)
+
+
+def test_cotree_first_search_answers_as_the_dfs():
+    # The cograph shortcut only makes a None come sooner: on random hosts and
+    # on staged hosts with a planted chordless 4-path, every answer for
+    # n = 4..8 is the DFS's own, witness included.
+    rng = random.Random(12)
+    hosts = [random_graph(rng, rng.randint(4, 12), rng.choice([0.2, 0.4, 0.6, 0.8]))
+             for _ in range(300)]
+    for T in (12, 30, 80):
+        staged = run(seeded_injective(T, T), T)._rows
+        k = len(staged) - 1
+        for path in ([0, 1, 2, 3], sorted(rng.sample(range(k + 1), 4)),
+                     [k - 3, k - 2, k - 1, k]):
+            rows = list(staged)
+            _plant_4path(rows, path)
+            g = Graph.from_rows(rows)
+            assert find_chordless_path(g, 4) is not None
+            hosts.append(g)
+    cographs = 0
+    for g in hosts:
+        cographs += is_cograph(g.rows)
+        for n in range(4, 9):
+            assert find_chordless_path(g, n) == find_chordless_positions(g.rows, n)
+    assert 0 < cographs < len(hosts)
+
+
+class _SearchRan(Exception):
+    pass
+
+
+def _no_search(masks, n):
+    raise _SearchRan
+
+
+def test_cotree_first_search_skips_the_dfs_on_a_staged_host(monkeypatch):
+    g = run(seeded_injective(0, 80), 80).final_graph()
+    monkeypatch.setattr(graphs, "find_chordless_positions", _no_search)
+    for n in (4, 5, 8):
+        assert find_chordless_path(g, n) is None
+    # a staged host has chordless 3-paths, so n <= 3 still goes to the DFS
+    with pytest.raises(_SearchRan):
+        find_chordless_path(g, 3)
+    monkeypatch.undo()
+    path = find_chordless_path(g, 3)
+    assert path is not None and is_chordless(g, path)
 
 
 def test_kernel_agrees_with_middle_edge_scan():

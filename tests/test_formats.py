@@ -109,6 +109,8 @@ def test_writers_match_the_oracles_on_any_vertex_order(g):
 @example(obj={"vertices": [-1, 0, 1], "edges": [[0, 1], [1]]})  # bad pair before negative
 @example(obj={"vertices": [-1, 0], "edges": [[0, 3]]})  # negative before outside
 @example(obj={"vertices": [0, 1], "edges": [[0, 1], [1, 0]]})
+@example(obj={"vertices": [0, 1], "edges": [[True, 1]]})  # JSON true is not an integer
+@example(obj={"vertices": [0, 1], "edges": [[0, 1.0]]})
 def test_loader_matches_the_edge_list_oracle(obj):
     assert _load_outcome(graph_from_json_obj, obj) == _load_outcome(
         graph_from_json_obj_by_edge_list, obj
