@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -96,14 +97,46 @@ class FourColoring:
     enough (``N(x,y) >= i``, ``N(u,v) >= j``) and the host joins the i-th
     vertex of path(x, y) to the j-th vertex of path(u, v).  The color count
     is (n-1)^2 + 1.
+
+    ``masks[a, b, u]``, for every ascending triple with ``u < size - 1``, maps
+    each color to the bitmask of the v > u whose 4-subset (a, b, u, v) has
+    it.  ``assignment`` reads them as ``{4-subset: color}``.
     """
 
     n: int
-    assignment: dict
+    size: int
+    masks: dict
+
+    @property
+    def assignment(self) -> Mapping:
+        return _QuadColors(self.size, self.masks)
 
 
-# 4-subsets one coloring may hold, at about 115 bytes each once built and
-# 128 while it is built (some 250 MB); hosts of up to 84 vertices fit.
+class _QuadColors(Mapping):
+    """Read-only ``{4-subset: color}`` view of per-triple color masks, in
+    ``itertools.combinations`` order."""
+
+    def __init__(self, size: int, masks: dict):
+        self._size, self._masks = size, masks
+
+    def __getitem__(self, quad):
+        if isinstance(quad, tuple) and len(quad) == 4 and quad[2] < quad[3] < self._size:
+            for color, mask in self._masks[quad[:3]].items():
+                if mask >> quad[3] & 1:
+                    return color
+        raise KeyError(quad)
+
+    def __len__(self) -> int:
+        return math.comb(self._size, 4)
+
+    def __iter__(self):
+        return itertools.combinations(range(self._size), 4)
+
+
+# 4-subsets one coloring may hold; hosts of up to 84 vertices fit.  Its color
+# masks take 20-40 bytes a 4-subset (tracemalloc peak: 5 MB at 43 vertices,
+# 48 MB on a random 84-vertex host, built in about 1 s), so the cap now bounds
+# time more than memory.
 MAX_COLORED_QUADS = 2_000_000
 
 
@@ -117,14 +150,15 @@ def _check_coloring_budget(size: int) -> None:
 
 
 def build_coloring(rows, paths, n: int) -> FourColoring:
-    """Color every ascending 4-subset, keyed in ``itertools.combinations`` order.
+    """Color every ascending 4-subset into per-triple color masks.
 
     Each pair's part is built once: ``near[x, y]`` holds the rows of the first
     n-1 vertices of path(x, y), each with its row of the shared (i, j) colors,
-    and ``far[u, v]`` the mask of the first n-1 vertices of path(u, v) with a
-    map from each one's bit to its index j.  A 4-subset's i is then the first
-    near row that meets ``far``, and j the index of the lowest bit it meets,
-    which is the least j because paths ascend.
+    and ``ends[u]``, for each v > u in order, v's bit, the mask of the first
+    n-1 vertices of path(u, v) and a map from each one's bit to its index j.
+    A 4-subset's i is then the first near row that meets the far mask, and j
+    the index of the lowest bit it meets, which is the least j because paths
+    ascend.
     """
     if n < 1:
         raise InvalidInputError("path length must be >= 1, got %d" % n)
@@ -133,33 +167,32 @@ def build_coloring(rows, paths, n: int) -> FourColoring:
     side = min(n - 1, size)  # no fixed path has more vertices than the host
     classes = [tuple((i, j) for j in range(side)) for i in range(side)]
     near = {}
-    far = {}
-    for key, path in paths.items():
-        head = path[:side]
-        near[key] = [(rows[a], classes[i]) for i, a in enumerate(head)]
+    ends = [[] for _ in range(size)]
+    for u, v in itertools.combinations(range(size), 2):
+        head = paths[u, v][:side]
+        near[u, v] = [(rows[a], classes[i]) for i, a in enumerate(head)]
         index = {1 << w: j for j, w in enumerate(head)}
-        far[key] = (sum(index), index)  # distinct bits: their sum is their OR
-    # tails[y]: far[u, v] for every y < u < v, in combinations order
-    tails = [[far[uv] for uv in itertools.combinations(range(y + 1, size), 2)]
-             for y in range(size)]
-    colors = []
+        ends[u].append((1 << v, sum(index), index))  # distinct bits: their sum is their OR
+    masks = {}
     for x, y in itertools.combinations(range(size), 2):
         head = near[x, y]
-        for mask, index in tails[y]:
-            for row, row_colors in head:
-                hit = row & mask
-                if hit:
-                    colors.append(row_colors[index[hit & -hit]])
-                    break
-            else:
-                colors.append(RESIDUAL)
-    assignment = dict(zip(itertools.combinations(range(size), 4), colors))
-    return FourColoring(n=n, assignment=assignment)
+        for u in range(y + 1, size - 1):
+            by_color = masks[x, y, u] = {}
+            for bit, mask, index in ends[u]:
+                for row, row_colors in head:
+                    hit = row & mask
+                    if hit:
+                        color = row_colors[index[hit & -hit]]
+                        break
+                else:
+                    color = RESIDUAL
+                by_color[color] = by_color.get(color, 0) | bit
+    return FourColoring(n=n, size=size, masks=masks)
 
 
 # Candidate vertices one homogeneous search may try: about 100 times the
 # 45,802 that the benchmark's 43-vertex staged host needs at q = 8.  A
-# 69-vertex staged host (T = 16) runs out of it after about 23 s.
+# 69-vertex staged host (T = 16) runs out of it after about 3 s.
 HOMOGENEOUS_BUDGET = 5_000_000
 
 
@@ -173,49 +206,65 @@ def find_homogeneous(coloring: FourColoring, size: int, q: int):
     """Exact ordered backtracking search for a q-subset of positions
     ``0..size-1`` monochromatic on 4-subsets.
 
-    Returns the lexicographically least certificate, or None.  Trying more
-    than ``HOMOGENEOUS_BUDGET`` candidate vertices raises ResourceLimitError.
+    Vertices are tried in increasing order, so the certificate is the
+    lexicographically least one, or None.  Once four chosen vertices fix the
+    color c, the search carries the mask of the vertices that would keep every
+    chosen triple in c: choosing v ANDs in ``masks[a, b, v][c]`` for each
+    chosen pair (a, b).  The budget counts the vertices a plain scan of each
+    level's range would try, masked out or not; trying more than
+    ``HOMOGENEOUS_BUDGET`` candidate vertices raises ResourceLimitError.
     """
     if q < 4:
         raise InvalidInputError("homogeneous size must be >= 4, got %d" % q)
     if size < q:
         return None
-    color_of = coloring.assignment
+    masks = coloring.masks
     chosen = []
     tried, budget = 0, HOMOGENEOUS_BUDGET
 
-    def search(start: int, color):
-        """The class color once ``chosen`` is completed to q, else None."""
+    def charge(count: int) -> None:
         nonlocal tried
-        if len(chosen) == q:
+        tried += count
+        if tried > budget:
+            raise ResourceLimitError(
+                "homogeneous %d-subset search passed its budget of %d "
+                "candidate vertices" % (q, budget)
+            )
+
+    def search(start: int, cand: int, color):
+        """The class color once ``chosen`` is completed to q from ``cand``, else None."""
+        k = len(chosen)
+        if k == q:
             return color
-        for v in range(start, size - (q - len(chosen)) + 1):
-            tried += 1
-            if tried > budget:
-                raise ResourceLimitError(
-                    "homogeneous %d-subset search passed its budget of %d "
-                    "candidate vertices" % (q, budget)
-                )
-            c = color
-            for trip in itertools.combinations(chosen, 3):
-                got = color_of[trip + (v,)]
-                if c is None:
-                    c = got
-                elif got != c:
-                    break
-            else:
-                chosen.append(v)
-                found = search(v + 1, c)
-                if found is not None:
-                    return found
-                chosen.pop()
+        end = size - (q - k) + 1
+        # Once v has fixed the color, each chosen pair narrows the next level.
+        pairs = tuple(itertools.combinations(chosen, 2)) if 3 <= k < q - 1 else ()
+        window = ((1 << end) - 1) >> start << start  # positions start..end-1
+        pos = start
+        for v in iter_bits(cand & window):
+            charge(v - pos + 1)
+            pos = v + 1
+            c, grown = color, cand
+            if k == 3:  # v fixes the color, and the chosen triple's mask of it
+                for c, grown in masks[tuple(chosen)].items():
+                    if grown >> v & 1:
+                        break
+            for a, b in pairs:
+                grown &= masks[a, b, v].get(c, 0)
+            chosen.append(v)
+            found = search(v + 1, grown, c)
+            if found is not None:
+                return found
+            chosen.pop()
+        charge(end - pos)
         return None
 
-    color = search(0, None)
+    color = search(0, (1 << size) - 1, None)
     if color is None:
         return None
     subset = tuple(chosen)
-    if any(color_of[quad] != color for quad in itertools.combinations(subset, 4)):
+    assignment = coloring.assignment
+    if any(assignment[quad] != color for quad in itertools.combinations(subset, 4)):
         raise StructuralError("homogeneous search produced an invalid certificate")
     return HomogeneousCertificate(subset=subset, color=color)
 
@@ -362,7 +411,7 @@ def proof_pipeline(g: Graph, n: int) -> PipelineTrace:
     paths = build_increasing_paths(g)
     trace.table_pairs = len(paths)
     coloring = build_coloring(g.rows, paths, n)
-    trace.colors_used = len(set(coloring.assignment.values()))
+    trace.colors_used = len(set().union(*coloring.masks.values()))
     cert = find_homogeneous(coloring, len(g), q)
     if cert is None:
         trace.outcome = "no_homogeneous_set"

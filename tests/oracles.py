@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from chordlab.graphs import Graph
 from chordlab.lattices import FiniteLattice, closure_and_rank
+from chordlab.ramsey import FourColoring
 from chordlab.errors import CoverageError, InvalidInputError
 
 
@@ -49,6 +50,52 @@ def brute_homogeneous(coloring, vertices, q):
         if len(colors) == 1:
             return subset, colors.pop()
     return None
+
+
+def coloring_from_assignment(n, size, assignment):
+    """A ``FourColoring`` holding ``assignment``, a ``{4-subset: color}`` dict
+    over positions ``0..size-1``."""
+    masks = {}
+    for (a, b, u, v), color in assignment.items():
+        by_color = masks.setdefault((a, b, u), {})
+        by_color[color] = by_color.get(color, 0) | 1 << v
+    return FourColoring(n=n, size=size, masks=masks)
+
+
+def dict_homogeneous_search(assignment, size, q):
+    """The ordered homogeneous search with one ``{4-subset: color}`` lookup
+    per (chosen triple, candidate vertex), unbounded.
+
+    Returns ``(certificate, tried)``: the least monochromatic q-subset and its
+    color as ``(subset, color)``, or None, and the candidate vertices tried,
+    one for every vertex of every level's range that was looked at.
+    """
+    chosen = []
+    tried = 0
+
+    def search(start, color):
+        nonlocal tried
+        if len(chosen) == q:
+            return color
+        for v in range(start, size - (q - len(chosen)) + 1):
+            tried += 1
+            c = color
+            for trip in itertools.combinations(chosen, 3):
+                got = assignment[trip + (v,)]
+                if c is None:
+                    c = got
+                elif got != c:
+                    break
+            else:
+                chosen.append(v)
+                found = search(v + 1, c)
+                if found is not None:
+                    return found
+                chosen.pop()
+        return None
+
+    color = search(0, None)
+    return (None if color is None else (tuple(chosen), color)), tried
 
 
 def naive_fixed_path(g, x, y):

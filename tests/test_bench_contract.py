@@ -4,17 +4,20 @@
 and relabels the order pairs of ``spurred_fence_lattice(k)[0].leq_pairs()``.
 For its traced passes ``perfbench/spans.Tracer`` wraps every public function
 and class constructor of the layer modules, and ``StagedHistory.final_graph``
-by name.  Removing any of them breaks the benchmark; this test fails first.
+by name, and reads work counters off their results, such as
+``ramsey.quads_colored`` from ``len(build_coloring(...).assignment)``.
+Removing or reshaping any of them breaks the benchmark; these tests fail first.
 The harness files are only read: its module is loaded without bytecode.
 """
 
 import importlib.util
+import math
 import os
 import sys
 
 import chordlab
 import chordlab.cli
-from chordlab.construction import StagedHistory, seeded_injective
+from chordlab.construction import StagedHistory, run, seeded_injective
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -61,3 +64,25 @@ def test_benchmark_setup_and_traced_pass_calls(monkeypatch, capsys):
     # uninstall puts every original back
     assert [dict(vars(module)) for module in [chordlab] + modules] == before
     assert (StagedHistory.__init__, StagedHistory.final_graph) == (init, final_graph)
+
+
+def test_traced_pipeline_counts_every_colored_quad(monkeypatch, capsys, tmp_path):
+    # A staged host is a cograph, so it has no chordless 5-path and the
+    # pipeline colours all of its 4-subsets.
+    spans = _load_spans(monkeypatch)
+    g = run(seeded_injective(3, 8), 8).state(8).graph()
+    host = str(tmp_path / "host.json")
+    chordlab.formats.save_graph(g, host)
+    tracer = spans.Tracer()
+    tracer.install(chordlab)
+    try:
+        code = chordlab.cli.main(["pipeline", "--graph", host, "--n", "5"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    seen = {path[-1] for path in tracer.nodes}
+    assert {"ramsey.build_coloring", "ramsey.find_homogeneous", "cli.pipeline"} <= seen
+    metrics = tracer.metrics()
+    assert len(g) == 24 and metrics["ramsey.quads_colored"] == math.comb(24, 4)
+    assert all(metrics[layer + ".errors"] == 0 for layer in spans.LAYERS)

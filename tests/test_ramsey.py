@@ -47,6 +47,8 @@ from oracles import (
     brute_chordless_path,
     brute_embedding_exists,
     brute_homogeneous,
+    coloring_from_assignment,
+    dict_homogeneous_search,
     iter_traceable_masks,
     masks_to_graph,
     naive_four_coloring,
@@ -253,8 +255,7 @@ def test_find_homogeneous_constant_coloring():
     g = path_graph(8)
     t = build_increasing_paths(g)
     col = build_coloring(g.rows, t, 9)
-    forced = type(col)(n=col.n,
-                       assignment={q: "X" for q in col.assignment})
+    forced = coloring_from_assignment(col.n, len(g), {q: "X" for q in col.assignment})
     cert = find_homogeneous(forced, len(g), 5)
     assert cert.subset == (0, 1, 2, 3, 4)
 
@@ -267,20 +268,23 @@ def test_table_recheck_raises_a_structural_error(monkeypatch):
 
 def test_homogeneous_recheck_raises_a_structural_error():
     # A coloring whose quad (0, 1, 2, 3) changes colour after the search has
-    # read it: the search accepts the subset and the re-check must refuse it.
+    # read it: the masks of triple (0, 1, 2) put v = 3 in "X" on the first
+    # read and in "Y" on every later one.  The search accepts the subset and
+    # the re-check must refuse it.
     class Fickle(dict):
         reads = 0
 
-        def __getitem__(self, quad):
-            if quad == (0, 1, 2, 3):
+        def __getitem__(self, triple):
+            if triple == (0, 1, 2):
                 Fickle.reads += 1
                 if Fickle.reads > 1:
-                    return "Y"
-            return super().__getitem__(quad)
+                    return {"Y": 1 << 3}
+            return super().__getitem__(triple)
 
     g = path_graph(4)
     col = build_coloring(g.rows, build_increasing_paths(g), 9)
-    fickle = type(col)(n=col.n, assignment=Fickle({q: "X" for q in col.assignment}))
+    forced = coloring_from_assignment(col.n, len(g), {q: "X" for q in col.assignment})
+    fickle = type(col)(n=col.n, size=len(g), masks=Fickle(forced.masks))
     with pytest.raises(StructuralError, match="invalid certificate"):
         find_homogeneous(fickle, len(g), 4)
 
@@ -298,7 +302,7 @@ def test_find_homogeneous_single_deviation():
     col = build_coloring(g.rows, t, 9)
     assignment = {q: "X" for q in col.assignment}
     assignment[(0, 1, 2, 3)] = "Y"
-    forced = type(col)(n=col.n, assignment=assignment)
+    forced = coloring_from_assignment(col.n, len(g), assignment)
     assert find_homogeneous(forced, len(g), 7) is None
     assert find_homogeneous(forced, len(g), 6) is not None
 
@@ -329,12 +333,43 @@ def test_find_homogeneous_agrees_with_brute_force():
     base = build_coloring(g.rows, t, 11)
     for _ in range(25):
         assignment = {q: rng.choice(["A", "B"]) for q in base.assignment}
-        col = type(base)(n=base.n, assignment=assignment)
+        col = coloring_from_assignment(base.n, len(g), assignment)
         mine = find_homogeneous(col, len(g), 5)
         brute = brute_homogeneous(col, g.vertices, 5)
         assert (mine is None) == (brute is None)
         if mine is not None:
             assert mine.subset == brute[0] and mine.color == brute[1]
+
+
+def test_find_homogeneous_matches_the_dict_search_and_its_budget(monkeypatch):
+    # The mask search against the per-triple dict lookups it replaced: the
+    # same certificate, and the same count of candidate vertices, since a
+    # budget of the dict search's count passes and one less raises.
+    rng = random.Random(23)
+    palette = [RESIDUAL, (0, 0), (0, 1), (1, 0), (2, 1)]
+    cases = []
+    for _ in range(240):
+        size = rng.randint(4, 13)
+        colors = palette[:rng.randint(1, 5)]
+        assignment = {quad: rng.choice(colors)
+                      for quad in itertools.combinations(range(size), 4)}
+        q = rng.randint(4, min(8, size))
+        cases.append((coloring_from_assignment(5, size, assignment), assignment, size, q))
+    g = staged_pipeline_host()
+    cases.append((build_coloring(g.rows, build_increasing_paths(g), 5),
+                  dict(_oracle_items(g, 5)), len(g), 8))
+    outcomes = set()
+    for col, assignment, size, q in cases:
+        expected, tried = dict_homogeneous_search(assignment, size, q)
+        monkeypatch.setattr(ramsey, "HOMOGENEOUS_BUDGET", tried)
+        cert = find_homogeneous(col, size, q)
+        assert (cert and (cert.subset, cert.color)) == expected
+        monkeypatch.setattr(ramsey, "HOMOGENEOUS_BUDGET", tried - 1)
+        with pytest.raises(ResourceLimitError):
+            find_homogeneous(col, size, q)
+        outcomes.add(cert is None)
+    assert outcomes == {True, False}
+    assert tried == 45_802  # the staged host, as pinned by the budget test above
 
 
 def test_extract_k22_from_pipeline_certificates():
