@@ -83,14 +83,14 @@ def _embedding_obj(emb):
     return {"pattern": str(emb.pattern), "assignment": emb.assignment}
 
 
-def _dot_apart(dot, other: str, option: str) -> None:
-    """Refuse a ``--dot`` path naming the same file as ``option``'s path."""
-    if dot and os.path.realpath(dot) == os.path.realpath(other):
-        raise ChordlabError("--dot names the same file as %s: %r" % (option, dot))
+def _apart(flag: str, path, other_flag: str, other: str) -> None:
+    """Refuse a ``flag`` path naming the same file as ``other_flag``'s path."""
+    if path and os.path.realpath(path) == os.path.realpath(other):
+        raise ChordlabError("%s names the same file as %s: %r" % (flag, other_flag, path))
 
 
 def cmd_construct(args) -> int:
-    _dot_apart(args.dot, args.out, "--out")
+    _apart("--dot", args.dot, "--out", args.out)
     f, f_echo = parse_f(args.f)
     history = construction.run(f, args.stages)
     final = history.final_graph()
@@ -169,6 +169,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_dichotomy(args) -> int:
+    _apart("--witness", args.witness, "--graph", args.graph)
     g = formats.load_graph(args.graph)
     witness = ramsey.dichotomy(g, args.n)
     checks = []
@@ -270,7 +271,7 @@ def cmd_lattice_verify(args) -> int:
 
 
 def cmd_lattice_fences(args) -> int:
-    _dot_apart(args.dot, args.lattice, "--lattice")
+    _apart("--dot", args.dot, "--lattice", args.lattice)
     n, pairs, gens = formats.load_lattice_candidate(args.lattice)
     if gens is None:
         raise ChordlabError("lattice JSON must carry 'generators' for fence search")

@@ -100,7 +100,8 @@ class FourColoring:
 
     ``masks[a, b, u]``, for every ascending triple with ``u < size - 1``, maps
     each color to the bitmask of the v > u whose 4-subset (a, b, u, v) has
-    it.  ``assignment`` reads them as ``{4-subset: color}``.
+    it.  ``assignment`` reads them as ``{4-subset: color}``, only for the tests
+    and perfbench's ``len(r.assignment)`` count of colored 4-subsets.
     """
 
     n: int
@@ -190,10 +191,10 @@ def build_coloring(rows, paths, n: int) -> FourColoring:
     return FourColoring(n=n, size=size, masks=masks)
 
 
-# Candidate vertices one homogeneous search may try: about 100 times the
-# 45,802 that the benchmark's 43-vertex staged host needs at q = 8.  A
-# 69-vertex staged host (T = 16) runs out of it after about 3 s.
-HOMOGENEOUS_BUDGET = 5_000_000
+# Search nodes one homogeneous search may visit.  At q = 8 the staged hosts of
+# T = 12, 14, 16 and 17 (43, 57, 69, 72 vertices) need 3,573, 8,322, 1,634,848
+# and 2,209,792; at about 2.5 microseconds a node it is used up in about 10 s.
+HOMOGENEOUS_BUDGET = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -202,37 +203,29 @@ class HomogeneousCertificate:
     color: object
 
 
-def find_homogeneous(coloring: FourColoring, size: int, q: int):
+def find_homogeneous(coloring: FourColoring, q: int):
     """Exact ordered backtracking search for a q-subset of positions
-    ``0..size-1`` monochromatic on 4-subsets.
+    ``0..coloring.size-1`` monochromatic on 4-subsets.
 
     Vertices are tried in increasing order, so the certificate is the
     lexicographically least one, or None.  Once four chosen vertices fix the
     color c, the search carries the mask of the vertices that would keep every
     chosen triple in c: choosing v ANDs in ``masks[a, b, v][c]`` for each
-    chosen pair (a, b).  The budget counts the vertices a plain scan of each
-    level's range would try, masked out or not; trying more than
-    ``HOMOGENEOUS_BUDGET`` candidate vertices raises ResourceLimitError.
+    chosen pair (a, b).  Each vertex taken from a level's candidate mask is one
+    search node; visiting more than ``HOMOGENEOUS_BUDGET`` of them raises
+    ResourceLimitError.
     """
     if q < 4:
         raise InvalidInputError("homogeneous size must be >= 4, got %d" % q)
+    size, masks = coloring.size, coloring.masks
     if size < q:
         return None
-    masks = coloring.masks
     chosen = []
-    tried, budget = 0, HOMOGENEOUS_BUDGET
-
-    def charge(count: int) -> None:
-        nonlocal tried
-        tried += count
-        if tried > budget:
-            raise ResourceLimitError(
-                "homogeneous %d-subset search passed its budget of %d "
-                "candidate vertices" % (q, budget)
-            )
+    nodes, budget = 0, HOMOGENEOUS_BUDGET
 
     def search(start: int, cand: int, color):
         """The class color once ``chosen`` is completed to q from ``cand``, else None."""
+        nonlocal nodes
         k = len(chosen)
         if k == q:
             return color
@@ -240,10 +233,13 @@ def find_homogeneous(coloring: FourColoring, size: int, q: int):
         # Once v has fixed the color, each chosen pair narrows the next level.
         pairs = tuple(itertools.combinations(chosen, 2)) if 3 <= k < q - 1 else ()
         window = ((1 << end) - 1) >> start << start  # positions start..end-1
-        pos = start
         for v in iter_bits(cand & window):
-            charge(v - pos + 1)
-            pos = v + 1
+            nodes += 1
+            if nodes > budget:
+                raise ResourceLimitError(
+                    "homogeneous %d-subset search passed its budget of %d "
+                    "search nodes" % (q, budget)
+                )
             c, grown = color, cand
             if k == 3:  # v fixes the color, and the chosen triple's mask of it
                 for c, grown in masks[tuple(chosen)].items():
@@ -256,15 +252,14 @@ def find_homogeneous(coloring: FourColoring, size: int, q: int):
             if found is not None:
                 return found
             chosen.pop()
-        charge(end - pos)
         return None
 
     color = search(0, (1 << size) - 1, None)
     if color is None:
         return None
     subset = tuple(chosen)
-    assignment = coloring.assignment
-    if any(assignment[quad] != color for quad in itertools.combinations(subset, 4)):
+    if not all(masks[quad[:3]].get(color, 0) >> quad[3] & 1
+               for quad in itertools.combinations(subset, 4)):
         raise StructuralError("homogeneous search produced an invalid certificate")
     return HomogeneousCertificate(subset=subset, color=color)
 
@@ -412,7 +407,7 @@ def proof_pipeline(g: Graph, n: int) -> PipelineTrace:
     trace.table_pairs = len(paths)
     coloring = build_coloring(g.rows, paths, n)
     trace.colors_used = len(set().union(*coloring.masks.values()))
-    cert = find_homogeneous(coloring, len(g), q)
+    cert = find_homogeneous(coloring, q)
     if cert is None:
         trace.outcome = "no_homogeneous_set"
         trace.notes.append(

@@ -66,19 +66,18 @@ def dict_homogeneous_search(assignment, size, q):
     """The ordered homogeneous search with one ``{4-subset: color}`` lookup
     per (chosen triple, candidate vertex), unbounded.
 
-    Returns ``(certificate, tried)``: the least monochromatic q-subset and its
-    color as ``(subset, color)``, or None, and the candidate vertices tried,
-    one for every vertex of every level's range that was looked at.
+    Returns ``(certificate, nodes)``: the least monochromatic q-subset and its
+    color as ``(subset, color)``, or None, and the search nodes visited, one
+    for every vertex the search recursed into.
     """
     chosen = []
-    tried = 0
+    nodes = 0
 
     def search(start, color):
-        nonlocal tried
+        nonlocal nodes
         if len(chosen) == q:
             return color
         for v in range(start, size - (q - len(chosen)) + 1):
-            tried += 1
             c = color
             for trip in itertools.combinations(chosen, 3):
                 got = assignment[trip + (v,)]
@@ -87,6 +86,7 @@ def dict_homogeneous_search(assignment, size, q):
                 elif got != c:
                     break
             else:
+                nodes += 1
                 chosen.append(v)
                 found = search(v + 1, c)
                 if found is not None:
@@ -95,7 +95,7 @@ def dict_homogeneous_search(assignment, size, q):
         return None
 
     color = search(0, None)
-    return (None if color is None else (tuple(chosen), color)), tried
+    return (None if color is None else (tuple(chosen), color)), nodes
 
 
 def naive_fixed_path(g, x, y):

@@ -614,6 +614,21 @@ def test_lattice_fences_refuses_a_dot_path_that_names_its_input(tmp_path, capsys
     assert os.listdir() == ["lat.json"]
 
 
+def test_dichotomy_refuses_a_witness_path_that_names_its_graph(tmp_path, capsys,
+                                                               monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, "construct", "--f", "5,0,3", "--stages", "3",
+                   "--out", "g.json")[0] == 0
+    with open("g.json", "rb") as fh:
+        before = fh.read()
+    for witness in ("g.json", os.path.join(str(tmp_path), "g.json"), "./g.json"):
+        assert_input_error(capsys, ["dichotomy", "--graph", "g.json", "--n", "4",
+                                    "--witness", witness])
+        with open("g.json", "rb") as fh:
+            assert fh.read() == before
+    assert os.listdir() == ["g.json"]
+
+
 def test_build_tree_rejects_a_lattice_longer_than_3():
     lat = lattices.FiniteLattice(7, TALL)
     table = lattices.closure_and_rank(lat, [1, 2, 4, 5])  # generates all of TALL

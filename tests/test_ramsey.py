@@ -256,7 +256,7 @@ def test_find_homogeneous_constant_coloring():
     t = build_increasing_paths(g)
     col = build_coloring(g.rows, t, 9)
     forced = coloring_from_assignment(col.n, len(g), {q: "X" for q in col.assignment})
-    cert = find_homogeneous(forced, len(g), 5)
+    cert = find_homogeneous(forced, 5)
     assert cert.subset == (0, 1, 2, 3, 4)
 
 
@@ -286,7 +286,7 @@ def test_homogeneous_recheck_raises_a_structural_error():
     forced = coloring_from_assignment(col.n, len(g), {q: "X" for q in col.assignment})
     fickle = type(col)(n=col.n, size=len(g), masks=Fickle(forced.masks))
     with pytest.raises(StructuralError, match="invalid certificate"):
-        find_homogeneous(fickle, len(g), 4)
+        find_homogeneous(fickle, 4)
 
 
 def test_dichotomy_recheck_raises_a_structural_error(monkeypatch):
@@ -303,27 +303,27 @@ def test_find_homogeneous_single_deviation():
     assignment = {q: "X" for q in col.assignment}
     assignment[(0, 1, 2, 3)] = "Y"
     forced = coloring_from_assignment(col.n, len(g), assignment)
-    assert find_homogeneous(forced, len(g), 7) is None
-    assert find_homogeneous(forced, len(g), 6) is not None
+    assert find_homogeneous(forced, 7) is None
+    assert find_homogeneous(forced, 6) is not None
 
 
-def test_find_homogeneous_budget_counts_candidate_vertices(monkeypatch):
-    # The search tries exactly 45,802 candidate vertices on this host at q = 8.
+def test_find_homogeneous_budget_counts_search_nodes(monkeypatch):
+    # The search visits exactly 3,573 nodes on this host at q = 8.
     g = staged_pipeline_host()
     col = build_coloring(g.rows, build_increasing_paths(g), 5)
-    monkeypatch.setattr(ramsey, "HOMOGENEOUS_BUDGET", 45_802)
-    cert = find_homogeneous(col, len(g), 8)
+    monkeypatch.setattr(ramsey, "HOMOGENEOUS_BUDGET", 3_573)
+    cert = find_homogeneous(col, 8)
     assert (cert.subset, cert.color) == ((0, 5, 16, 23, 26, 28, 29, 30), (1, 0))
-    monkeypatch.setattr(ramsey, "HOMOGENEOUS_BUDGET", 45_801)
-    with pytest.raises(ResourceLimitError, match="budget of 45801 candidate vertices"):
-        find_homogeneous(col, len(g), 8)
+    monkeypatch.setattr(ramsey, "HOMOGENEOUS_BUDGET", 3_572)
+    with pytest.raises(ResourceLimitError, match="budget of 3572 search nodes"):
+        find_homogeneous(col, 8)
 
 
 def test_find_homogeneous_rejects_small_q():
     g = path_graph(6)
     col = build_coloring(g.rows, build_increasing_paths(g), 7)
     with pytest.raises(InvalidInputError):
-        find_homogeneous(col, len(g), 3)
+        find_homogeneous(col, 3)
 
 
 def test_find_homogeneous_agrees_with_brute_force():
@@ -334,7 +334,7 @@ def test_find_homogeneous_agrees_with_brute_force():
     for _ in range(25):
         assignment = {q: rng.choice(["A", "B"]) for q in base.assignment}
         col = coloring_from_assignment(base.n, len(g), assignment)
-        mine = find_homogeneous(col, len(g), 5)
+        mine = find_homogeneous(col, 5)
         brute = brute_homogeneous(col, g.vertices, 5)
         assert (mine is None) == (brute is None)
         if mine is not None:
@@ -343,8 +343,8 @@ def test_find_homogeneous_agrees_with_brute_force():
 
 def test_find_homogeneous_matches_the_dict_search_and_its_budget(monkeypatch):
     # The mask search against the per-triple dict lookups it replaced: the
-    # same certificate, and the same count of candidate vertices, since a
-    # budget of the dict search's count passes and one less raises.
+    # same certificate, and the same count of search nodes, since a budget
+    # of the dict search's count passes and one less raises.
     rng = random.Random(23)
     palette = [RESIDUAL, (0, 0), (0, 1), (1, 0), (2, 1)]
     cases = []
@@ -360,16 +360,16 @@ def test_find_homogeneous_matches_the_dict_search_and_its_budget(monkeypatch):
                   dict(_oracle_items(g, 5)), len(g), 8))
     outcomes = set()
     for col, assignment, size, q in cases:
-        expected, tried = dict_homogeneous_search(assignment, size, q)
-        monkeypatch.setattr(ramsey, "HOMOGENEOUS_BUDGET", tried)
-        cert = find_homogeneous(col, size, q)
+        expected, nodes = dict_homogeneous_search(assignment, size, q)
+        monkeypatch.setattr(ramsey, "HOMOGENEOUS_BUDGET", nodes)
+        cert = find_homogeneous(col, q)
         assert (cert and (cert.subset, cert.color)) == expected
-        monkeypatch.setattr(ramsey, "HOMOGENEOUS_BUDGET", tried - 1)
+        monkeypatch.setattr(ramsey, "HOMOGENEOUS_BUDGET", nodes - 1)
         with pytest.raises(ResourceLimitError):
-            find_homogeneous(col, size, q)
+            find_homogeneous(col, q)
         outcomes.add(cert is None)
     assert outcomes == {True, False}
-    assert tried == 45_802  # the staged host, as pinned by the budget test above
+    assert nodes == 3_573  # the staged host, as pinned by the budget test above
 
 
 def test_extract_k22_from_pipeline_certificates():
