@@ -30,6 +30,7 @@ from .errors import (
     ExtractionError,
     InvalidContextError,
     InvalidInputError,
+    LatticeAxiomError,
     ResourceLimitError,
     StructuralError,
 )
@@ -63,7 +64,6 @@ from .lattices import (
     pipeline_capacity,
     spurred_fence_lattice,
     validate_fence,
-    validate_lattice,
 )
 from .ramsey import (
     DichotomyWitness,

@@ -13,7 +13,7 @@ import os
 import sys
 
 from . import construction, formats, lattices, ramsey
-from .errors import ChordlabError, StructuralError
+from .errors import ChordlabError, LatticeAxiomError, StructuralError
 from .graphs import Pattern, check_traceable, embedding_is_valid, is_chordless
 
 SCHEMA_VERSION = 1
@@ -245,28 +245,22 @@ def cmd_pipeline(args) -> int:
 
 def cmd_lattice_verify(args) -> int:
     n, pairs, _ = formats.load_lattice_candidate(args.lattice)
-    axioms = lattices.validate_lattice(n, pairs)
-    checks = [
-        (
-            "lattice-axioms",
-            axioms.ok,
-            None if axioms.ok else {"axiom": axioms.axiom, "witness": list(axioms.witness)},
+    try:
+        lat = lattices.FiniteLattice(n, pairs)
+    except LatticeAxiomError as exc:
+        failed = {"axiom": exc.axiom, "witness": list(exc.witness)}
+        return _finish(args, _echo(args), {"n": n}, [("lattice-axioms", False, failed)])
+    checks = [("lattice-axioms", True, None)]
+    length3 = lattices.check_length3(lat)
+    checks.append(("length-3", length3, None))
+    # two atoms under two coatoms contradict the axioms only at length 3,
+    # so once both checks above pass this one always passes too
+    if length3:
+        witness = lattices.check_no_double_cover(lat)
+        checks.append(
+            ("no-double-cover", witness is None, list(witness) if witness else None)
         )
-    ]
-    results = {"n": n}
-    if axioms.ok:
-        lat = axioms.lattice
-        length3 = lattices.check_length3(lat)
-        checks.append(("length-3", length3, None))
-        # two atoms under two coatoms contradict the axioms only at length 3,
-        # so once both checks above pass this one always passes too
-        if length3:
-            witness = lattices.check_no_double_cover(lat)
-            checks.append(
-                ("no-double-cover", witness is None, list(witness) if witness else None)
-            )
-        results["atoms"] = lat.atoms()
-        results["coatoms"] = lat.coatoms()
+    results = {"n": n, "atoms": lat.atoms(), "coatoms": lat.coatoms()}
     return _finish(args, _echo(args), results, checks)
 
 

@@ -13,6 +13,16 @@ class InvalidInputError(ChordlabError):
     """Malformed graph, path, lattice, or argument."""
 
 
+class LatticeAxiomError(InvalidInputError):
+    """A lattice candidate fails ``axiom``; ``witness`` holds the elements
+    that show it."""
+
+    def __init__(self, message, axiom, witness):
+        super().__init__(message)
+        self.axiom = axiom
+        self.witness = tuple(witness)
+
+
 class CapacityError(ChordlabError):
     """Not enough stable coding vertices for the requested pattern."""
 

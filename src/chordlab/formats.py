@@ -6,7 +6,7 @@ import json
 
 from .errors import InvalidInputError
 from .graphs import Graph
-from .lattices import BoundedPoset, FiniteLattice
+from .lattices import BoundedPoset
 
 
 def _int_entry(value, what: str) -> int:
@@ -139,10 +139,6 @@ def graph_from_json_obj(obj) -> Graph:
     return Graph.from_rows(rows, vertices)
 
 
-def graph_from_json(text: str) -> Graph:
-    return graph_from_json_obj(json.loads(text))
-
-
 def load_graph(path) -> Graph:
     return graph_from_json_obj(_read_json(path))
 
@@ -173,7 +169,7 @@ def lattice_from_json_obj(obj):
 
     The relation must list every holding pair, reflexive ones included;
     validation (and rejection of non-transitive input) happens when the
-    candidate is checked or instantiated.
+    candidate is instantiated as a ``FiniteLattice``.
     """
     if not isinstance(obj, dict) or "n" not in obj or "leq" not in obj:
         raise InvalidInputError("lattice JSON needs 'n' and 'leq'")
@@ -198,7 +194,7 @@ def save_lattice(path, n, leq_pairs, generators=None) -> None:
         fh.write(lattice_to_json(n, leq_pairs, generators))
 
 
-def lattice_to_dot(poset: BoundedPoset | FiniteLattice) -> str:
+def lattice_to_dot(poset: BoundedPoset) -> str:
     """Hasse diagram: cover edges only, drawn bottom-up."""
     lines = ["digraph L {", "  rankdir=BT;", "  node [shape=circle];"]
     for v in range(poset.n):

@@ -19,34 +19,26 @@ from dataclasses import dataclass
 from .errors import (
     CoverageError,
     InvalidInputError,
+    LatticeAxiomError,
     ResourceLimitError,
     StructuralError,
 )
 from .graphs import Graph, find_chordless_path, find_k22, is_chordless_positions, iter_bits
 
 
-@dataclass(frozen=True)
-class LatticeReport:
-    """Outcome of candidate validation: pass, or first violated axiom.
-
-    A passing ``validate_lattice`` report carries the validated lattice.
-    """
-
-    ok: bool
-    axiom: str | None = None
-    witness: tuple | None = None
-    lattice: "FiniteLattice | None" = None
+def _order_error(axiom: str, witness: tuple) -> LatticeAxiomError:
+    return LatticeAxiomError(
+        "not a bounded partial order: %s %r" % (axiom, witness), axiom, witness
+    )
 
 
-def validate_order(n: int, leq_pairs):
-    """Check partial-order axioms and bounds.
-
-    Returns ``(None, below, above)`` on a pass, where ``below[x]`` is the
+def _order_masks(n: int, leq_pairs):
+    """``(below, above)`` of a bounded partial order: ``below[x]`` is the
     bitmask of {z : z <= x} and ``above[x]`` that of {z : x <= z}, both
-    including x; else ``(report, None, None)`` for the first violated axiom.
+    including x.  Raises LatticeAxiomError for the first violated axiom.
     """
     if n < 1:
-        return LatticeReport(False, "nonempty", ()), None, None
+        raise _order_error("nonempty", ())
     pairs = set((int(x), int(y)) for x, y in leq_pairs)
     for x, y in pairs:
         if not (0 <= x < n and 0 <= y < n):
@@ -56,7 +48,7 @@ def validate_order(n: int, leq_pairs):
     loops = set(x for x, y in pairs if x == y)
     if len(loops) < n:
         x = next(x for x in itertools.count() if x not in loops)
-        return LatticeReport(False, "reflexive", (x,)), None, None
+        raise _order_error("reflexive", (x,))
     below = [0] * n
     above = [0] * n
     for x, y in pairs:
@@ -64,7 +56,7 @@ def validate_order(n: int, leq_pairs):
         above[x] |= 1 << y
     for x, y in pairs:
         if x != y and (below[x] >> y) & 1:
-            return LatticeReport(False, "antisymmetric", (x, y)), None, None
+            raise _order_error("antisymmetric", (x, y))
     for x in range(n):
         # transitive: anything below a z below x must be below x
         acc = 0
@@ -81,13 +73,13 @@ def validate_order(n: int, leq_pairs):
                 for z in iter_bits(below[x])
                 if (below[z] >> w) & 1
             )
-            return LatticeReport(False, "transitive", (w, z, x)), None, None
+            raise _order_error("transitive", (w, z, x))
     full = (1 << n) - 1
     if not any(above[x] == full for x in range(n)):
-        return LatticeReport(False, "bottom-exists", ()), None, None
+        raise _order_error("bottom-exists", ())
     if not any(below[x] == full for x in range(n)):
-        return LatticeReport(False, "top-exists", ()), None, None
-    return None, below, above
+        raise _order_error("top-exists", ())
+    return below, above
 
 
 def _missing_meet_or_join(below, above):
@@ -113,39 +105,15 @@ def _missing_meet_or_join(below, above):
     return None
 
 
-def validate_lattice(n: int, leq_pairs) -> LatticeReport:
-    """Partial-order axioms, bounds, and existence of all meets and joins.
-
-    On a pass the report's ``lattice`` is the FiniteLattice over the masks
-    built here, so the order is not validated again.
-    """
-    bad, below, above = validate_order(n, leq_pairs)
-    if bad is not None:
-        return bad
-    missing = _missing_meet_or_join(below, above)
-    if missing is not None:
-        kind, pair = missing
-        return LatticeReport(False, kind + "-exists", pair)
-    lat = FiniteLattice.__new__(FiniteLattice)
-    lat._set_order(n, below, above)
-    return LatticeReport(True, lattice=lat)
-
-
 class BoundedPoset:
     """Validated partial order with bottom and top over elements 0..n-1."""
 
     def __init__(self, n: int, leq_pairs):
-        report, below, above = validate_order(n, leq_pairs)
-        if report is not None:
-            raise InvalidInputError(
-                "not a bounded partial order: %s %r" % (report.axiom, report.witness)
-            )
-        self._set_order(n, below, above)
-
-    def _set_order(self, n: int, below, above) -> None:
-        """Store the order masks and what every later question reads from
-        them: the bounds, ``rows[x]`` (the elements comparable to x, x itself
-        excluded), and the masks of the atoms and of the coatoms."""
+        """Decide the order axioms, then store the order masks and what every
+        later question reads from them: the bounds, ``rows[x]`` (the elements
+        comparable to x, x itself excluded), and the masks of the atoms and of
+        the coatoms.  A failed axiom raises LatticeAxiomError."""
+        below, above = _order_masks(n, leq_pairs)
         self.n = n
         self.below, self.above = below, above
         full = (1 << n) - 1
@@ -198,7 +166,9 @@ class FiniteLattice(BoundedPoset):
         missing = _missing_meet_or_join(self.below, self.above)
         if missing is not None:
             kind, pair = missing
-            raise InvalidInputError("not a lattice: pair %r lacks a %s" % (pair, kind))
+            raise LatticeAxiomError(
+                "not a lattice: pair %r lacks a %s" % (pair, kind), kind + "-exists", pair
+            )
 
 
 def check_length3(lat: FiniteLattice) -> bool:

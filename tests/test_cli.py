@@ -657,6 +657,71 @@ def test_lattice_verify_checks_double_cover_only_at_length_3(tmp_path, capsys):
     assert checks == [("lattice-axioms", True), ("length-3", False)]
 
 
+def _lattice_failure_inputs():
+    """(file name, n, pairs): one input per lattice axiom that can fail, in
+    the order the axioms are decided, then a pair out of range and TALL."""
+    swap = {1: 3, 2: 4, 3: 1, 4: 2}  # coatoms 1, 2 come first: a meet fails first
+    return [
+        ("nonempty", 0, []),
+        ("reflexive", 2, [(0, 0), (0, 1)]),
+        ("antisymmetric", 2, [(0, 0), (1, 1), (0, 1), (1, 0)]),
+        ("transitive", 3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)]),
+        ("bottom-exists", 2, [(0, 0), (1, 1)]),
+        ("top-exists", 3, [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2)]),
+        ("join-exists", 6, K22_POSET),
+        ("meet-exists", 6, [(swap.get(x, x), swap.get(y, y)) for x, y in K22_POSET]),
+        ("out-of-range", 2, [(0, 0), (1, 1), (0, 2)]),
+        ("tall", 7, TALL),
+    ]
+
+
+def _lattice_failure_digests():
+    """SHA-256 of exit code, stdout and stderr of ``lattice verify`` and of
+    ``lattice fences --target 1``, per input."""
+    digests = {}
+    for name, n, pairs in _lattice_failure_inputs():
+        path = name + ".json"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(formats.lattice_to_json(n, pairs, range(n)))
+        for sub, extra in (("verify", []), ("fences", ["--target", "1"])):
+            code, out, err = _run_isolated(["lattice", sub, "--lattice", path] + extra)
+            digests[name, sub] = hashlib.sha256(
+                b"%d\0%s\0%s" % (code, out.encode(), err.encode())
+            ).hexdigest()
+    return digests
+
+
+# Each axiom's report on ``verify`` and its one-line error on ``fences``.
+PINNED_LATTICE_FAILURE_REPORTS = {
+    ('nonempty', 'verify'): "6ac94c8775b54e53e9a3b6548e4aca495198a913f27e586ce630e2fdb2e870a4",
+    ('nonempty', 'fences'): "d12c0a18d48f71492ad3f87a4afbc19e9806407c02782f7b027d733a5220c25b",
+    ('reflexive', 'verify'): "8c54e841242134f1ac354fffb03d7c4792b4e22f33d50ff0dfd6a13e64525c56",
+    ('reflexive', 'fences'): "13fd39f129a2a6e90fa4128fb69604662c1ae9a45435b6d380bd7eec17a1d63c",
+    ('antisymmetric', 'verify'): "8644c74a860e4eb34b1a23a108d6277fb3c826efdf098bb978482e2262f74be8",
+    ('antisymmetric', 'fences'): "c3c0b625b2b73f8fc8a5f0571a2bff280240df77334c038621d4bff011b3dabd",
+    ('transitive', 'verify'): "dd2e8a703174c804f7bdc5dbcbe7f8b2a55a62b53ca9b3a784bc20d350a65ea7",
+    ('transitive', 'fences'): "7f967a2f429baea9b95e9d04c1e91ef031d0834daad2b0a585a11312947fbc25",
+    ('bottom-exists', 'verify'): "470d0bbe3a2cc9a93a294ffd984d2d48e8438f2fa6cad6f0a8ca7f72f2509690",
+    ('bottom-exists', 'fences'): "7d076b311ade4d2ec21f7529f33591cbbba14b5aa49ea9f704a7a77d2d14e75c",
+    ('top-exists', 'verify'): "cd0eac156a5b4d989672ff910a75601c459bc30f3bedbea0f878a3436c0388af",
+    ('top-exists', 'fences'): "a4ec016479a44240efdc7faadf7d29957c84d47171c4e520e80b9d0626a41c94",
+    ('join-exists', 'verify'): "b024a115f15ab0ecd61c2693c74d645034629fea4b4db8167c078b3c2a3818ee",
+    ('join-exists', 'fences'): "cace2b2202c4c0fc96d3f813bcb4293178e8ea04f2486ca4b329f86e2d9f30fb",
+    ('meet-exists', 'verify'): "e3b493c82d25b917e6709b6eeb5d85dfdfdc823c4e30c0832ef3244c117512b5",
+    ('meet-exists', 'fences'): "090887017a464868ca9e98b0df32950f429afe8f5e026bbb209a323d0064fc5d",
+    ('out-of-range', 'verify'): "270453ff9bd3af004b170688e2bea70db10f42c7f839d99c4e0979cf929fd262",
+    ('out-of-range', 'fences'): "270453ff9bd3af004b170688e2bea70db10f42c7f839d99c4e0979cf929fd262",
+    ('tall', 'verify'): "619b8a565acdd0ede558e27cbdba2b2ebad7230923ad86d59e0bfa752f26ad75",
+    ('tall', 'fences'): "f1b8feb747cc6bb58798b9f03346db6eb0bea306e27bb04a7460094ae18bddb9",
+}
+
+
+def test_lattice_failure_reports_are_pinned(tmp_path, monkeypatch):
+    # reports echo the lattice path, so it is relative and the same every run
+    monkeypatch.chdir(tmp_path)
+    assert _lattice_failure_digests() == PINNED_LATTICE_FAILURE_REPORTS
+
+
 def _assert_internal_report(argv, message):
     code, out, err = _run_isolated(argv)
     assert (code, err) == (1, "")

@@ -348,6 +348,19 @@ def test_chordless4_found_on_plain_path():
     assert find_chordless_positions(s.rows, 4) == (0, 1, 2, 3)
 
 
+def test_stage_state_refuses_inconsistent_fields():
+    fields = dict(stage=1, k=3, coding=(1, 3), rows=(0b0010, 0b0101, 0b1010, 0b0100))
+    StageState(**fields)
+    for change, message in (
+        (dict(stage=0), "stage\\+1 entries"),
+        (dict(coding=(1, 2)), "must equal k"),
+        (dict(coding=(3, 3)), "strictly increasing"),
+        (dict(rows=fields["rows"][:3]), "one adjacency row per vertex"),
+    ):
+        with pytest.raises(InvalidInputError, match=message):
+            StageState(**fields | change)
+
+
 def test_find_chordless_4path_direct():
     # 4-cycle has no chordless 4-path
     rows = [0b1010, 0b0101, 0b1010, 0b0101]

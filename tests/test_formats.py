@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from chordlab.construction import run, seeded_injective
 from chordlab.errors import InvalidInputError
 from chordlab.formats import (
-    graph_from_json,
     graph_from_json_obj,
     graph_to_dot,
     graph_to_json,
@@ -35,7 +34,7 @@ def test_graph_round_trip_is_identity():
     rng = random.Random(1)
     for _ in range(50):
         g = random_graph(rng, rng.randint(1, 10), 0.4)
-        again = graph_from_json(graph_to_json(g))
+        again = graph_from_json_obj(json.loads(graph_to_json(g)))
         assert sorted(again.vertices) == sorted(g.vertices)
         assert again.edges() == g.edges()
         assert graph_to_json(again) == graph_to_json(g)
@@ -43,13 +42,13 @@ def test_graph_round_trip_is_identity():
 
 def test_graph_json_validation():
     with pytest.raises(InvalidInputError):
-        graph_from_json('{"vertices": [1, 0], "edges": []}')
+        graph_from_json_obj(json.loads('{"vertices": [1, 0], "edges": []}'))
     with pytest.raises(InvalidInputError):
-        graph_from_json('{"vertices": [0, 1], "edges": [[1, 0]]}')
+        graph_from_json_obj(json.loads('{"vertices": [0, 1], "edges": [[1, 0]]}'))
     with pytest.raises(InvalidInputError):
-        graph_from_json('{"vertices": [0, 1], "edges": [[0, 1], [0, 1]]}')
+        graph_from_json_obj(json.loads('{"vertices": [0, 1], "edges": [[0, 1], [0, 1]]}'))
     with pytest.raises(InvalidInputError):
-        graph_from_json('{"vertices": [0, 1], "edges": [[0, 2]]}')
+        graph_from_json_obj(json.loads('{"vertices": [0, 1], "edges": [[0, 2]]}'))
 
 
 @pytest.mark.parametrize("text", [
@@ -61,7 +60,7 @@ def test_graph_json_validation():
 ])
 def test_graph_json_rejects_non_integer_entries(text):
     with pytest.raises(InvalidInputError):
-        graph_from_json(text)
+        graph_from_json_obj(json.loads(text))
 
 
 def _load_outcome(load, obj):

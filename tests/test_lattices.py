@@ -1,13 +1,13 @@
 """Lattices: validation, closure ranks, derivation tree, fence extraction."""
 
 import random
-import re
 
 import pytest
 
 from chordlab.errors import (
     CoverageError,
     InvalidInputError,
+    LatticeAxiomError,
     StructuralError,
 )
 from chordlab.graphs import check_traceable
@@ -25,7 +25,6 @@ from chordlab.lattices import (
     pipeline_capacity,
     spurred_fence_lattice,
     validate_fence,
-    validate_lattice,
 )
 
 from oracles import (
@@ -53,22 +52,26 @@ def _k22_poset():
     return 6, pairs
 
 
+def _failed_axiom(n, pairs) -> LatticeAxiomError:
+    with pytest.raises(LatticeAxiomError) as exc:
+        FiniteLattice(n, pairs)
+    return exc.value
+
+
 def test_validate_lattice_examples():
-    assert validate_lattice(2, [(0, 0), (1, 1), (0, 1)]).ok
-    assert validate_lattice(4, DIAMOND).ok
+    FiniteLattice(2, [(0, 0), (1, 1), (0, 1)])
+    FiniteLattice(4, DIAMOND)
     n, pairs = _k22_poset()
-    report = validate_lattice(n, pairs)
-    assert not report.ok and report.axiom == "join-exists"
-    assert report.witness == (1, 2)
+    error = _failed_axiom(n, pairs)
+    assert error.axiom == "join-exists"
+    assert error.witness == (1, 2)
 
 
 def test_validate_lattice_rejects_broken_orders():
-    assert validate_lattice(2, [(0, 0), (0, 1)]).axiom == "reflexive"
-    assert (
-        validate_lattice(2, [(0, 0), (1, 1), (0, 1), (1, 0)]).axiom == "antisymmetric"
-    )
+    assert _failed_axiom(2, [(0, 0), (0, 1)]).axiom == "reflexive"
+    assert _failed_axiom(2, [(0, 0), (1, 1), (0, 1), (1, 0)]).axiom == "antisymmetric"
     pairs = [(x, x) for x in range(3)] + [(0, 1), (1, 2)]
-    assert validate_lattice(3, pairs).axiom == "transitive"
+    assert _failed_axiom(3, pairs).axiom == "transitive"
 
 
 def _random_order(rng, n):
@@ -141,19 +144,16 @@ def test_validate_lattice_matches_naive_oracle():
         orders.append((n, pairs + [(rng.randrange(n), rng.randrange(n))]))
     seen = set()
     for n, pairs in orders:
-        mine = validate_lattice(n, pairs)
         naive = naive_lattice_axioms(n, pairs)
-        assert mine.ok == (naive is None)
-        if not mine.ok:
-            assert mine.axiom == naive[0]
-            seen.add(mine.axiom)
-            if mine.axiom in ("meet-exists", "join-exists"):
-                assert mine.witness == naive[1]
-                with pytest.raises(InvalidInputError, match=re.escape(repr(naive[1]))):
-                    FiniteLattice(n, pairs)
-        else:
-            built = FiniteLattice(n, pairs)
-            assert vars(mine.lattice) == vars(built)
+        if naive is None:
+            FiniteLattice(n, pairs)
+            continue
+        error = _failed_axiom(n, pairs)
+        assert error.axiom == naive[0]
+        seen.add(error.axiom)
+        if error.axiom in ("meet-exists", "join-exists"):
+            assert error.witness == naive[1]
+            assert repr(naive[1]) in str(error)
     assert {"transitive", "meet-exists", "join-exists"} <= seen
 
 
@@ -176,10 +176,11 @@ def test_fence_extraction_rejects_a_lattice_longer_than_3():
 
 def test_validate_order_checks_pairs_before_sizing_tables():
     # a range error still comes first, and reflexivity needs no n-sized table
-    with pytest.raises(InvalidInputError):
-        validate_lattice(10**20, [(0, 0), (-1, 0)])
-    report = validate_lattice(10**20, [(0, 0), (1, 1), (0, 1)])
-    assert (report.axiom, report.witness) == ("reflexive", (2,))
+    with pytest.raises(InvalidInputError) as exc:
+        FiniteLattice(10**20, [(0, 0), (-1, 0)])
+    assert type(exc.value) is InvalidInputError  # not an axiom: the input is malformed
+    error = _failed_axiom(10**20, [(0, 0), (1, 1), (0, 1)])
+    assert (error.axiom, error.witness) == ("reflexive", (2,))
 
 
 def test_check_no_double_cover():
@@ -208,7 +209,6 @@ def test_random_length3_lattices_have_no_double_cover():
     rng = random.Random(77)
     for _ in range(50):
         n, pairs = random_length3_lattice(rng, 20)
-        assert validate_lattice(n, pairs).ok
         lat = FiniteLattice(n, pairs)
         assert check_length3(lat)
         assert check_no_double_cover(lat) is None
@@ -444,7 +444,7 @@ def test_fence_lattice_rank_cap_holds_for_every_generating_set():
 def test_spurred_fence_pipeline_reaches_every_target():
     for n in (5, 9, 13):
         lat, gens, fence = spurred_fence_lattice(n)
-        assert validate_lattice(lat.n, lat.leq_pairs()).ok
+        FiniteLattice(lat.n, lat.leq_pairs())  # its own pairs pass the axioms again
         assert check_length3(lat)
         assert check_no_double_cover(lat) is None
         table = closure_and_rank(lat, gens)
