@@ -9,8 +9,6 @@
 
 from .construction import (
     DecodeContext,
-    HistoryLemmaReport,
-    LemmaReport,
     StagedHistory,
     StageState,
     build_decode_context,

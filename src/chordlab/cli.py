@@ -49,11 +49,10 @@ def _finish(args, parameters: dict, results: dict, checks: list) -> int:
 def parse_f(spec: str):
     """Either an explicit comma list or ``seed:N,len:T`` for a seeded sequence."""
     if spec.startswith("seed:"):
+        seed_part, _, len_part = spec[len("seed:"):].partition(",len:")
         try:
-            seed_part, len_part = spec.split(",", 1)
-            seed = int(seed_part.split(":", 1)[1])
-            length = int(len_part.split(":", 1)[1])
-        except (ValueError, IndexError):
+            seed, length = int(seed_part), int(len_part)
+        except ValueError:
             raise ChordlabError("bad f spec %r; expected seed:N,len:T" % spec)
         return construction.seeded_injective(seed, length), {"seed": seed, "len": length}
     try:
@@ -121,15 +120,14 @@ def cmd_construct(args) -> int:
 def cmd_verify(args) -> int:
     f, f_echo = parse_f(args.f)
     history = construction.run(f, args.stages)
-    lemma_report = construction.check_history_lemmas(history)
+    witnesses = construction.check_history_lemmas(history)
     checks = []
-    for name in construction.LEMMA_NAMES:
+    for i, name in enumerate(construction.LEMMA_NAMES):
         first = next(
             (
-                {"stage": report.stage, "witness": list(check.witness)}
-                for report in lemma_report.stage_reports
-                for check in report.checks
-                if check.name == name and not check.passed
+                {"stage": s, "witness": list(stage[i])}
+                for s, stage in enumerate(witnesses)
+                if stage[i] is not None
             ),
             None,
         )

@@ -164,12 +164,18 @@ class StagedHistory:
     def final_coding(self):
         return self._snapshots[-1][1]
 
+    def _snapshot(self, s: int):
+        """``(k, coding)`` of stage ``s``; InvalidInputError unless 0 <= s <= stages."""
+        if not 0 <= s <= self.stages:
+            raise InvalidInputError("stage %d outside 0..%d" % (s, self.stages))
+        return self._snapshots[s]
+
     def coding_at(self, s: int):
-        return self._snapshots[s][1]
+        return self._snapshot(s)[1]
 
     def state(self, s: int) -> StageState:
         """Materialize stage ``s``; the final table restricted to ``0..k_s``."""
-        k, coding = self._snapshots[s]
+        k, coding = self._snapshot(s)
         mask = _bits_through(k)
         return StageState(
             stage=s,
@@ -179,14 +185,13 @@ class StagedHistory:
         )
 
     def final_graph(self) -> Graph:
-        return self.state(self.stages).graph()
+        """The final graph, wrapping the history's own rows."""
+        return Graph.from_rows(self._rows)
 
     def stage_trace(self, s: int) -> dict:
         """Stage summary: new vertex span, coding list, edges added at ``s``."""
-        if s == 0:
-            return {"stage": 0, "k": 0, "coding": [0], "new_edges": []}
-        prev_k = self._snapshots[s - 1][0]
-        k, coding = self._snapshots[s]
+        k, coding = self._snapshot(s)
+        prev_k = self._snapshots[s - 1][0] if s else -1
         new_edges = []
         for v in range(prev_k + 1, k + 1):
             for x in iter_bits(self._rows[v] & _bits_below(v)):
@@ -207,9 +212,12 @@ MAX_SEEDED_LENGTH = 10**6
 def seeded_injective(seed: int, length: int):
     """Deterministic injective sequence: a seeded permutation of 0..length-1.
 
-    A length above ``MAX_SEEDED_LENGTH`` raises ResourceLimitError before
-    anything is allocated.
+    A negative length raises InvalidInputError, and one above
+    ``MAX_SEEDED_LENGTH`` raises ResourceLimitError, before anything is
+    allocated.
     """
+    if length < 0:
+        raise InvalidInputError("seeded f length must be natural, got %d" % length)
     if length > MAX_SEEDED_LENGTH:
         raise ResourceLimitError(
             "seeded f length %d exceeds the limit of %d" % (length, MAX_SEEDED_LENGTH)
@@ -223,26 +231,6 @@ def seeded_injective(seed: int, length: int):
 # Per-stage invariant checks, decided per block
 
 LEMMA_NAMES = ("greatest", "codeconnection", "tracing", "components", "goup")
-
-
-@dataclass(frozen=True)
-class LemmaCheck:
-    name: str
-    passed: bool
-    witness: tuple | None = None
-
-
-@dataclass(frozen=True)
-class LemmaReport:
-    stage: int
-    checks: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
 
 
 def _low(mask: int) -> int:
@@ -294,44 +282,13 @@ def _least(best, verdict):
     )
 
 
-def _consecutive_edges(rows, k: int) -> int:
-    """Mask whose bit d is set iff (d, d+1) is an edge, for d < k."""
-    consec = 0
-    for d in range(k):
-        if (rows[d] >> (d + 1)) & 1:
-            consec |= 1 << d
-    return consec
-
-
-def _stage_report(stage: int, least, consec: int, k: int) -> LemmaReport:
-    """Report from the least block witnesses and the consecutive-edge mask."""
-    missing = ~consec & _bits_below(k)
-    tracing = (_low(missing), _low(missing) + 1) if missing else None
-    witnesses = least[:2] + (tracing,) + least[2:]
-    return LemmaReport(
-        stage=stage,
-        checks=tuple(
-            LemmaCheck(name, w is None, w) for name, w in zip(LEMMA_NAMES, witnesses)
-        ),
-    )
-
-
-@dataclass(frozen=True)
-class HistoryLemmaReport:
-    stage_reports: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.stage_reports)
-
-
-def check_history_lemmas(history: StagedHistory) -> HistoryLemmaReport:
+def check_history_lemmas(history: StagedHistory) -> tuple:
     """Check all five invariants at every stage of a history.
 
-    Each lemma reports, per stage, the lexicographically least witness over
-    the stage's blocks; failures are report content, not exceptions, and a
-    failure on an unaltered history indicates a construction bug.  Rows must
-    be symmetric.
+    Returns one tuple per stage holding, in ``LEMMA_NAMES`` order, each
+    lemma's lexicographically least witness over the stage's blocks, or None
+    where it holds; failures are results, not exceptions, and a failure on an
+    unaltered history indicates a construction bug.  Rows must be symmetric.
 
     A dump replaces only a suffix of the blocks, so a block keeps its index,
     its span and the coding vertices below it while it exists, and its
@@ -342,9 +299,11 @@ def check_history_lemmas(history: StagedHistory) -> HistoryLemmaReport:
     """
     rows = history._rows
     consumed = history.consumed
-    consec = _consecutive_edges(rows, history.final_k)
+    # The least d with no edge (d, d + 1); the path 0..k_s is traced iff k_s <= gap.
+    final_k = history.final_k
+    gap = next((d for d in range(final_k) if not (rows[d] >> (d + 1)) & 1), final_k)
     meets, unions, lowers, least = [], [], [], []  # per live block
-    reports = []
+    witnesses = []
     first_new = 0
     for s, (k, coding) in enumerate(history._snapshots):
         # Blocks n..s are new at stage s; block n absorbs the old blocks n..s-1.
@@ -367,9 +326,10 @@ def check_history_lemmas(history: StagedHistory) -> HistoryLemmaReport:
             lowers.append(lower)
             least.append(best)
             lower |= 1 << c
-        reports.append(_stage_report(s, best, consec, k))
+        tracing = (gap, gap + 1) if gap < k else None
+        witnesses.append(best[:2] + (tracing,) + best[2:])
         first_new = k + 1
-    return HistoryLemmaReport(stage_reports=tuple(reports))
+    return tuple(witnesses)
 
 
 def history_has_no_chordless4(history: StagedHistory) -> bool:

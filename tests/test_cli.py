@@ -262,6 +262,54 @@ def test_rederived_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     assert _rederived_report_digests(capsys) == PINNED_REDERIVED_REPORTS
 
 
+# Vertex pairs toggled in the rows of run([5, 0, 7, 1], 4), whose final blocks
+# are [0, 1, 2], [3, 4, 5, 6], [7], [8], [9]: one planted failure per lemma,
+# and one toggle set that fails two lemmas at once.
+PLANTED_VERIFY_TOGGLES = {
+    "greatest": [(4, 6)],
+    "codeconnection": [(6, 8)],
+    "tracing": [(0, 1)],
+    "components": [(1, 7), (0, 8)],
+    "goup": [(2, 4)],
+    "components+goup": [(0, 4), (0, 5), (0, 6)],
+}
+
+
+def _failing_verify_digests(capsys, monkeypatch):
+    """SHA-256 of the exit code and stdout of ``verify`` on each planted
+    history; a toggle can fail other lemmas at earlier stages too."""
+    real_run = construction.run
+    digests = {}
+    for key, toggles in PLANTED_VERIFY_TOGGLES.items():
+        def planted(f, stages, toggles=toggles):
+            history = real_run(f, stages)
+            for x, y in toggles:
+                history._rows[x] ^= 1 << y
+                history._rows[y] ^= 1 << x
+            return history
+
+        monkeypatch.setattr(construction, "run", planted)
+        code, out = run_cli(capsys, "verify", "--f", "5,0,7,1", "--stages", "4")
+        assert code == 1, key
+        digests[key] = hashlib.sha256(b"%d\0%s" % (code, out.encode())).hexdigest()
+    return digests
+
+
+# The first failing stage and witness of each lemma, as verify reports them.
+PINNED_FAILING_VERIFY_REPORTS = {
+    "greatest": "f33b8cf2d09d0ece35e231096d8edbcd8294e74d434d7cd261d2adb261c81261",
+    "codeconnection": "9b0d16d893f62a8b591081a3663bac3024367b655785f9b45d06e2678f7c7294",
+    "tracing": "869fb059a34b03319119ca8194a384b1b1d9a425266431dd4fb7ea319a6cd9d1",
+    "components": "7df6d19ff6c41f94882a07aa15bba33ea2e81f47781e40d3d497588bfb459eef",
+    "goup": "2ad2f0d841ae04de13a12c81479a444d939d210c723ccf056e5aa7e1d0439e10",
+    "components+goup": "4b102775bd9cc3e34f3ef03a247e39c19642a89ceed73ba2ffe5eba68406dfa9",
+}
+
+
+def test_failing_verify_reports_are_pinned(capsys, monkeypatch):
+    assert _failing_verify_digests(capsys, monkeypatch) == PINNED_FAILING_VERIFY_REPORTS
+
+
 def test_decode_command(capsys):
     code, out = run_cli(
         capsys,
@@ -355,6 +403,18 @@ def test_huge_seeded_length_fails_before_allocating(tmp_path, capsys):
     assert_input_error(capsys, ["construct", "--f", spec, "--stages", "2",
                                 "--out", str(tmp_path / "g.json")])
     assert not (tmp_path / "g.json").exists()
+
+
+def test_seeded_spec_with_a_second_key_other_than_len_exits_2(capsys):
+    assert_input_error(capsys, ["verify", "--f", "seed:1,xyz:5", "--stages", "2"])
+    assert main(["verify", "--f", "seed:1,len:5", "--stages", "2"]) == 0
+
+
+def test_negative_seeded_length_exits_2(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    assert_input_error(capsys, ["construct", "--f", "seed:1,len:-5", "--stages", "0",
+                                "--out", str(out)])
+    assert not out.exists()
 
 
 def test_oversized_construction_fails_before_building(tmp_path, capsys):

@@ -96,12 +96,19 @@ def test_every_stage_is_traceable():
         assert check_traceable(h.state(s).graph())
 
 
+def _failed(witnesses):
+    """The failing lemmas of one stage's witness tuple, by name, in order."""
+    pairs = zip(LEMMA_NAMES, witnesses, strict=True)
+    return {name: w for name, w in pairs if w is not None}
+
+
 def test_stage_lemmas_match_naive_oracle():
     for seed in range(10):
         h = run(seeded_injective(seed, 14), 14)
-        reports = check_history_lemmas(h).stage_reports
+        witnesses = check_history_lemmas(h)
+        assert len(witnesses) == 15
         for s in range(15):
-            assert reports[s].ok
+            assert _failed(witnesses[s]) == {}
             assert naive_stage_lemmas(h.state(s)) == []
 
 
@@ -121,16 +128,14 @@ def test_history_checker_equals_per_stage_checker():
         h = run(seeded_injective(seed, T), T)
         if seed >= 10:
             _toggle_pairs(h._rows, rng, rng.randint(1, 3))
-        hist = check_history_lemmas(h)
-        for s, report in enumerate(hist.stage_reports):
-            assert report.stage == s
-            assert tuple(c.name for c in report.checks) == LEMMA_NAMES
-            assert all(c.passed == (c.witness is None) for c in report.checks)
-            failed = {c.name: c.witness for c in report.failures()}
+        witnesses = check_history_lemmas(h)
+        assert len(witnesses) == T + 1
+        for s, stage in enumerate(witnesses):
+            failed = _failed(stage)
             assert failed == least_failures(naive_stage_lemmas(h.state(s)))
             failing += bool(failed)
         if seed < 10:
-            assert hist.ok
+            assert all(w is None for stage in witnesses for w in stage)
     assert failing > 100
 
 
@@ -153,8 +158,7 @@ def test_history_checker_reports_the_least_witness_per_lemma():
         for x, y in toggles:
             h._rows[x] ^= 1 << y
             h._rows[y] ^= 1 << x
-        report = check_history_lemmas(h).stage_reports[4]
-        assert [(c.name, c.witness) for c in report.failures()] == failures
+        assert list(_failed(check_history_lemmas(h)[4]).items()) == failures
         assert least_failures(naive_stage_lemmas(h.state(4))) == dict(failures)
 
 
@@ -193,10 +197,9 @@ def test_adversarial_state_fails_codeconnection():
     c0, c1 = h.final_coding[0], h.final_coding[1]
     h._rows[c0] &= ~(1 << c1)
     h._rows[c1] &= ~(1 << c0)
-    report = check_history_lemmas(h).stage_reports[2]
-    failed = {c.name for c in report.failures()}
-    assert "codeconnection" in failed
-    assert report.checks[1].witness == (c0, c1)
+    failed = _failed(check_history_lemmas(h)[2])
+    assert failed["codeconnection"] == (c0, c1)
+    assert failed == least_failures(naive_stage_lemmas(h.state(2)))
 
 
 def test_stage2_components_cross_block_edges_only_from_coding():
@@ -558,6 +561,24 @@ def test_stage_trace():
     assert t["new_edges"] == [[0, 2], [1, 2], [2, 3], [2, 4], [3, 4]]
 
 
+def test_stage_accessors_reject_stages_outside_the_run():
+    h = run([5, 0, 7, 1], 4)
+    for s in (-1, 5, 10**6):
+        for accessor in (h.coding_at, h.state, h.stage_trace):
+            with pytest.raises(InvalidInputError):
+                accessor(s)
+    assert h.coding_at(4) == h.final_coding == h.state(4).coding
+    assert h.coding_at(0) == (0,) and h.stage_trace(4)["k"] == h.final_k
+
+
+def test_final_graph_shares_the_history_rows():
+    h = run(seeded_injective(5, 20), 20)
+    g = h.final_graph()
+    assert min(h._rows) > 256  # past the small-int cache, so a copy is a new object
+    assert all(a is b for a, b in zip(g.rows, h._rows, strict=True))
+    assert g.edges() == h.state(20).graph().edges()
+
+
 def test_seeded_injective_is_deterministic_permutation():
     a = seeded_injective(5, 50)
     assert a == seeded_injective(5, 50)
@@ -568,3 +589,5 @@ def test_seeded_injective_bounds_the_length_before_allocating():
     assert sorted(seeded_injective(1, MAX_SEEDED_LENGTH)) == list(range(MAX_SEEDED_LENGTH))
     with pytest.raises(ResourceLimitError):
         seeded_injective(1, 10**12)
+    with pytest.raises(InvalidInputError):
+        seeded_injective(1, -5)
