@@ -8,6 +8,7 @@ recorded in the parameter echo.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -22,19 +23,23 @@ SCHEMA_VERSION = 1
 def _echo(args, **parsed) -> dict:
     """The parameter echo: each option as argparse read it, or as ``parsed``
     gives it for an option the command parses further."""
-    skip = ("command", "lattice_command", "func")
+    skip = ("command", "lattice_command")
     return {name: v for name, v in vars(args).items() if name not in skip} | parsed
 
 
+def _command(args) -> str:
+    """The command ``args`` names, ``lattice-<sub>`` for a lattice subcommand."""
+    if args.command == "lattice":
+        return "lattice-" + args.lattice_command
+    return args.command
+
+
 def _finish(args, parameters: dict, results: dict, checks: list) -> int:
-    """Print the report of the command ``args`` ran (``lattice-<sub>`` for a
-    lattice subcommand); the exit code is 0 when every check passed, else 1."""
-    command = args.command
-    if command == "lattice":
-        command += "-" + args.lattice_command
+    """Print the report of the command ``args`` ran; the exit code is 0 when
+    every check passed, else 1."""
     report = {
         "schema": SCHEMA_VERSION,
-        "command": command,
+        "command": _command(args),
         "parameters": parameters,
         "results": results,
         "checks": [
@@ -55,17 +60,18 @@ def parse_f(spec: str):
         except ValueError:
             raise ChordlabError("bad f spec %r; expected seed:N,len:T" % spec)
         return construction.seeded_injective(seed, length), {"seed": seed, "len": length}
-    try:
-        values = tuple(int(tok) for tok in spec.split(",") if tok != "")
+    try:  # an empty spec is the empty sequence; an empty token is an error
+        values = tuple(int(tok) for tok in spec.split(",")) if spec else ()
     except ValueError:
         raise ChordlabError("bad f spec %r; expected comma-separated naturals" % spec)
     return values, {"values": list(values)}
 
 
 def parse_query(spec: str):
-    """Comma-separated integers, as ``decode --query`` takes them."""
+    """Comma-separated integers, as ``decode --query`` takes them; an empty
+    spec is the empty list."""
     try:
-        return [int(tok) for tok in spec.split(",") if tok != ""]
+        return [int(tok) for tok in spec.split(",")] if spec else []
     except ValueError:
         raise ChordlabError("bad query %r; expected comma-separated integers" % spec)
 
@@ -290,7 +296,11 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(2)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and returned by every later
+    one; parsing does not change it, so one parser serves every run of a
+    process, and no caller may change it either."""
     parser = _Parser(
         prog="chordlab",
         description="Staged graph constructions, the finite K22/chordless-path "
@@ -304,50 +314,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output graph JSON path")
     p.add_argument("--dot", help="also write a DOT rendering")
     p.add_argument("--trace-stages", action="store_true")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("verify", help="check per-stage invariants of a run")
     p.add_argument("--f", required=True)
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--exhaustive-chordless", action="store_true")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decode", help="decode value membership from an embedding")
     p.add_argument("--f", required=True)
     p.add_argument("--stages", type=int, required=True)
     p.add_argument("--pattern", required=True, help="A:k or Kkk:k")
     p.add_argument("--query", required=True, help="comma list of values")
-    p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("dichotomy", help="chordless n-path or K22 copy")
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--witness", help="write the witness JSON here")
-    p.set_defaults(func=cmd_dichotomy)
 
     p = sub.add_parser("mn-search", help="exact m(n) threshold search")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-size", type=int, required=True)
     p.add_argument("--report", required=True)
-    p.set_defaults(func=cmd_mn_search)
 
     p = sub.add_parser("pipeline", help="table, coloring, homogeneous search, extraction")
     p.add_argument("--graph", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_pipeline)
 
     lat = sub.add_parser("lattice", help="lattice validation and fence search")
     lat_sub = lat.add_subparsers(dest="lattice_command", required=True)
 
     p = lat_sub.add_parser("verify", help="axioms, length-3, double-cover scan")
     p.add_argument("--lattice", required=True)
-    p.set_defaults(func=cmd_lattice_verify)
 
     p = lat_sub.add_parser("fences", help="extract a fence through the tree pipeline")
     p.add_argument("--lattice", required=True)
     p.add_argument("--target", type=int, required=True)
     p.add_argument("--dot", help="write the Hasse diagram DOT here")
-    p.set_defaults(func=cmd_lattice_fences)
 
     return parser
 
@@ -359,7 +361,8 @@ def main(argv=None) -> int:
         for name, value in vars(args).items():
             if isinstance(value, list):  # argparse in Python 3.11 reads --x=-- as []
                 raise ChordlabError("bad value for --%s" % name.replace("_", "-"))
-        return args.func(args)
+        # looked up by name on each run, so that a patched cmd_* is what runs
+        return globals()["cmd_" + _command(args).replace("-", "_")](args)
     except StructuralError as exc:
         error = str(exc)
         return _finish(args, {}, {"error": error}, [("internal", False, error)])

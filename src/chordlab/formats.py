@@ -176,9 +176,15 @@ def lattice_from_json_obj(obj):
     n = _int_entry(obj["n"], "lattice JSON n")
     pairs = []
     for pair in _json_list(obj["leq"]):
-        if not isinstance(pair, list) or len(pair) != 2:
+        # the exact-type tests pass every well-formed entry without isinstance
+        if type(pair) is not list and not isinstance(pair, list) or len(pair) != 2:
             raise InvalidInputError("lattice JSON leq entry must be a pair: %r" % (pair,))
-        pairs.append(tuple(_int_entry(x, "lattice JSON element") for x in pair))
+        x, y = pair
+        if type(x) is not int:
+            x = _int_entry(x, "lattice JSON element")
+        if type(y) is not int:
+            y = _int_entry(y, "lattice JSON element")
+        pairs.append((x, y))
     gens = obj.get("generators")
     if gens is not None:
         gens = tuple(_int_entry(g, "lattice JSON generator") for g in _json_list(gens))

@@ -105,6 +105,31 @@ def _missing_meet_or_join(below, above):
     return None
 
 
+def _length3_missing_meet_or_join(poset):
+    """``_missing_meet_or_join``'s answer on a length-3 order, by the K22
+    kernel instead of the pairwise scan.
+
+    Below a coatom lie only bottom and atoms, so the common lower bounds of
+    two coatoms are bottom and their common atoms: a meet exactly when they
+    share at most one atom.  Every other pair has a meet, since an atom's
+    down-set is bottom and itself.  Dually, only two atoms under two common
+    coatoms lack a join, so a missing meet and a missing join come together,
+    as one K22 read from either side.  ``find_k22`` returns the least pair of
+    each kind, and the lesser of the two is the scan's first failing pair (no
+    pair lacks both; a tie would go to the meet, as in the scan).
+    """
+    meet = check_no_double_cover(poset)
+    if meet is None:
+        return None
+    atoms, coatoms = poset.atom_mask, poset.coatom_mask
+    join = find_k22(
+        [a & coatoms if (atoms >> x) & 1 else 0 for x, a in enumerate(poset.above)]
+    )
+    if join[2:] < meet[2:]:
+        return "join", join[2:]
+    return "meet", meet[2:]
+
+
 class BoundedPoset:
     """Validated partial order with bottom and top over elements 0..n-1."""
 
@@ -163,7 +188,10 @@ class FiniteLattice(BoundedPoset):
 
     def __init__(self, n: int, leq_pairs):
         super().__init__(n, leq_pairs)
-        missing = _missing_meet_or_join(self.below, self.above)
+        if check_length3(self):
+            missing = _length3_missing_meet_or_join(self)
+        else:
+            missing = _missing_meet_or_join(self.below, self.above)
         if missing is not None:
             kind, pair = missing
             raise LatticeAxiomError(

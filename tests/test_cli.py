@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chordlab import construction, formats, lattices, ramsey
-from chordlab.cli import main
+from chordlab import cli, construction, formats, lattices, ramsey
+from chordlab.cli import build_parser, main
 from chordlab.construction import seeded_injective
 from chordlab.errors import InvalidInputError, ResourceLimitError, StructuralError
 from chordlab.graphs import K22, Graph, complete_graph, path_graph, pattern_graph
@@ -572,6 +572,68 @@ def test_usage_errors_are_one_json_line(capsys):
         assert len(lines) == 1 and "error" in json.loads(lines[0])
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--f", "5,,0,", "--stages", "2"],
+    ["verify", "--f", "5,0,", "--stages", "2"],
+    ["construct", "--f", ",5,0", "--stages", "2", "--out", "g.json"],
+    ["decode", "--f", "seed:2,len:30", "--stages", "30", "--pattern", "A:4",
+     "--query", "0,,1"],
+])
+def test_empty_tokens_in_an_explicit_list_exit_2(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert_input_error(capsys, argv)
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_an_empty_list_is_the_empty_sequence(capsys):
+    code, out = run_cli(capsys, "verify", "--f", "", "--stages", "0")
+    assert code == 0
+    assert last_json(out)["parameters"]["f"] == {"values": []}
+    code, out = run_cli(capsys, "decode", "--f", "seed:2,len:30", "--stages", "30",
+                        "--pattern", "A:4", "--query", "")
+    assert code == 0
+    report = last_json(out)
+    assert report["parameters"]["query"] == [] and report["results"]["queries"] == []
+
+
+def test_the_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_a_usage_error_leaves_the_parser_reusable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--f", "5,0", "--stages", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out = run_cli(capsys, "verify", "--f", "5,0", "--stages", "2")
+    assert code == 0
+    report = last_json(out)
+    assert report["command"] == "verify"
+    assert report["parameters"] == {
+        "exhaustive_chordless": False, "f": {"values": [5, 0]}, "stages": 2,
+    }
+    assert all(c["pass"] for c in report["checks"])
+
+
+def test_an_option_does_not_carry_over_to_the_next_run(tmp_path, capsys):
+    out_path, dot = str(tmp_path / "g.json"), str(tmp_path / "g.dot")
+    argv = ["construct", "--f", "5,0", "--stages", "2", "--out", out_path]
+    code, out = run_cli(capsys, *argv, "--dot", dot)
+    assert code == 0 and last_json(out)["parameters"]["dot"] == dot
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and last_json(out)["parameters"]["dot"] is None
+
+
+def test_main_runs_a_patched_command(monkeypatch):
+    build_parser()  # built before the patch, as in any later run
+    ran = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: ran.append(args.f) or 7)
+    monkeypatch.setattr(cli, "cmd_lattice_verify", lambda args: ran.append(args.lattice) or 8)
+    assert main(["verify", "--f", "5,0", "--stages", "2"]) == 7
+    assert main(["lattice", "verify", "--lattice", "x.json"]) == 8
+    assert ran == ["5,0", "x.json"]
+
+
 # bottom 0, atoms 1 and 2, their join 3, coatoms 4 and 5 above 3, top 6
 TALL = (
     [(x, x) for x in range(7)] + [(0, x) for x in range(1, 7)] + [(x, 6) for x in range(6)]
@@ -780,6 +842,67 @@ def test_lattice_failure_reports_are_pinned(tmp_path, monkeypatch):
     # reports echo the lattice path, so it is relative and the same every run
     monkeypatch.chdir(tmp_path)
     assert _lattice_failure_digests() == PINNED_LATTICE_FAILURE_REPORTS
+
+
+def _malformed_leq_entries():
+    """(file name, leq list): the diamond's relation with one entry made
+    malformed, and two with two malformed entries, to pin which comes first."""
+    diamond = [[x, y] for x, y in [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2),
+                                   (0, 3), (1, 3), (2, 3)]]
+    entries = {
+        "bool-first": [True, 1],
+        "bool-second": [0, False],
+        "float": [0, 1.0],
+        "string": ["0", 1],
+        "float-and-string": [1.5, "x"],
+        "triple": [0, 1, 3],
+        "single": [0],
+        "number": 5,
+        "null": None,
+        "object": {"x": 0},
+        "text": "01",
+    }
+    cases = [(name, diamond[:4] + [entry] + diamond[4:]) for name, entry in entries.items()]
+    cases.append(("bool-before-triple", diamond[:4] + [[0, True], [0, 1, 3]] + diamond[4:]))
+    cases.append(("triple-before-bool", diamond[:4] + [[0, 1, 3], [0, True]] + diamond[4:]))
+    return cases
+
+
+def _malformed_leq_digests():
+    """SHA-256 of the exit code, stdout and stderr of ``lattice verify``, per input."""
+    digests = {}
+    for name, leq in _malformed_leq_entries():
+        path = name + ".json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({"n": 4, "leq": leq}, fh)
+        code, out, err = _run_isolated(["lattice", "verify", "--lattice", path])
+        digests[name] = hashlib.sha256(
+            b"%d\0%s\0%s" % (code, out.encode(), err.encode())
+        ).hexdigest()
+    return digests
+
+
+# Each malformed entry's one-line error on ``lattice verify``, exit 2.
+PINNED_MALFORMED_LEQ_REPORTS = {
+    'bool-first': "da466a3bf9214f26af81fafb23cf44d96fc2f047c0f82ef2c8e972ca5750af57",
+    'bool-second': "c56b6e3b280d046b5bd8620555c6bf265f3fdd34e2fc5e40d469c2262048d70b",
+    'float': "3cc857488419259066fdd068f5e4c4f409d0cfe141229e403e5e50fbfb6805a6",
+    'string': "ff6f5aa6e739f5a1d8c837759f95bd2d879ee5f23dbf3a4d8f144a623241a88d",
+    'float-and-string': "a87d2768cea182673e8ca37d5fc9e95235bd684303281442ab0f616383c37652",
+    'triple': "6f2932ba79da11c3f895568a733035f10e47638d916d471268468b29c3b50672",
+    'single': "32711eee1dbd558fdc2dad924275ab47ef8eb53afa2deff51c3161a3a734103f",
+    'number': "75eade2ca49e971e3526ab37e3e27b9a90754803f8f96977b733e6a9f94207e1",
+    'null': "2cc9202e47c6443c4097ba27b77a8411fa35f895736a376da50ef49eb8beaba6",
+    'object': "beae533ef95969ee6bd401b32761578ae8b6b1dec279f505eed3fd7289f8f5ca",
+    'text': "0966fea8a59dbf3091a682a4b8287027cfa7f2c565c79482d8b50816cb1169cc",
+    'bool-before-triple': "da466a3bf9214f26af81fafb23cf44d96fc2f047c0f82ef2c8e972ca5750af57",
+    'triple-before-bool': "6f2932ba79da11c3f895568a733035f10e47638d916d471268468b29c3b50672",
+}
+
+
+def test_malformed_leq_entries_exit_2_with_pinned_errors(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _malformed_leq_digests() == PINNED_MALFORMED_LEQ_REPORTS
 
 
 def _assert_internal_report(argv, message):

@@ -14,6 +14,7 @@ from chordlab.graphs import check_traceable
 from chordlab.lattices import (
     BoundedPoset,
     FiniteLattice,
+    _missing_meet_or_join,
     build_tree,
     check_length3,
     check_no_double_cover,
@@ -155,6 +156,54 @@ def test_validate_lattice_matches_naive_oracle():
             assert error.witness == naive[1]
             assert repr(naive[1]) in str(error)
     assert {"transitive", "meet-exists", "join-exists"} <= seen
+
+
+def _random_length3_order(rng, inner):
+    """A bounded order on ``inner`` + 2 elements, relabelled at random, whose
+    inner elements are each low or high, with some low-high pairs related; an
+    element related to no other inner one is both an atom and a coatom."""
+    n = inner + 2
+    high = [rng.random() < 0.5 for _ in range(n)]
+    p = rng.choice([0.2, 0.4, 0.6])
+    pairs = {(x, x) for x in range(n)} | {(0, x) for x in range(n)}
+    pairs |= {(x, n - 1) for x in range(n)}
+    pairs |= {
+        (a, c)
+        for a in range(1, n - 1)
+        for c in range(1, n - 1)
+        if not high[a] and high[c] and rng.random() < p
+    }
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return n, sorted((perm[x], perm[y]) for x, y in pairs)
+
+
+def test_length3_axioms_by_k22_match_the_scan():
+    # the K22 route answers for every length-3 order; the pairwise scan and,
+    # on small orders, the triple-loop oracle must give the same (axiom, pair).
+    # Such an order that lacks a meet also lacks a join (two coatoms over two
+    # atoms are two atoms under two coatoms), so the lesser pair decides which
+    # one is reported, and both outcomes must occur.
+    rng = random.Random(23)
+    failed = []
+    shared = 0  # orders with an element that is both an atom and a coatom
+    for _ in range(2000):
+        n, pairs = _random_length3_order(rng, rng.randint(0, 12))
+        poset = BoundedPoset(n, pairs)
+        assert check_length3(poset)
+        scan = _missing_meet_or_join(poset.below, poset.above)
+        try:
+            FiniteLattice(n, pairs)
+            got = None
+        except LatticeAxiomError as exc:
+            got = (exc.axiom, exc.witness)
+        assert got == (None if scan is None else (scan[0] + "-exists", scan[1]))
+        if n <= 9:
+            assert got == naive_lattice_axioms(n, pairs)
+        failed.append(got and got[0])
+        shared += bool(poset.atom_mask & poset.coatom_mask)
+    assert min(failed.count(axiom) for axiom in (None, "meet-exists", "join-exists")) > 100
+    assert 100 < shared < 1900
 
 
 def test_check_length3():
