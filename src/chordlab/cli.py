@@ -99,16 +99,9 @@ def cmd_construct(args) -> int:
     f, f_echo = parse_f(args.f)
     history = construction.run(f, args.stages)
     final = history.final_graph()
-    formats.save_graph(final, args.out)
-    if args.dot:
-        try:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(formats.graph_to_dot(final))
-        except OSError:  # a failed run leaves no graph behind, but removes
-            # only a regular file: never a device such as /dev/null, nor a symlink
-            if os.path.isfile(args.out) and not os.path.islink(args.out):
-                os.remove(args.out)
-            raise
+    formats.save_graph(final, args.out)  # streamed row by row; a failed
+    if args.dot:  # write leaves neither file behind
+        formats.write_parts(args.dot, formats.graph_dot_parts(final), args.out)
     if args.trace_stages:
         for s in range(args.stages + 1):
             print(json.dumps(history.stage_trace(s), sort_keys=True))
@@ -276,8 +269,7 @@ def cmd_lattice_fences(args) -> int:
     lat = lattices.FiniteLattice(n, pairs)
     fence = lattices.find_fences(lat, gens, args.target)
     if args.dot:  # written only once the search has accepted its input
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(formats.lattice_to_dot(lat))
+        formats.write_parts(args.dot, [formats.lattice_to_dot(lat)])
     checks = []
     if fence is None:
         results = {"fence": None}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 from .errors import InvalidInputError
 from .graphs import Graph
@@ -35,62 +36,53 @@ def _json_list(value) -> list:
     return value
 
 
-def _json_block(items: str) -> str:
-    return "[" + items + "\n  ]" if items else "[]"
+def _edge_texts(g: Graph, close: str, head: str):
+    """Yield the edge text of ``g``, one string per vertex with larger neighbours.
 
-
-def _add_edges(parts: list, g: Graph, close: str, head: str) -> int:
-    """Append the edge text of ``g`` to ``parts``; return the number of edges.
-
-    Each edge (u, v) with u < v, in sorted order, adds two strings: ``close +
-    head % u`` (only ``head % u`` for the first edge) and the name of v.  The
-    last edge's ``close`` is left to the caller.  Each row's higher bits are
-    read once from its binary string, so no per-edge tuple or format is made,
-    and no per-row string either: on CPython 3.11 with glibc, freeing
-    thousands of row-sized strings left about 20 MB of heap resident after
-    writing a T=200 host.
-
-    A graph whose vertices do not ascend is first rebuilt in ascending order,
-    so that each row's higher bits are exactly its larger neighbours, in order.
+    Each edge (u, v) with u < v, in sorted order, is ``close + head % u`` and
+    the name of v; the first edge's ``close`` is stripped and the last one's
+    left to the caller.  The larger neighbours of row i come in a few runs of
+    consecutive positions, bounded by the set bits of ``x ^ (x << 1)`` for ``x
+    = row >> (i + 1)``: one ``bin`` string per row, one slice of names per run.
+    A graph whose vertices do not ascend is first rebuilt in ascending order.
     """
     verts = g.vertices
     if any(a > b for a, b in zip(verts, verts[1:])):
         g = Graph(sorted(verts), g.edges())
         verts = g.vertices
     names = list(map(str, verts))
-    first = len(parts)
-    append = parts.append
     sep = close + head
+    cut = len(close)
     for i, row in enumerate(g.rows):
-        base = i + 1
-        bits = bin(row >> base)[:1:-1]  # bits[j] is bit base + j of row
-        j = bits.find("1")
-        if j >= 0:
-            lead = sep % verts[i]
-            while j >= 0:
-                append(lead)
-                append(names[base + j])
-                j = bits.find("1", j + 1)
-    if len(parts) > first:
-        parts[first] = parts[first][len(close):]
-    return (len(parts) - first) // 2
+        x = row >> (i + 1)
+        if x:
+            bounds = bin(x ^ (x << 1))[:1:-1]  # a run starts or ends at i + 1 + j
+            row_names = [""]  # so that the join puts the lead before each name
+            s = bounds.find("1")
+            while s >= 0:
+                e = bounds.find("1", s + 1)
+                row_names += names[i + 1 + s:i + 1 + e]
+                s = bounds.find("1", e + 1)
+            yield (sep % verts[i]).join(row_names)[cut:]
+            cut = 0
+
+
+def graph_json_parts(g: Graph):
+    """Yield the text of ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``
+    for ``obj = {"edges": g.edges() as lists, "vertices": sorted vertices}``,
+    in parts of at most one row's edges."""
+    if any(g.rows):
+        yield '{\n  "edges": ['
+        yield from _edge_texts(g, "\n    ],", "\n    [\n      %d,\n      ")
+        yield "\n    ]\n  ]"
+    else:
+        yield '{\n  "edges": []'
+    vertices = ",".join(map("\n    %d".__mod__, sorted(g.vertices)))
+    yield ',\n  "vertices": %s\n}\n' % ("[%s\n  ]" % vertices if vertices else "[]")
 
 
 def graph_to_json(g: Graph) -> str:
-    """The graph as JSON, written directly and joined once.
-
-    The text is byte-identical to ``json.dumps(obj, sort_keys=True,
-    indent=2) + "\n"`` for ``obj = {"edges": [[u, v], ...], "vertices":
-    sorted vertices}`` with the edges of ``g.edges()``.
-    """
-    parts = ['{\n  "edges": [']
-    if _add_edges(parts, g, "\n    ],", "\n    [\n      %d,\n      "):
-        parts.append("\n    ]\n  ]")
-    else:
-        parts[0] = '{\n  "edges": []'
-    vertices = ",".join(map("\n    %d".__mod__, sorted(g.vertices)))
-    parts.append(',\n  "vertices": %s\n}\n' % _json_block(vertices))
-    return "".join(parts)
+    return "".join(graph_json_parts(g))
 
 
 def graph_from_json_obj(obj) -> Graph:
@@ -143,18 +135,35 @@ def load_graph(path) -> Graph:
     return graph_from_json_obj(_read_json(path))
 
 
+def write_parts(path, parts, *written) -> None:
+    """Write the strings ``parts`` to ``path`` as they come.  If that fails,
+    remove the ``written`` paths and, once opened, ``path``, but only regular
+    files: never a device such as /dev/full, nor a symlink."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            written += (path,)
+            fh.writelines(parts)
+    except OSError:
+        for done in written:
+            if os.path.isfile(done) and not os.path.islink(done):
+                os.remove(done)
+        raise
+
+
 def save_graph(g: Graph, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(graph_to_json(g))
+    write_parts(path, graph_json_parts(g))
+
+
+def graph_dot_parts(g: Graph):
+    """Yield the graph's DOT text in parts, at most one row's edges each."""
+    yield "graph G {\n"
+    yield from map("  %d;\n".__mod__, sorted(g.vertices))
+    yield from _edge_texts(g, ";\n", "  %d -- ")
+    yield ";\n}\n" if any(g.rows) else "}\n"
 
 
 def graph_to_dot(g: Graph) -> str:
-    parts = ["graph G {\n"]
-    parts += map("  %d;\n".__mod__, sorted(g.vertices))
-    if _add_edges(parts, g, ";\n", "  %d -- "):
-        parts.append(";\n")
-    parts.append("}\n")
-    return "".join(parts)
+    return "".join(graph_dot_parts(g))
 
 
 def lattice_to_json(n, leq_pairs, generators=None) -> str:
@@ -196,8 +205,7 @@ def load_lattice_candidate(path):
 
 
 def save_lattice(path, n, leq_pairs, generators=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(lattice_to_json(n, leq_pairs, generators))
+    write_parts(path, [lattice_to_json(n, leq_pairs, generators)])
 
 
 def lattice_to_dot(poset: BoundedPoset) -> str:

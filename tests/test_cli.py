@@ -1,11 +1,13 @@
 """Command-line interface: reports, exit codes, file outputs, determinism."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
 import os
 import random
+import stat
 import tempfile
 
 import pytest
@@ -704,6 +706,40 @@ def test_construct_leaves_no_graph_when_the_dot_cannot_be_written(tmp_path, caps
         with open(name, "rb") as fh:
             h.update(b"\0" + fh.read())
     assert h.hexdigest() == CONSTRUCT_DOT_RUN
+
+
+def _fails_after_first_part(parts):
+    """``parts`` that stop with a full disk after yielding their first chunk."""
+    def broken(g):
+        yield next(parts(g))
+        raise OSError(errno.ENOSPC, "No space left on device")
+    return broken
+
+
+@pytest.mark.parametrize("name", ["graph_json_parts", "graph_dot_parts"])
+def test_construct_removes_its_partial_files_when_a_write_fails(tmp_path, capsys,
+                                                               monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(formats, name, _fails_after_first_part(getattr(formats, name)))
+    assert_input_error(capsys, ["construct", "--f", "5,0", "--stages", "2",
+                                "--out", "g.json", "--dot", "x.dot"])
+    assert os.listdir() == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_writers_keep_a_device_they_could_not_fill(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["construct", "--f", "5,0", "--stages", "2"]
+    assert_input_error(capsys, argv + ["--out", "/dev/full"])
+    assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+    # a --dot on the device still removes the --out written before it
+    assert_input_error(capsys, argv + ["--out", "g.json", "--dot", "/dev/full"])
+    assert os.listdir() == [] and stat.S_ISCHR(os.stat("/dev/full").st_mode)
+    lat, gens = fence_lattice(5)
+    formats.save_lattice("lat.json", lat.n, lat.leq_pairs(), gens)
+    assert_input_error(capsys, ["lattice", "fences", "--lattice", "lat.json",
+                                "--target", "1", "--dot", "/dev/full"])
+    assert os.listdir() == ["lat.json"] and stat.S_ISCHR(os.stat("/dev/full").st_mode)
 
 
 def test_construct_refuses_a_dot_path_that_names_the_out_file(tmp_path, capsys,

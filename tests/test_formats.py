@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,8 +16,9 @@ from chordlab.formats import (
     lattice_from_json_obj,
     lattice_to_dot,
     lattice_to_json,
+    save_graph,
 )
-from chordlab.graphs import Graph, pattern_A, pattern_graph
+from chordlab.graphs import Graph, complete_graph, pattern_A, pattern_graph
 from chordlab.lattices import FiniteLattice, fence_lattice
 
 from oracles import (
@@ -84,11 +86,32 @@ def test_staged_hosts_are_written_and_read_as_the_oracles_do(stages):
     assert mine[:2] == (g.vertices, g.rows)
 
 
+def test_the_graph_writer_holds_one_row_at_a_time(tmp_path):
+    g = run(seeded_injective(7, 60), 60).final_graph()
+    path = tmp_path / "g.json"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        save_graph(g, path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size == 789_736 and path.read_text() == json_dumps_graph(g)
+    assert peak < size / 4
+
+
 @settings(max_examples=300, deadline=None)
 @given(g=graphs())
 @example(g=Graph([], []))
 @example(g=Graph([7], []))
 @example(g=Graph([9, 2, 5], [(9, 2), (5, 2)]))
+@example(g=complete_graph(7))  # each row is one run up to the top vertex
+# rows of alternating bits: every run has length 1
+@example(g=Graph(range(9), [(u, v) for u in range(9) for v in range(u + 1, 9, 2)]))
+@example(g=Graph(range(6), [(0, 1), (0, 4), (0, 5), (2, 5)]))  # gap, then a run to the end
+# vertices that do not ascend, with runs in the rebuilt rows
+@example(g=Graph([9, 3, 7, 1, 5], [(1, 3), (1, 5), (1, 9), (3, 7), (3, 9), (5, 7)]))
 def test_writers_match_the_oracles_on_any_vertex_order(g):
     assert g.edges() == sorted_edge_pairs(g)
     text = graph_to_json(g)
