@@ -98,10 +98,14 @@ class FourColoring:
     vertex of path(x, y) to the j-th vertex of path(u, v).  The color count
     is (n-1)^2 + 1.
 
-    ``masks[a, b, u]``, for every ascending triple with ``u < size - 1``, maps
-    each color to the bitmask of the v > u whose 4-subset (a, b, u, v) has
-    it.  ``assignment`` reads them as ``{4-subset: color}``, only for the tests
-    and perfbench's ``len(r.assignment)`` count of colored 4-subsets.
+    ``masks[a, b, u]``, for exactly the ascending triples with
+    ``u < size - 1``, maps each color present to the nonzero bitmask of the
+    v > u whose 4-subset (a, b, u, v) has it; the masks of a triple partition
+    the positions u+1..size-1.  Triples may share one dict, so the dicts are
+    read-only, and the order of the keys carries no meaning.  ``assignment``
+    reads the masks as ``{4-subset: color}`` in ``itertools.combinations``
+    order, only for the tests and perfbench's ``len(r.assignment)`` count of
+    colored 4-subsets.
     """
 
     n: int
@@ -134,10 +138,11 @@ class _QuadColors(Mapping):
         return itertools.combinations(range(self._size), 4)
 
 
-# 4-subsets one coloring may hold; hosts of up to 84 vertices fit.  Its color
-# masks take 20-40 bytes a 4-subset (tracemalloc peak: 5 MB at 43 vertices,
-# 48 MB on a random 84-vertex host, built in about 1 s), so the cap now bounds
-# time more than memory.
+# 4-subsets one coloring may hold; hosts of up to 84 vertices fit.  At n = 5 a
+# coloring takes 6 ms and 3.6 MB (tracemalloc peak) on the 43-vertex staged
+# host, 27-30 ms and 16-18 MB on the 69- and 72-vertex ones, 27 ms and 14 MB
+# on K84 and 44-82 ms and 22-38 MB on random 84-vertex hosts (2-CPU Xeon,
+# Python 3.11), so the cap bounds neither time nor memory tightly.
 MAX_COLORED_QUADS = 2_000_000
 
 
@@ -153,13 +158,16 @@ def _check_coloring_budget(size: int) -> None:
 def build_coloring(rows, paths, n: int) -> FourColoring:
     """Color every ascending 4-subset into per-triple color masks.
 
-    Each pair's part is built once: ``near[x, y]`` holds the rows of the first
-    n-1 vertices of path(x, y), each with its row of the shared (i, j) colors,
-    and ``ends[u]``, for each v > u in order, v's bit, the mask of the first
-    n-1 vertices of path(u, v) and a map from each one's bit to its index j.
-    A 4-subset's i is then the first near row that meets the far mask, and j
-    the index of the lowest bit it meets, which is the least j because paths
-    ascend.
+    The work runs a triple at a time, with every v > u at once as a bitmask.
+    For each u, ``first[a]`` lists pairs (j, f): f is the mask of the v whose
+    path(u, v) meets N(a) first at its j-th vertex, j < n - 1.  ``seen[a]`` is
+    the union of those f.  A triple (x, y, u) walks the first n-1 vertices of
+    path(x, y) in order, holding the mask ``left`` of the v not yet colored:
+    the i-th vertex a gives each ``f & left`` the color (i, j), then clears
+    ``seen[a]`` from ``left``.  What stays in ``left`` is residual.  Every
+    path(x, y) starts at x, so when ``seen[x]`` holds every v > u, all
+    (x, y, u) get one dict, shared read-only.  No color with an empty mask is
+    stored.
     """
     if n < 1:
         raise InvalidInputError("path length must be >= 1, got %d" % n)
@@ -167,27 +175,48 @@ def build_coloring(rows, paths, n: int) -> FourColoring:
     _check_coloring_budget(size)
     side = min(n - 1, size)  # no fixed path has more vertices than the host
     classes = [tuple((i, j) for j in range(side)) for i in range(side)]
-    near = {}
-    ends = [[] for _ in range(size)]
-    for u, v in itertools.combinations(range(size), 2):
-        head = paths[u, v][:side]
-        near[u, v] = [(rows[a], classes[i]) for i, a in enumerate(head)]
-        index = {1 << w: j for j, w in enumerate(head)}
-        ends[u].append((1 << v, sum(index), index))  # distinct bits: their sum is their OR
+    heads = {pair: path[:side] for pair, path in paths.items()}
     masks = {}
-    for x, y in itertools.combinations(range(size), 2):
-        head = near[x, y]
-        for u in range(y + 1, size - 1):
-            by_color = masks[x, y, u] = {}
-            for bit, mask, index in ends[u]:
-                for row, row_colors in head:
-                    hit = row & mask
-                    if hit:
-                        color = row_colors[index[hit & -hit]]
-                        break
-                else:
-                    color = RESIDUAL
-                by_color[color] = by_color.get(color, 0) | bit
+    for u in range(2, size - 1):
+        window = (1 << size) - (2 << u)  # bits u+1..size-1
+        below = (1 << u) - 1
+        groups = [{} for _ in range(side)]  # groups[j][w]: the v with w j-th on path(u, v)
+        for v in range(u + 1, size):
+            for j, w in enumerate(heads[u, v]):
+                groups[j][w] = groups[j].get(w, 0) | 1 << v
+        hits = [[0] * side for _ in range(u)]  # hits[a][j]: groups[j][w] over w in N(a)
+        for j, group in enumerate(groups):
+            for w, vs in group.items():
+                for a in iter_bits(rows[w] & below):
+                    hits[a][j] |= vs
+        first, seen = [], []
+        for row_hits in hits:
+            parts, cover = [], 0
+            for j, hit in enumerate(row_hits):
+                if hit & ~cover:
+                    parts.append((j, hit & ~cover))
+                    cover |= hit
+            first.append(parts)
+            seen.append(cover)
+        for x in range(u - 1):
+            if seen[x] == window:
+                shared = {classes[0][j]: f for j, f in first[x]}
+                for y in range(x + 1, u):
+                    masks[x, y, u] = shared
+                continue
+            for y in range(x + 1, u):
+                by_color = masks[x, y, u] = {}
+                left = window
+                for i, a in enumerate(heads[x, y]):
+                    if left & seen[a]:
+                        for j, f in first[a]:
+                            if f & left:
+                                by_color[classes[i][j]] = f & left
+                        left &= ~seen[a]
+                        if not left:
+                            break
+                if left:
+                    by_color[RESIDUAL] = left
     return FourColoring(n=n, size=size, masks=masks)
 
 

@@ -98,6 +98,37 @@ def dict_homogeneous_search(assignment, size, q):
     return (None if color is None else (tuple(chosen), color)), nodes
 
 
+def quadwise_coloring(rows, paths, n):
+    """``FourColoring`` of every ascending 4-subset, built one 4-subset at a time.
+
+    For each triple (x, y, u) and each v > u in turn, the 4-subset's i is the
+    first of the first n-1 vertices of path(x, y) whose row meets the first
+    n-1 vertices of path(u, v), and its j the index of the lowest vertex met,
+    the least because paths ascend; a 4-subset no row meets is residual.
+    """
+    size = len(rows)
+    side = min(n - 1, size)
+    far = {}  # (u, v) -> (mask of the first n-1 vertices of path(u, v), index of each)
+    for pair, path in paths.items():
+        index = {w: j for j, w in enumerate(path[:side])}
+        far[pair] = sum(1 << w for w in index), index
+    masks = {}
+    for x, y in itertools.combinations(range(size), 2):
+        near = [rows[a] for a in paths[x, y][:side]]
+        for u in range(y + 1, size - 1):
+            by_color = masks[x, y, u] = {}
+            for v in range(u + 1, size):
+                far_mask, index = far[u, v]
+                color = "K"
+                for i, row in enumerate(near):
+                    hit = row & far_mask
+                    if hit:
+                        color = (i, index[(hit & -hit).bit_length() - 1])
+                        break
+                by_color[color] = by_color.get(color, 0) | 1 << v
+    return FourColoring(n=n, size=size, masks=masks)
+
+
 def naive_fixed_path(g, x, y):
     """Least minimal increasing path from x to y in the stored order, found by
     scanning the in-between vertex subsets by size, in order."""
@@ -579,14 +610,14 @@ def random_no_c5_host(rng, max_size=20, min_size=4):
             return g
 
 
-def staged_pipeline_host():
-    """The fixed 43-vertex staged host of T=12 stages, f a ``random.Random(0)``
-    permutation of 0..11: a traceable cograph, so every fixed path has at
-    most 2 edges."""
+def staged_pipeline_host(stages=12):
+    """The staged host of T stages, f a ``random.Random(0)`` permutation of
+    0..T-1: a traceable cograph, so every fixed path has at most 2 edges.
+    At the default T=12 it is the benchmark's fixed 43-vertex host."""
     from chordlab.construction import run
 
-    f = random.Random(0).sample(range(12), 12)
-    return run(f, 12).state(12).graph()
+    f = random.Random(0).sample(range(stages), stages)
+    return run(f, stages).state(stages).graph()
 
 
 def random_length3_lattice(rng, max_elements=30):

@@ -52,6 +52,7 @@ from oracles import (
     iter_traceable_masks,
     masks_to_graph,
     naive_four_coloring,
+    quadwise_coloring,
     random_no_c5_host,
     random_traceable_graph,
     relabel,
@@ -227,6 +228,52 @@ def test_coloring_items_match_the_oracle_on_the_staged_pipeline_host():
         assert list(build_coloring(g.rows, t, n).assignment.items()) == expected
         if n == 5:  # the n of the benchmark's pipeline command on this host
             assert proof_pipeline(g, n).colors_used == len(set(c for _, c in expected))
+
+
+def _gate_hosts():
+    """Seeded random traceable hosts of 2 to 40 vertices, sparse to dense."""
+    rng = random.Random(61)
+    densities = (0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9)
+    for size in range(2, 41):
+        yield random_traceable_graph(rng, size, densities[size % len(densities)])
+
+
+def test_coloring_masks_match_the_quadwise_oracle():
+    shorter = longer = False
+    for g in _gate_hosts():
+        t = build_increasing_paths(g)
+        for n in range(1, 9):
+            assert build_coloring(g.rows, t, n).masks == quadwise_coloring(g.rows, t, n).masks
+            shorter |= any(len(p) < n - 1 for p in t.values())
+            longer |= any(len(p) > n - 1 for p in t.values())
+    assert shorter and longer
+
+
+def test_coloring_masks_match_the_quadwise_oracle_on_staged_hosts():
+    # Their fixed paths have at most 3 vertices, so every n >= 4 gives the
+    # n = 4 colouring; 5 is the n of the benchmark's pipeline command.
+    for stages in range(12, 18):
+        g = staged_pipeline_host(stages)
+        t = build_increasing_paths(g)
+        for n in (1, 2, 3, 5):
+            assert build_coloring(g.rows, t, n).masks == quadwise_coloring(g.rows, t, n).masks
+
+
+def test_coloring_masks_partition_each_window():
+    complete = Graph(range(12), itertools.combinations(range(12), 2))  # shares dicts
+    for g in [*_gate_hosts(), staged_pipeline_host(), complete]:
+        size = len(g)
+        t = build_increasing_paths(g)
+        for n in (1, 2, 5):
+            masks = build_coloring(g.rows, t, n).masks
+            assert set(masks) == {tri for tri in itertools.combinations(range(size), 3)
+                                  if tri[2] < size - 1}
+            for (a, b, u), by_color in masks.items():
+                union = 0
+                for mask in by_color.values():
+                    assert mask and not mask & union
+                    union |= mask
+                assert union == (1 << size) - (2 << u)
 
 
 def test_pipeline_checks_the_coloring_budget_before_the_table(monkeypatch):
