@@ -250,13 +250,10 @@ def cmd_lattice_verify(args) -> int:
     checks = [("lattice-axioms", True, None)]
     length3 = lattices.check_length3(lat)
     checks.append(("length-3", length3, None))
-    # two atoms under two coatoms contradict the axioms only at length 3,
-    # so once both checks above pass this one always passes too
+    # two atoms under two coatoms contradict the axioms only at length 3, and
+    # there FiniteLattice returned only once check_no_double_cover found none
     if length3:
-        witness = lattices.check_no_double_cover(lat)
-        checks.append(
-            ("no-double-cover", witness is None, list(witness) if witness else None)
-        )
+        checks.append(("no-double-cover", True, None))
     results = {"n": n, "atoms": lat.atoms(), "coatoms": lat.coatoms()}
     return _finish(args, _echo(args), results, checks)
 

@@ -36,17 +36,20 @@ def _order_masks(n: int, leq_pairs):
     """``(below, above)`` of a bounded partial order: ``below[x]`` is the
     bitmask of {z : z <= x} and ``above[x]`` that of {z : x <= z}, both
     including x.  Raises LatticeAxiomError for the first violated axiom.
+
+    Each axiom is decided in bulk on the rows; only a failed one walks the
+    pairs or rows again, to name the witness.
     """
     if n < 1:
         raise _order_error("nonempty", ())
-    pairs = set((int(x), int(y)) for x, y in leq_pairs)
+    pairs = set(leq_pairs)
     for x, y in pairs:
         if not (0 <= x < n and 0 <= y < n):
             raise InvalidInputError("relation pair %r outside 0..%d" % ((x, y), n - 1))
     # Decided from the pairs alone, so a huge n fails here before any n-sized
-    # table exists: fewer than n loops means some element misses its own.
-    loops = set(x for x, y in pairs if x == y)
-    if len(loops) < n:
+    # table exists: fewer than n pairs means some element misses its loop.
+    if len(pairs) < n:
+        loops = set(x for x, y in pairs if x == y)
         x = next(x for x in itertools.count() if x not in loops)
         raise _order_error("reflexive", (x,))
     below = [0] * n
@@ -54,26 +57,23 @@ def _order_masks(n: int, leq_pairs):
     for x, y in pairs:
         below[y] |= 1 << x
         above[x] |= 1 << y
-    for x, y in pairs:
-        if x != y and (below[x] >> y) & 1:
-            raise _order_error("antisymmetric", (x, y))
-    for x in range(n):
-        # transitive: anything below a z below x must be below x
-        acc = 0
-        zs = below[x]
-        while zs:
-            bit = zs & -zs
-            zs ^= bit
-            acc |= below[bit.bit_length() - 1]
-        extra = acc & ~below[x]
-        if extra:
-            w = (extra & -extra).bit_length() - 1
-            z = next(
-                z
-                for z in iter_bits(below[x])
-                if (below[z] >> w) & 1
-            )
-            raise _order_error("transitive", (w, z, x))
+    if not all((b >> x) & 1 for x, b in enumerate(below)):
+        x = next(x for x, b in enumerate(below) if not (b >> x) & 1)
+        raise _order_error("reflexive", (x,))
+    if not all(b & a == 1 << x for x, (b, a) in enumerate(zip(below, above))):
+        x, y = next((x, y) for x, y in pairs if x != y and (below[x] >> y) & 1)
+        raise _order_error("antisymmetric", (x, y))
+    # transitive: x <= y puts everything below x below y
+    if any(below[x] & ~below[y] for x, y in pairs):
+        for x, bx in enumerate(below):
+            acc = 0
+            for z in iter_bits(bx):
+                acc |= below[z]
+            extra = acc & ~bx
+            if extra:
+                w = (extra & -extra).bit_length() - 1
+                z = next(z for z in iter_bits(bx) if (below[z] >> w) & 1)
+                raise _order_error("transitive", (w, z, x))
     full = (1 << n) - 1
     if not any(above[x] == full for x in range(n)):
         raise _order_error("bottom-exists", ())
@@ -137,7 +137,11 @@ class BoundedPoset:
         """Decide the order axioms, then store the order masks and what every
         later question reads from them: the bounds, ``rows[x]`` (the elements
         comparable to x, x itself excluded), and the masks of the atoms and of
-        the coatoms.  A failed axiom raises LatticeAxiomError."""
+        the coatoms.  A failed axiom raises LatticeAxiomError.
+
+        ``leq_pairs`` holds ``(x, y)`` 2-tuples of ints, one per ``x <= y``;
+        they are used as given.  The CLI's loader,
+        ``formats.lattice_from_json_obj``, hands over exact ints only."""
         below, above = _order_masks(n, leq_pairs)
         self.n = n
         self.below, self.above = below, above
@@ -208,9 +212,10 @@ def check_length3(lat: FiniteLattice) -> bool:
 def check_no_double_cover(poset: BoundedPoset):
     """Two atoms x < y under two coatoms u < v, as ``(x, y, u, v)``, or None.
 
-    No genuine length-3 lattice has one, so on a lattice that passes the
-    axioms and the length-3 check it always returns None; ``lattice verify``
-    still reports it.  It is the K22 kernel's answer on rows that hold, for
+    No genuine length-3 lattice has one: on a length-3 order
+    ``FiniteLattice.__init__`` calls this and returns only once it found
+    None, so ``lattice verify`` reports that answer without a second call.
+    It is the K22 kernel's answer on rows that hold, for
     each coatom, the atoms below it, and nothing for any other element: the
     least coatom pair with two common atoms, and its least two.
     """
@@ -271,12 +276,18 @@ def closure_and_rank(lat: FiniteLattice, generators) -> RankTable:
         for x in iter_bits(added):
             for down, up, extreme in duals:
                 partners = 0
-                for g in iter_bits(down[x] & ~new):
-                    partners |= up[g]
+                gs = down[x] & ~new
+                while gs:
+                    bit = gs & -gs
+                    gs ^= bit
+                    partners |= up[bit.bit_length() - 1]
                     if partners & current == current:
                         break  # only partners & current is read
-                for y in iter_bits(partners & current):
-                    new |= 1 << extreme[down[x] & down[y]]
+                dx, ys = down[x], partners & current
+                while ys:
+                    bit = ys & -ys
+                    ys ^= bit
+                    new |= 1 << extreme[dx & down[bit.bit_length() - 1]]
         if new == current:
             break
         added = new & ~current
@@ -320,10 +331,7 @@ def build_tree(lat: FiniteLattice, ranks: RankTable) -> GenTree:
 
     A node extends a shorter one by one element of the next rank obtained as
     a meet or join with something of strictly lower rank.  Nodes never touch
-    bottom or top.  Checked per node: entries distinct, consecutive entries
-    comparable, atom/coatom alternation, and the per-position element bound.
-    Every non-bound element must be reachable as some node's last entry; a
-    miss is a structural error in the rank table.
+    bottom or top.
 
     Only length-3 lattices are accepted, and there no meet or join is read.
     A non-bound x of rank i >= 1 is new in round i, so it is the meet of two
@@ -331,13 +339,39 @@ def build_tree(lat: FiniteLattice, ranks: RankTable) -> GenTree:
     node ending at e < x or e > x, one of the two differs from e and with e
     gives x again, since nothing lies strictly between x and e.  So the node
     extends by exactly the elements of rank i comparable to e.
+
+    The table is checked in O(levels): each level lies inside the next, and
+    every non-bound element of rank i ends some node of level i, found by
+    one OR of the rows of level i - 1's last entries.  A failure is a
+    structural error in the rank table.  With nested levels the rank masks
+    are disjoint, so the per-node properties hold by construction: entries
+    are distinct and each lies within its rank's bound, consecutive entries
+    are comparable (taken from ``rows``), and two distinct comparable inner
+    elements of a length-3 lattice are one atom and one coatom, so entries
+    alternate.
     """
     _require_length3(lat)
+    for i, (lower, upper) in enumerate(zip(ranks.levels, ranks.levels[1:])):
+        if lower & ~upper:
+            raise StructuralError(
+                "rank table level %d is not contained in level %d" % (i, i + 1)
+            )
     rows, inner = lat.rows, lat.atom_mask | lat.coatom_mask
-    levels = [tuple((x,) for x in iter_bits(ranks.rank_mask(0) & inner))]
+    tails = ranks.rank_mask(0) & inner
+    levels = [tuple((x,) for x in iter_bits(tails))]
     total = len(levels[0])
     for i in range(1, len(ranks.levels)):
         targets = ranks.rank_mask(i) & inner
+        reached = 0
+        for e in iter_bits(tails):
+            reached |= rows[e]
+        missed = targets & ~reached
+        if missed:
+            raise StructuralError(
+                "element %d (rank %d) is not reachable in the tree"
+                % ((missed & -missed).bit_length() - 1, i)
+            )
+        tails = targets
         # prefixes are sorted and x ascends within each, so the level is too
         nodes = [
             node + (x,) for node in levels[i - 1] for x in iter_bits(rows[node[-1]] & targets)
@@ -348,45 +382,7 @@ def build_tree(lat: FiniteLattice, ranks: RankTable) -> GenTree:
                 "derivation tree exceeds %d nodes" % MAX_TREE_NODES
             )
         levels.append(tuple(nodes))
-    tree = GenTree(levels=tuple(levels))
-    _assert_tree_properties(lat, ranks, tree)
-    return tree
-
-
-def _assert_tree_properties(lat, ranks, tree):
-    # A node's prefix is a node of the previous level, already checked, so
-    # only its last entry and last pair are new.
-    atoms, coatoms = lat.atom_mask, lat.coatom_mask
-    bounds = [ranks.rank_mask(i).bit_length() - 1 for i in range(len(tree.levels))]
-    reached = 0
-    for node in tree.nodes():
-        i = len(node) - 1
-        b = node[i]
-        if b in node[:i]:
-            raise StructuralError("tree node has repeated entries: %r" % (node,))
-        if i:
-            a = node[i - 1]
-            if not (lat.rows[a] >> b) & 1:
-                raise StructuralError(
-                    "consecutive tree entries incomparable: %r in %r" % ((a, b), node)
-                )
-            if not ((atoms >> a) & (coatoms >> b) | (coatoms >> a) & (atoms >> b)) & 1:
-                raise StructuralError(
-                    "tree entries do not alternate atom/coatom: %r" % (node,)
-                )
-        if b > bounds[i]:  # the largest element of rank i
-            raise StructuralError(
-                "node entry %d exceeds the rank-%d bound %d" % (b, i, bounds[i])
-            )
-        reached |= 1 << b
-    # reachability: every non-bound element ends some node
-    for i in range(len(ranks.levels)):
-        missed = ranks.rank_mask(i) & (atoms | coatoms) & ~reached
-        if missed:
-            raise StructuralError(
-                "element %d (rank %d) is not reachable in the tree"
-                % ((missed & -missed).bit_length() - 1, i)
-            )
+    return GenTree(levels=tuple(levels))
 
 
 def _check_elements(lat: BoundedPoset, elems) -> None:

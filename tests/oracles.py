@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 from chordlab.graphs import Graph
 from chordlab.lattices import FiniteLattice, closure_and_rank
 from chordlab.ramsey import FourColoring
-from chordlab.errors import CoverageError, InvalidInputError
+from chordlab.errors import (
+    CoverageError,
+    InvalidInputError,
+    LatticeAxiomError,
+    StructuralError,
+)
 
 
 def brute_chordless_path(g, n):
@@ -486,6 +491,89 @@ def naive_tree_levels(lat, ranks, depth):
         ]
         levels.append(tuple(sorted(nodes)))
     return tuple(levels)
+
+
+def assert_tree_properties(lat, ranks, tree):
+    """Raise StructuralError unless every node of ``tree`` has distinct
+    entries, consecutive entries comparable and alternating atom/coatom, and
+    its i-th entry at most the largest element of rank i, and unless every
+    non-bound element of some rank ends a node.  Every node is checked whole,
+    without trusting that its prefix is a checked node."""
+    atoms, coatoms = lat.atom_mask, lat.coatom_mask
+    bounds = [ranks.rank_mask(i).bit_length() - 1 for i in range(len(tree.levels))]
+    reached = 0
+    for node in tree.nodes():
+        if len(set(node)) != len(node):
+            raise StructuralError("tree node has repeated entries: %r" % (node,))
+        for a, b in zip(node, node[1:]):
+            if not (lat.rows[a] >> b) & 1:
+                raise StructuralError(
+                    "consecutive tree entries incomparable: %r in %r" % ((a, b), node)
+                )
+            if not ((atoms >> a) & (coatoms >> b) | (coatoms >> a) & (atoms >> b)) & 1:
+                raise StructuralError(
+                    "tree entries do not alternate atom/coatom: %r" % (node,)
+                )
+        for i, b in enumerate(node):
+            if b > bounds[i]:  # the largest element of rank i
+                raise StructuralError(
+                    "node entry %d exceeds the rank-%d bound %d" % (b, i, bounds[i])
+                )
+        reached |= 1 << node[-1]
+    for i in range(len(ranks.levels)):
+        missed = ranks.rank_mask(i) & (atoms | coatoms) & ~reached
+        if missed:
+            raise StructuralError(
+                "element %d (rank %d) is not reachable in the tree"
+                % ((missed & -missed).bit_length() - 1, i)
+            )
+
+
+def _order_error(axiom, witness):
+    return LatticeAxiomError(
+        "not a bounded partial order: %s %r" % (axiom, witness), axiom, witness
+    )
+
+
+def reference_order_masks(n, leq_pairs):
+    """``lattices._order_masks`` by per-pair and per-row loops: the same
+    ``(below, above)``, or the same first failed axiom and witness.  The
+    antisymmetric witness is the first failing pair in the iteration order
+    of the pair set, which is built here as it is there."""
+    if n < 1:
+        raise _order_error("nonempty", ())
+    pairs = set((int(x), int(y)) for x, y in leq_pairs)
+    for x, y in pairs:
+        if not (0 <= x < n and 0 <= y < n):
+            raise InvalidInputError("relation pair %r outside 0..%d" % ((x, y), n - 1))
+    loops = set(x for x, y in pairs if x == y)
+    if len(loops) < n:
+        x = next(x for x in itertools.count() if x not in loops)
+        raise _order_error("reflexive", (x,))
+    below = [0] * n
+    above = [0] * n
+    for x, y in pairs:
+        below[y] |= 1 << x
+        above[x] |= 1 << y
+    for x, y in pairs:
+        if x != y and (below[x] >> y) & 1:
+            raise _order_error("antisymmetric", (x, y))
+    for x in range(n):
+        # transitive: anything below a z below x must be below x
+        acc = 0
+        for z in _bits(below[x]):
+            acc |= below[z]
+        extra = acc & ~below[x]
+        if extra:
+            w = (extra & -extra).bit_length() - 1
+            z = next(z for z in _bits(below[x]) if (below[z] >> w) & 1)
+            raise _order_error("transitive", (w, z, x))
+    full = (1 << n) - 1
+    if not any(above[x] == full for x in range(n)):
+        raise _order_error("bottom-exists", ())
+    if not any(below[x] == full for x in range(n)):
+        raise _order_error("top-exists", ())
+    return below, above
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from chordlab.construction import (
     run,
     seeded_injective,
 )
-from chordlab.errors import ExtractionError, LatticeAxiomError
+from chordlab.errors import ExtractionError, LatticeAxiomError, StructuralError
 from chordlab.graphs import (
     K22,
     embedding_is_valid,
@@ -48,6 +48,7 @@ from chordlab.ramsey import (
 )
 
 from oracles import (
+    assert_tree_properties,
     brute_chordless_path,
     brute_embedding_exists,
     generating_set,
@@ -260,7 +261,11 @@ def test_criterion_10_tree_properties():
         table = closure_and_rank(lat, gens)
         tree = build_tree(lat, table)
         atoms, coatoms = set(lat.atoms()), set(lat.coatoms())
-        good = True
+        try:
+            assert_tree_properties(lat, table, tree)
+            good = True
+        except StructuralError:
+            good = False
         tails = set()
         for node in tree.nodes():
             tails.add(node[-1])

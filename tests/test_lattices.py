@@ -15,6 +15,7 @@ from chordlab.lattices import (
     BoundedPoset,
     FiniteLattice,
     _missing_meet_or_join,
+    _order_masks,
     build_tree,
     check_length3,
     check_no_double_cover,
@@ -29,6 +30,7 @@ from chordlab.lattices import (
 )
 
 from oracles import (
+    assert_tree_properties,
     brute_double_cover,
     generating_set,
     inclusion_order,
@@ -39,6 +41,7 @@ from oracles import (
     random_bounded_poset,
     random_closure_system,
     random_length3_lattice,
+    reference_order_masks,
 )
 
 DIAMOND = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
@@ -120,8 +123,9 @@ def _lattices_of_any_length(rng, count):
     return orders
 
 
-def test_validate_lattice_matches_naive_oracle():
-    rng = random.Random(2)
+def _axiom_corpus(rng):
+    """Random relations, two orders that lack meets and joins, and lattices
+    of any length, each also one pair short and one pair over."""
     orders = []
     for _ in range(300):
         n = rng.randint(1, 9)
@@ -143,8 +147,12 @@ def test_validate_lattice_matches_naive_oracle():
             drop = rng.choice(strict)
             orders.append((n, [p for p in pairs if p != drop]))
         orders.append((n, pairs + [(rng.randrange(n), rng.randrange(n))]))
+    return orders
+
+
+def test_validate_lattice_matches_naive_oracle():
     seen = set()
-    for n, pairs in orders:
+    for n, pairs in _axiom_corpus(random.Random(2)):
         naive = naive_lattice_axioms(n, pairs)
         if naive is None:
             FiniteLattice(n, pairs)
@@ -156,6 +164,61 @@ def test_validate_lattice_matches_naive_oracle():
             assert error.witness == naive[1]
             assert repr(naive[1]) in str(error)
     assert {"transitive", "meet-exists", "join-exists"} <= seen
+
+
+def _broken_orders(rng, n, pairs):
+    """Shuffled copies of a bounded order's pair list with one defect each:
+    a missing loop, two 2-cycles, a broken transitive triple, an element
+    below top alone (no bottom) and one above bottom alone (no top)."""
+    pairs = sorted(pairs)
+    have = set(pairs)
+    strict = [p for p in pairs if p[0] != p[1]]
+    loop = (rng.randrange(n),) * 2
+    broken = {"reflexive": [p for p in pairs if p != loop]}
+    if strict:
+        cycles = rng.sample(strict, min(2, len(strict)))
+        broken["antisymmetric"] = pairs + [(y, x) for x, y in cycles]
+    triples = [
+        (x, z) for x, y in strict for y2, z in strict if y2 == y and (x, z) in have
+    ]
+    if triples:
+        drop = rng.choice(triples)
+        broken["transitive"] = [p for p in pairs if p != drop]
+    bottom = next(b for b in range(n) if all((b, x) in have for x in range(n)))
+    top = next(t for t in range(n) if all((x, t) in have for x in range(n)))
+    broken["bottom-exists"] = pairs + [(n, n), (n, top)]
+    broken["top-exists"] = pairs + [(n, n), (bottom, n)]
+    for axiom, broken_pairs in broken.items():
+        rng.shuffle(broken_pairs)
+        yield axiom, n + axiom.endswith("-exists"), broken_pairs
+
+
+def _order_outcome(order_masks, n, pairs):
+    try:
+        return order_masks(n, pairs)
+    except LatticeAxiomError as exc:
+        return exc.axiom, exc.witness, str(exc)
+
+
+def test_order_axioms_match_the_per_pair_reference():
+    # the bulk row checks name the same first axiom and witness as the
+    # per-pair loops, the set-order antisymmetric pair included
+    rng = random.Random(26)
+    orders = _axiom_corpus(random.Random(2))
+    bounded = [random_bounded_poset(rng) for _ in range(60)]
+    bounded += [random_length3_lattice(rng, 14) for _ in range(60)]
+    seen = []
+    for n, pairs in bounded:
+        for axiom, m, broken_pairs in _broken_orders(rng, n, pairs):
+            got = _order_outcome(_order_masks, m, broken_pairs)
+            assert got[0] == axiom
+            orders.append((m, broken_pairs))
+            seen.append(axiom)
+    for n, pairs in orders:
+        assert _order_outcome(_order_masks, n, pairs) == _order_outcome(
+            reference_order_masks, n, pairs
+        )
+    assert min(seen.count(axiom) for axiom in set(seen)) > 50 and len(set(seen)) == 5
 
 
 def _random_length3_order(rng, inner):
@@ -310,6 +373,7 @@ def test_closure_and_tree_match_naive_oracles():
         table = closure_and_rank(lat, gens)
         assert table.levels == naive_closure_and_rank(lat, gens)
         tree = build_tree(lat, table)
+        assert_tree_properties(lat, table, tree)
         assert tree.levels == naive_tree_levels(lat, table, table.max_rank)
 
 
@@ -338,6 +402,7 @@ def test_build_tree_boolean_square():
     lat = FiniteLattice(4, DIAMOND)
     table = closure_and_rank(lat, [1, 2])
     tree = build_tree(lat, table)
+    assert_tree_properties(lat, table, tree)
     assert tree.levels[0] == ((1,), (2,))
     assert tree.levels[1] == ()  # rank-1 elements are the bounds, excluded
 
@@ -346,6 +411,7 @@ def test_build_tree_fence_roots():
     lat, gens = fence_lattice(7)
     table = closure_and_rank(lat, gens)
     tree = build_tree(lat, table)
+    assert_tree_properties(lat, table, tree)
     assert tree.levels[0] == tuple((g,) for g in gens)
     # every branch alternates atoms and coatoms and stays comparable
     atoms, coatoms = set(lat.atoms()), set(lat.coatoms())
@@ -363,6 +429,7 @@ def test_tree_reachability_matches_ranks():
         gens = generating_set(lat)
         table = closure_and_rank(lat, gens)
         tree = build_tree(lat, table)
+        assert_tree_properties(lat, table, tree)
         tails = {node[-1] for node in tree.nodes()}
         for x in range(lat.n):
             if not lat.is_bound(x):
@@ -520,15 +587,21 @@ def test_build_tree_structural_error_on_corrupt_ranks():
     fake = RankTable(levels=(0b010110, 0b110111, 0b111111))
     with pytest.raises(StructuralError):
         build_tree(lat, fake)
+    # levels not nested: 1, 2 and 3 are rank 0 and again rank 2, which would
+    # grow the node (3, 4, 3); the table check rejects it before any node
+    fake = RankTable(levels=(0b001110, 0b110001, 0b111111))
+    with pytest.raises(StructuralError, match="not contained"):
+        build_tree(lat, fake)
 
 
 def test_tree_check_catches_a_bad_last_entry():
-    # each node's prefix is a checked node, so a bad entry is always a last one
-    from chordlab.lattices import GenTree, _assert_tree_properties
+    # a node is checked whole, so a bad last entry is caught like any other
+    from chordlab.lattices import GenTree
 
     lat, gens, _ = spurred_fence_lattice(7)
     ranks = closure_and_rank(lat, gens)
     tree = build_tree(lat, ranks)
+    assert_tree_properties(lat, ranks, tree)
     atoms, coatoms = set(lat.atoms()), set(lat.coatoms())
     i = ranks.max_rank - 1
     prefix = tree.levels[i][0]
@@ -548,7 +621,7 @@ def test_tree_check_catches_a_bad_last_entry():
         levels = list(tree.levels)
         levels[i + 1] += (prefix + (x,),)
         with pytest.raises(StructuralError, match=message):
-            _assert_tree_properties(lat, ranks, GenTree(tuple(levels)))
+            assert_tree_properties(lat, ranks, GenTree(tuple(levels)))
 
 
 def test_find_fences_none_when_tree_too_shallow():
@@ -566,6 +639,7 @@ def test_fence_from_chordless_path_property():
         lat, gens, _ = spurred_fence_lattice(n)
         table = closure_and_rank(lat, gens)
         tree = build_tree(lat, table)
+        assert_tree_properties(lat, table, tree)
         atoms = set(lat.atoms())
         deepest = next(level for level in reversed(tree.levels) if level)
         for branch in deepest[:3]:
