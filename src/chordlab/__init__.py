@@ -42,9 +42,6 @@ from .graphs import (
     find_chordless_path,
     find_k22,
     is_chordless,
-    pattern_A,
-    pattern_Kkk,
-    pattern_graph,
 )
 from .lattices import (
     BoundedPoset,
@@ -56,10 +53,8 @@ from .lattices import (
     check_no_double_cover,
     closure_and_rank,
     comparability_graph,
-    fence_elements,
     fence_lattice,
     find_fences,
-    pipeline_capacity,
     spurred_fence_lattice,
     validate_fence,
 )

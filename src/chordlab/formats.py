@@ -81,10 +81,6 @@ def graph_json_parts(g: Graph):
     yield ',\n  "vertices": %s\n}\n' % ("[%s\n  ]" % vertices if vertices else "[]")
 
 
-def graph_to_json(g: Graph) -> str:
-    return "".join(graph_json_parts(g))
-
-
 def graph_from_json_obj(obj) -> Graph:
     """Validated Graph from a decoded graph JSON object.
 
@@ -162,17 +158,6 @@ def graph_dot_parts(g: Graph):
     yield ";\n}\n" if any(g.rows) else "}\n"
 
 
-def graph_to_dot(g: Graph) -> str:
-    return "".join(graph_dot_parts(g))
-
-
-def lattice_to_json(n, leq_pairs, generators=None) -> str:
-    obj = {"n": n, "leq": [[x, y] for x, y in sorted(leq_pairs)]}
-    if generators is not None:
-        obj["generators"] = sorted(generators)
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
 def lattice_from_json_obj(obj):
     """Raw (n, leq pairs, generators) from the JSON object; no validation yet.
 
@@ -202,10 +187,6 @@ def lattice_from_json_obj(obj):
 
 def load_lattice_candidate(path):
     return lattice_from_json_obj(_read_json(path))
-
-
-def save_lattice(path, n, leq_pairs, generators=None) -> None:
-    write_parts(path, [lattice_to_json(n, leq_pairs, generators)])
 
 
 def lattice_to_dot(poset: BoundedPoset) -> str:

@@ -77,11 +77,6 @@ class Graph:
         j = self._pos.get(v)
         return i is not None and j is not None and (self.rows[i] >> j) & 1 == 1
 
-    def neighbors(self, v) -> frozenset:
-        if v not in self._pos:
-            raise InvalidInputError("vertex %r not in graph" % (v,))
-        return frozenset(self.vertices[j] for j in iter_bits(self.rows[self._pos[v]]))
-
     def edges(self):
         """Edge list as sorted (u, v) pairs with u < v.
 
@@ -113,15 +108,6 @@ class Graph:
 
     def __repr__(self):
         return "Graph(%d vertices, %d edges)" % (len(self.vertices), self.edge_count())
-
-
-def path_graph(n: int) -> Graph:
-    """The plain path 0 - 1 - ... - (n-1)."""
-    return Graph(range(n), [(i, i + 1) for i in range(n - 1)])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(range(n), itertools.combinations(range(n), 2))
 
 
 def check_traceable(g: Graph) -> bool:
@@ -354,21 +340,6 @@ class Pattern:
 
 
 K22 = Pattern("K22", 2)
-
-
-def pattern_A(k: int) -> Pattern:
-    return Pattern("A", k)
-
-
-def pattern_Kkk(k: int) -> Pattern:
-    return Pattern("Kkk", k)
-
-
-def pattern_graph(pattern: Pattern) -> Graph:
-    """The pattern itself as a Graph (a-side on 0..k-1, b-side on k..2k-1)."""
-    k = pattern.k
-    names = {name: i for i, name in enumerate(pattern.vertex_names)}
-    return Graph(range(2 * k), [(names[a], names[b]) for a, b in pattern.edges()])
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,13 @@ from .errors import (
     ResourceLimitError,
     StructuralError,
 )
-from .graphs import Graph, find_chordless_path, find_k22, is_chordless_positions, iter_bits
+from .graphs import (
+    Graph,
+    find_chordless_positions,
+    find_k22,
+    is_chordless_positions,
+    iter_bits,
+)
 
 
 def _order_error(axiom: str, witness: tuple) -> LatticeAxiomError:
@@ -428,55 +434,46 @@ def validate_fence(lat: FiniteLattice, seq) -> bool:
     )
 
 
-def _full_tree(lat: FiniteLattice, generators) -> GenTree:
-    """The derivation tree to full depth; length 3 is checked before the
-    closure runs."""
-    _require_length3(lat)
-    return build_tree(lat, closure_and_rank(lat, generators))
-
-
 def find_fences(lat: FiniteLattice, generators, target_n: int):
     """Extract a fence x0 < x1 > x2 < ... with ``target_n + 1`` elements, as a
     tuple, through the tree pipeline.
 
-    Builds the derivation tree to its full depth, then searches the
-    comparability graph of each sufficiently long branch, deepest first, for
-    a chordless path; oriented to start at an atom, it is the fence.  A K22
-    copy in a branch would put two atoms under two coatoms, whose join would
-    lie strictly between them; a ``FiniteLattice`` has passed the axioms, so
-    at length 3 none exists and nothing checks for one.  Returns None when
-    no branch is long enough or no branch yields a chordless path of the
-    target size.
+    Builds the derivation tree to its full depth (length 3 is checked before
+    the closure runs), then searches the comparability graph of each
+    sufficiently long branch, deepest first, for a chordless path; oriented
+    to start at an atom and checked by ``validate_fence``, it is the fence.
+    Returns None when no branch is long enough or none yields a chordless
+    path of the target size.
+
+    Nothing checks for a K22 or a cograph.  A branch's comparability graph is
+    connected (consecutive entries are comparable), bipartite (atoms against
+    coatoms) and K22-free: a K22 would put two atoms under two coatoms, whose
+    join would lie strictly between them.  A connected cograph has a
+    disconnected complement, so it joins two sides by every edge between
+    them; with no triangle neither side holds an edge, and with no K22 one
+    side is a single vertex: a star.  A branch of four or more entries holds
+    the disjoint edges x0 x1 and x2 x3, so it is no cograph, the cotree
+    pre-pass of ``find_chordless_path`` would never answer, and the DFS runs
+    directly.
     """
     if target_n < 1 or target_n % 2 == 0:
         raise InvalidInputError("fence length must be odd and >= 1")
-    tree = _full_tree(lat, generators)
+    _require_length3(lat)
+    tree = build_tree(lat, closure_and_rank(lat, generators))
     want = target_n + 1
     for branch in tree.branches_by_depth():
         if len(branch) < want:
             break  # branches are visited deepest first
-        seq = find_chordless_path(comparability_graph(lat, branch), want)
-        if seq is None:
+        found = find_chordless_positions(comparability_graph(lat, branch).rows, want)
+        if found is None:
             continue
+        seq = tuple(branch[i] for i in found)
         if not (lat.atom_mask >> seq[0]) & 1:
             seq = tuple(reversed(seq))
         if not validate_fence(lat, seq):
             raise StructuralError("pipeline produced a non-fence: %r" % (seq,))
         return seq
     return None
-
-
-def pipeline_capacity(lat: FiniteLattice, generators) -> int:
-    """Largest odd fence length the tree can structurally support.
-
-    The deepest branch has ``depth + 1`` entries; a fence with ``t + 1``
-    elements needs a branch at least that long.
-    """
-    deepest = next(_full_tree(lat, generators).branches_by_depth(), None)
-    if deepest is None:
-        return 0
-    best = len(deepest) - 1
-    return best if best % 2 == 1 else best - 1
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +511,6 @@ def fence_lattice(fence_n: int):
     if fence_n == 1:
         gens.update((0, n - 1))  # a 4-chain: bounds are underivable
     return lat, tuple(sorted(gens))
-
-
-def fence_elements(fence_n: int):
-    """Element codes of the fence inside :func:`fence_lattice`."""
-    return tuple(range(1, fence_n + 2))
 
 
 def spurred_fence_lattice(fence_n: int):

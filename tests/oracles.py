@@ -11,8 +11,10 @@ import random
 
 from hypothesis import strategies as st
 
-from chordlab.graphs import Graph
-from chordlab.lattices import FiniteLattice, closure_and_rank
+from chordlab.construction import run
+from chordlab.formats import write_parts
+from chordlab.graphs import Graph, find_chordless_path
+from chordlab.lattices import FiniteLattice, build_tree, check_length3, closure_and_rank
 from chordlab.ramsey import FourColoring
 from chordlab.errors import (
     CoverageError,
@@ -334,7 +336,7 @@ def sorted_edge_pairs(g):
 
 
 def json_dumps_graph(g):
-    """Graph JSON through the standard encoder: the bytes graph_to_json must write."""
+    """Graph JSON through the standard encoder: the bytes graph_json_parts must yield."""
     obj = {
         "vertices": sorted(g.vertices),
         "edges": [[u, v] for u, v in sorted_edge_pairs(g)],
@@ -585,6 +587,21 @@ def random_graph(rng, size, p=0.4):
     return Graph(range(size), edges)
 
 
+def path_graph(n):
+    """The plain path 0 - 1 - ... - (n-1)."""
+    return Graph(range(n), [(i, i + 1) for i in range(n - 1)])
+
+
+def complete_graph(n):
+    return Graph(range(n), itertools.combinations(range(n), 2))
+
+
+def pattern_graph(pattern):
+    """The pattern itself as a Graph (a-side on 0..k-1, b-side on k..2k-1)."""
+    names = {name: i for i, name in enumerate(pattern.vertex_names)}
+    return Graph(range(2 * pattern.k), [(names[a], names[b]) for a, b in pattern.edges()])
+
+
 @st.composite
 def vertices_and_edges(draw):
     """Distinct naturals in any order (gaps and huge names included, 41 never),
@@ -688,8 +705,6 @@ def relabel(g, names):
 
 def random_no_c5_host(rng, max_size=20, min_size=4):
     """Random traceable host with no chordless 5-path, by rejection."""
-    from chordlab.graphs import find_chordless_path
-
     size = rng.randint(min_size, max_size)
     while True:
         p = rng.choice([0.55, 0.7, 0.85])
@@ -702,8 +717,6 @@ def staged_pipeline_host(stages=12):
     """The staged host of T stages, f a ``random.Random(0)`` permutation of
     0..T-1: a traceable cograph, so every fixed path has at most 2 edges.
     At the default T=12 it is the benchmark's fixed 43-vertex host."""
-    from chordlab.construction import run
-
     f = random.Random(0).sample(range(stages), stages)
     return run(f, stages).state(stages).graph()
 
@@ -835,6 +848,31 @@ def generating_set(lat: FiniteLattice):
             return sorted(gens)
         except CoverageError as exc:
             gens.add(exc.unreached[0])
+
+
+def lattice_to_json(n, leq_pairs, generators=None):
+    """Lattice JSON as the CLI reads it, pairs and generators sorted."""
+    obj = {"n": n, "leq": [[x, y] for x, y in sorted(leq_pairs)]}
+    if generators is not None:
+        obj["generators"] = sorted(generators)
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def save_lattice(path, n, leq_pairs, generators=None):
+    write_parts(path, [lattice_to_json(n, leq_pairs, generators)])
+
+
+def pipeline_capacity(lat, generators):
+    """Largest odd fence length the derivation tree can structurally support:
+    a fence with ``t + 1`` elements needs a branch at least that long."""
+    if not check_length3(lat):
+        raise InvalidInputError("fence extraction needs a length-3 lattice")
+    tree = build_tree(lat, closure_and_rank(lat, generators))
+    deepest = next(tree.branches_by_depth(), None)
+    if deepest is None:
+        return 0
+    best = len(deepest) - 1
+    return best if best % 2 == 1 else best - 1
 
 
 def seeded_permutation(seed, length):

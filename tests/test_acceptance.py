@@ -23,9 +23,9 @@ from chordlab.construction import (
 from chordlab.errors import ExtractionError, LatticeAxiomError, StructuralError
 from chordlab.graphs import (
     K22,
+    Pattern,
     embedding_is_valid,
     is_chordless,
-    pattern_A,
 )
 from chordlab.lattices import (
     FiniteLattice,
@@ -35,7 +35,6 @@ from chordlab.lattices import (
     closure_and_rank,
     fence_lattice,
     find_fences,
-    pipeline_capacity,
     spurred_fence_lattice,
     validate_fence,
 )
@@ -55,6 +54,7 @@ from oracles import (
     iter_traceable_masks,
     masks_to_graph,
     naive_stage_lemmas,
+    pipeline_capacity,
     random_length3_lattice,
     random_no_c5_host,
 )
@@ -114,7 +114,7 @@ def test_criterion_4_decode_correctness():
     for seed in range(100):
         f = seeded_injective(seed, 50)  # a seeded permutation of 0..49
         history = run(f, 50)
-        ctx = build_decode_context(history, pattern_A(10))
+        ctx = build_decode_context(history, Pattern("A", 10))
         for k in range(10):
             queries += 1
             ok = ok and decode_range(ctx, history.f, k) is (k in history.consumed)

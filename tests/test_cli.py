@@ -18,15 +18,20 @@ from chordlab import cli, construction, formats, lattices, ramsey
 from chordlab.cli import build_parser, main
 from chordlab.construction import seeded_injective
 from chordlab.errors import InvalidInputError, ResourceLimitError, StructuralError
-from chordlab.graphs import K22, Graph, complete_graph, path_graph, pattern_graph
+from chordlab.graphs import K22, Graph
 from chordlab.lattices import fence_lattice, spurred_fence_lattice
 
 from oracles import (
+    complete_graph,
     generating_set,
     graph_json_objects,
     graphs,
+    lattice_to_json,
+    path_graph,
+    pattern_graph,
     random_length3_lattice,
     random_no_c5_host,
+    save_lattice,
     seeded_permutation,
     staged_pipeline_host,
 )
@@ -44,24 +49,24 @@ def last_json(out):
     return json.loads(out[start:])
 
 
+def report_of(capsys, *argv, code=0):
+    """The report of one CLI run, which must exit with ``code``."""
+    got, out = run_cli(capsys, *argv)
+    assert got == code
+    return last_json(out)
+
+
 def test_construct_and_verify(tmp_path, capsys):
     out_path = tmp_path / "g.json"
-    code, out = run_cli(
-        capsys, "construct", "--f", "5,0", "--stages", "2", "--out", str(out_path)
-    )
-    assert code == 0
-    report = last_json(out)
+    report = report_of(capsys, "construct", "--f", "5,0", "--stages", "2", "--out", str(out_path))
     assert report["schema"] == 1
     assert report["results"]["final_k"] == 4
     assert report["results"]["final_coding"] == [2, 3, 4]
     g = formats.load_graph(out_path)
     assert g.edges() == [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
 
-    code, out = run_cli(
-        capsys, "verify", "--f", "5,0", "--stages", "2", "--exhaustive-chordless"
-    )
-    assert code == 0
-    names = {c["name"]: c["pass"] for c in last_json(out)["checks"]}
+    report = report_of(capsys, "verify", "--f", "5,0", "--stages", "2", "--exhaustive-chordless")
+    names = {c["name"]: c["pass"] for c in report["checks"]}
     assert names == {
         "greatest": True,
         "codeconnection": True,
@@ -106,8 +111,7 @@ def _pinned_lattice_files():
         gens = generating_set(lattices.FiniteLattice(n, pairs))
         inputs.append(("random%d.json" % seed, n, pairs, gens))
     for name, n, pairs, gens in inputs:
-        with open(name, "w", encoding="utf-8") as fh:
-            fh.write(formats.lattice_to_json(n, pairs, gens))
+        save_lattice(name, n, pairs, gens)
         yield name, n
 
 
@@ -158,8 +162,7 @@ def _pipeline_report_digests(capsys):
         hosts.append(("random%d.json" % seed, g))
     digests = {}
     for name, g in hosts:
-        with open(name, "w", encoding="utf-8") as fh:
-            fh.write(formats.graph_to_json(g))
+        formats.save_graph(g, name)
         for n in (4, 5, 6):
             code, out = run_cli(capsys, "pipeline", "--graph", name, "--n", str(n))
             digests[name, n] = hashlib.sha256(b"%d\0%s" % (code, out.encode())).hexdigest()
@@ -313,39 +316,24 @@ def test_failing_verify_reports_are_pinned(capsys, monkeypatch):
 
 
 def test_decode_command(capsys):
-    code, out = run_cli(
-        capsys,
-        "decode", "--f", "seed:2,len:30", "--stages", "30",
-        "--pattern", "A:4", "--query", "0,1,2,3",
-    )
-    assert code == 0
-    report = last_json(out)
+    report = report_of(capsys, "decode", "--f", "seed:2,len:30", "--stages", "30",
+                       "--pattern", "A:4", "--query", "0,1,2,3")
     assert all(q["decoded"] == q["in_range"] for q in report["results"]["queries"])
 
 
 def test_dichotomy_command(tmp_path, capsys):
-    c4 = formats.graph_to_json(
-        __import__("chordlab").Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
-    )
     path = tmp_path / "c4.json"
-    path.write_text(c4)
+    formats.save_graph(Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)]), path)
     witness_path = tmp_path / "w.json"
-    code, out = run_cli(
-        capsys, "dichotomy", "--graph", str(path), "--n", "4",
-        "--witness", str(witness_path),
-    )
-    assert code == 0
-    assert last_json(out)["results"]["kind"] == "k22"
+    report = report_of(capsys, "dichotomy", "--graph", str(path), "--n", "4",
+                       "--witness", str(witness_path))
+    assert report["results"]["kind"] == "k22"
     assert json.loads(witness_path.read_text())["kind"] == "k22"
 
 
 def test_mn_search_command(tmp_path, capsys):
     report_path = tmp_path / "mn.json"
-    code, out = run_cli(
-        capsys, "mn-search", "--n", "4", "--max-size", "5",
-        "--report", str(report_path),
-    )
-    assert code == 0
+    report_of(capsys, "mn-search", "--n", "4", "--max-size", "5", "--report", str(report_path))
     payload = json.loads(report_path.read_text())
     assert payload["empirical_lower_bound"] == 6
     assert payload["sizes"][4]["neither"] == 1
@@ -354,23 +342,15 @@ def test_mn_search_command(tmp_path, capsys):
 def test_mn_search_with_huge_n_runs_in_host_sized_memory(tmp_path, capsys):
     # no host of at most 3 vertices holds a chordless 10^9-path, so every
     # traceable K22-free host is a neither instance
-    code, out = run_cli(
-        capsys, "mn-search", "--n", str(10**9), "--max-size", "3",
-        "--report", str(tmp_path / "mn.json"),
-    )
-    assert code == 0
-    results = last_json(out)["results"]
+    results = report_of(capsys, "mn-search", "--n", str(10**9), "--max-size", "3",
+                        "--report", str(tmp_path / "mn.json"))["results"]
     assert [s["neither"] for s in results["sizes"]] == [1, 1, 2]
 
 
 def test_mn_search_reports_exact_threshold(tmp_path, capsys):
     report_path = tmp_path / "mn.json"
-    code, out = run_cli(
-        capsys, "mn-search", "--n", "4", "--max-size", "7",
-        "--report", str(report_path),
-    )
-    assert code == 0
-    report = last_json(out)
+    report = report_of(capsys, "mn-search", "--n", "4", "--max-size", "7",
+                       "--report", str(report_path))
     assert report["schema"] == 1
     assert "jobs" not in report["parameters"]
     assert report["results"]["exact_threshold"] == 6
@@ -384,6 +364,10 @@ def test_mn_search_reports_exact_threshold(tmp_path, capsys):
 
 def assert_input_error(capsys, argv):
     assert main(argv) == 2
+    assert_one_error_line(capsys)
+
+
+def assert_one_error_line(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -391,11 +375,9 @@ def assert_input_error(capsys, argv):
 
 
 def test_verify_certifies_no_chordless_4path_at_200_stages(capsys):
-    code, out = run_cli(
-        capsys, "verify", "--f", "seed:7,len:200", "--stages", "200", "--exhaustive-chordless"
-    )
-    assert code == 0
-    checks = {c["name"]: c["pass"] for c in last_json(out)["checks"]}
+    report = report_of(capsys, "verify", "--f", "seed:7,len:200", "--stages", "200",
+                       "--exhaustive-chordless")
+    checks = {c["name"]: c["pass"] for c in report["checks"]}
     assert checks["no-chordless-4paths"] is True
 
 
@@ -458,13 +440,9 @@ def test_dichotomy_rejects_non_integer_graph_json(tmp_path, capsys, text):
 
 
 def test_pipeline_command(tmp_path, capsys):
-    from chordlab.graphs import complete_graph
-
     path = tmp_path / "k9.json"
-    path.write_text(formats.graph_to_json(complete_graph(9)))
-    code, out = run_cli(capsys, "pipeline", "--graph", str(path), "--n", "5")
-    assert code == 0
-    report = last_json(out)
+    formats.save_graph(complete_graph(9), path)
+    report = report_of(capsys, "pipeline", "--graph", str(path), "--n", "5")
     assert report["results"]["outcome"] == "k22"
     assert report["results"]["certificate"]["color"] == [0, 0]
 
@@ -473,7 +451,7 @@ def test_pipeline_homogeneous_budget_exits_2(tmp_path, capsys, monkeypatch):
     # Every 4-subset of K9 has color (0, 0), so the search takes 0..7 in
     # turn: 8 candidate vertices.
     path = tmp_path / "k9.json"
-    path.write_text(formats.graph_to_json(complete_graph(9)))
+    formats.save_graph(complete_graph(9), path)
     argv = ["pipeline", "--graph", str(path), "--n", "5"]
     monkeypatch.setattr(ramsey, "HOMOGENEOUS_BUDGET", 8)
     assert run_cli(capsys, *argv)[0] == 0
@@ -496,37 +474,25 @@ def test_pipeline_rejects_an_untraceable_host_like_dichotomy(tmp_path, capsys):
 def test_lattice_commands(tmp_path, capsys):
     lat, gens = fence_lattice(5)
     lat_path = tmp_path / "lat.json"
-    formats.save_lattice(lat_path, lat.n, lat.leq_pairs(), gens)
-    code, out = run_cli(capsys, "lattice", "verify", "--lattice", str(lat_path))
-    assert code == 0
-    assert all(c["pass"] for c in last_json(out)["checks"])
+    save_lattice(lat_path, lat.n, lat.leq_pairs(), gens)
+    report = report_of(capsys, "lattice", "verify", "--lattice", str(lat_path))
+    assert all(c["pass"] for c in report["checks"])
 
     dot_path = tmp_path / "h.dot"
-    code, out = run_cli(
-        capsys, "lattice", "fences", "--lattice", str(lat_path),
-        "--target", "1", "--dot", str(dot_path),
-    )
-    assert code == 0
-    assert last_json(out)["results"]["fence"] is not None
+    report = report_of(capsys, "lattice", "fences", "--lattice", str(lat_path),
+                       "--target", "1", "--dot", str(dot_path))
+    assert report["results"]["fence"] is not None
     assert dot_path.read_text().startswith("digraph")
 
     # a too-long target is a failed check, not a crash
-    code, out = run_cli(
-        capsys, "lattice", "fences", "--lattice", str(lat_path), "--target", "5"
-    )
-    assert code == 1
+    report_of(capsys, "lattice", "fences", "--lattice", str(lat_path), "--target", "5", code=1)
 
 
 def test_lattice_verify_fails_on_non_lattice(tmp_path, capsys):
-    pairs = [(x, x) for x in range(6)]
-    pairs += [(0, x) for x in range(1, 6)]
-    pairs += [(x, 5) for x in range(5)]
-    pairs += [(1, 3), (1, 4), (2, 3), (2, 4)]
     lat_path = tmp_path / "bad.json"
-    formats.save_lattice(lat_path, 6, pairs)
-    code, out = run_cli(capsys, "lattice", "verify", "--lattice", str(lat_path))
-    assert code == 1
-    checks = {c["name"]: c for c in last_json(out)["checks"]}
+    save_lattice(lat_path, 6, K22_POSET)
+    report = report_of(capsys, "lattice", "verify", "--lattice", str(lat_path), code=1)
+    checks = {c["name"]: c for c in report["checks"]}
     assert not checks["lattice-axioms"]["pass"]
 
 
@@ -549,10 +515,8 @@ def test_decode_rejects_non_integer_query(capsys):
 
 
 def test_input_errors_exit_2(tmp_path, capsys):
-    assert main(["dichotomy", "--graph", str(tmp_path / "nope.json"), "--n", "4"]) == 2
-    capsys.readouterr()
-    assert main(["construct", "--f", "1,1", "--stages", "2", "--out", "x.json"]) == 2
-    capsys.readouterr()
+    assert_input_error(capsys, ["dichotomy", "--graph", str(tmp_path / "nope.json"), "--n", "4"])
+    assert_input_error(capsys, ["construct", "--f", "1,1", "--stages", "2", "--out", "x.json"])
     assert_input_error(capsys, ["dichotomy", "--graph=--", "--n", "4"])
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
@@ -568,10 +532,7 @@ def test_usage_errors_are_one_json_line(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and "error" in json.loads(lines[0])
+        assert_one_error_line(capsys)
 
 
 @pytest.mark.parametrize("argv", [
@@ -588,13 +549,10 @@ def test_empty_tokens_in_an_explicit_list_exit_2(tmp_path, capsys, monkeypatch, 
 
 
 def test_an_empty_list_is_the_empty_sequence(capsys):
-    code, out = run_cli(capsys, "verify", "--f", "", "--stages", "0")
-    assert code == 0
-    assert last_json(out)["parameters"]["f"] == {"values": []}
-    code, out = run_cli(capsys, "decode", "--f", "seed:2,len:30", "--stages", "30",
-                        "--pattern", "A:4", "--query", "")
-    assert code == 0
-    report = last_json(out)
+    report = report_of(capsys, "verify", "--f", "", "--stages", "0")
+    assert report["parameters"]["f"] == {"values": []}
+    report = report_of(capsys, "decode", "--f", "seed:2,len:30", "--stages", "30",
+                       "--pattern", "A:4", "--query", "")
     assert report["parameters"]["query"] == [] and report["results"]["queries"] == []
 
 
@@ -607,9 +565,7 @@ def test_a_usage_error_leaves_the_parser_reusable(capsys):
         main(["verify", "--f", "5,0", "--stages", "x"])
     assert exc.value.code == 2
     capsys.readouterr()
-    code, out = run_cli(capsys, "verify", "--f", "5,0", "--stages", "2")
-    assert code == 0
-    report = last_json(out)
+    report = report_of(capsys, "verify", "--f", "5,0", "--stages", "2")
     assert report["command"] == "verify"
     assert report["parameters"] == {
         "exhaustive_chordless": False, "f": {"values": [5, 0]}, "stages": 2,
@@ -620,10 +576,8 @@ def test_a_usage_error_leaves_the_parser_reusable(capsys):
 def test_an_option_does_not_carry_over_to_the_next_run(tmp_path, capsys):
     out_path, dot = str(tmp_path / "g.json"), str(tmp_path / "g.dot")
     argv = ["construct", "--f", "5,0", "--stages", "2", "--out", out_path]
-    code, out = run_cli(capsys, *argv, "--dot", dot)
-    assert code == 0 and last_json(out)["parameters"]["dot"] == dot
-    code, out = run_cli(capsys, *argv)
-    assert code == 0 and last_json(out)["parameters"]["dot"] is None
+    assert report_of(capsys, *argv, "--dot", dot)["parameters"]["dot"] == dot
+    assert report_of(capsys, *argv)["parameters"]["dot"] is None
 
 
 def test_main_runs_a_patched_command(monkeypatch):
@@ -645,10 +599,9 @@ TALL = (
 
 def test_lattice_fences_rejects_a_lattice_longer_than_3(tmp_path, capsys):
     lat_path = tmp_path / "tall.json"
-    formats.save_lattice(lat_path, 7, TALL, [1, 2, 4, 5])
-    code, out = run_cli(capsys, "lattice", "verify", "--lattice", str(lat_path))
-    assert code == 1
-    checks = {c["name"]: c["pass"] for c in last_json(out)["checks"]}
+    save_lattice(lat_path, 7, TALL, [1, 2, 4, 5])
+    report = report_of(capsys, "lattice", "verify", "--lattice", str(lat_path), code=1)
+    checks = {c["name"]: c["pass"] for c in report["checks"]}
     assert checks["lattice-axioms"] and not checks["length-3"]
     assert_input_error(capsys, ["lattice", "fences", "--lattice", str(lat_path), "--target", "3"])
 
@@ -660,9 +613,9 @@ FENCE5_DOT = "f7f4f179ac542d7943b7350e2312221d8432a4b8704e164425b8935930610473"
 def test_lattice_fences_writes_the_dot_only_once_the_search_accepts(tmp_path, capsys):
     lat, gens = fence_lattice(5)
     lat_path = tmp_path / "lat.json"
-    formats.save_lattice(lat_path, lat.n, lat.leq_pairs(), gens)
+    save_lattice(lat_path, lat.n, lat.leq_pairs(), gens)
     tall_path = tmp_path / "tall.json"
-    formats.save_lattice(tall_path, 7, TALL, [1, 2, 4, 5])
+    save_lattice(tall_path, 7, TALL, [1, 2, 4, 5])
     dot_path = tmp_path / "x.dot"
     # an even target, and a lattice longer than 3, exit 2 and leave no file
     for path, target in ((lat_path, "4"), (tall_path, "3")):
@@ -726,6 +679,23 @@ def test_construct_removes_its_partial_files_when_a_write_fails(tmp_path, capsys
     assert os.listdir() == []
 
 
+def test_witness_and_report_writes_leave_no_partial_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    formats.save_graph(Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)]), "c4.json")
+    write_parts = formats.write_parts
+
+    def broken(path, parts, *written):  # the disk fills after the first line
+        lines = "".join(parts).splitlines(True)
+        write_parts(path, _fails_after_first_part(iter)(lines), *written)
+
+    monkeypatch.setattr(formats, "write_parts", broken)
+    assert_input_error(capsys, ["dichotomy", "--graph", "c4.json", "--n", "4",
+                                "--witness", "w.json"])
+    assert_input_error(capsys, ["mn-search", "--n", "4", "--max-size", "5",
+                                "--report", "r.json"])
+    assert os.listdir() == ["c4.json"]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_writers_keep_a_device_they_could_not_fill(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -736,10 +706,17 @@ def test_writers_keep_a_device_they_could_not_fill(tmp_path, capsys, monkeypatch
     assert_input_error(capsys, argv + ["--out", "g.json", "--dot", "/dev/full"])
     assert os.listdir() == [] and stat.S_ISCHR(os.stat("/dev/full").st_mode)
     lat, gens = fence_lattice(5)
-    formats.save_lattice("lat.json", lat.n, lat.leq_pairs(), gens)
+    save_lattice("lat.json", lat.n, lat.leq_pairs(), gens)
     assert_input_error(capsys, ["lattice", "fences", "--lattice", "lat.json",
                                 "--target", "1", "--dot", "/dev/full"])
     assert os.listdir() == ["lat.json"] and stat.S_ISCHR(os.stat("/dev/full").st_mode)
+    formats.save_graph(path_graph(4), "g.json")
+    assert_input_error(capsys, ["dichotomy", "--graph", "g.json", "--n", "4",
+                                "--witness", "/dev/full"])
+    assert_input_error(capsys, ["mn-search", "--n", "4", "--max-size", "5",
+                                "--report", "/dev/full"])
+    assert sorted(os.listdir()) == ["g.json", "lat.json"]
+    assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
 
 
 def test_construct_refuses_a_dot_path_that_names_the_out_file(tmp_path, capsys,
@@ -761,7 +738,7 @@ def test_lattice_fences_refuses_a_dot_path_that_names_its_input(tmp_path, capsys
                                                                  monkeypatch):
     monkeypatch.chdir(tmp_path)
     lat, gens = fence_lattice(5)
-    formats.save_lattice("lat.json", lat.n, lat.leq_pairs(), gens)
+    save_lattice("lat.json", lat.n, lat.leq_pairs(), gens)
     with open("lat.json", "rb") as fh:
         before = fh.read()
     for dot in ("lat.json", os.path.join(str(tmp_path), "lat.json"), "./lat.json"):
@@ -797,10 +774,9 @@ def test_build_tree_rejects_a_lattice_longer_than_3():
 def test_lattice_with_huge_n_fails_before_allocating(tmp_path, capsys):
     # n-sized tables would overflow; reflexivity is decided from the pairs alone
     lat_path = tmp_path / "huge.json"
-    formats.save_lattice(lat_path, 10**20, [(0, 0)], [0])
-    code, out = run_cli(capsys, "lattice", "verify", "--lattice", str(lat_path))
-    assert code == 1
-    axioms = last_json(out)["checks"][0]
+    save_lattice(lat_path, 10**20, [(0, 0)], [0])
+    report = report_of(capsys, "lattice", "verify", "--lattice", str(lat_path), code=1)
+    axioms = report["checks"][0]
     assert axioms["witness"] == {"axiom": "reflexive", "witness": [1]}
     assert_input_error(capsys, ["lattice", "fences", "--lattice", str(lat_path), "--target", "1"])
 
@@ -808,10 +784,9 @@ def test_lattice_with_huge_n_fails_before_allocating(tmp_path, capsys):
 def test_lattice_verify_checks_double_cover_only_at_length_3(tmp_path, capsys):
     # in TALL the atoms 1, 2 lie under both coatoms 4, 5, which is legal here
     lat_path = tmp_path / "tall.json"
-    formats.save_lattice(lat_path, 7, TALL)
-    code, out = run_cli(capsys, "lattice", "verify", "--lattice", str(lat_path))
-    assert code == 1
-    checks = [(c["name"], c["pass"]) for c in last_json(out)["checks"]]
+    save_lattice(lat_path, 7, TALL)
+    report = report_of(capsys, "lattice", "verify", "--lattice", str(lat_path), code=1)
+    checks = [(c["name"], c["pass"]) for c in report["checks"]]
     assert checks == [("lattice-axioms", True), ("length-3", False)]
 
 
@@ -839,8 +814,7 @@ def _lattice_failure_digests():
     digests = {}
     for name, n, pairs in _lattice_failure_inputs():
         path = name + ".json"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(formats.lattice_to_json(n, pairs, range(n)))
+        save_lattice(path, n, pairs, range(n))
         for sub, extra in (("verify", []), ("fences", ["--target", "1"])):
             code, out, err = _run_isolated(["lattice", sub, "--lattice", path] + extra)
             digests[name, sub] = hashlib.sha256(
@@ -967,7 +941,7 @@ def test_failed_witness_rechecks_give_an_internal_report(tmp_path, monkeypatch):
 def test_lattice_internal_reports_name_the_subcommand(tmp_path, monkeypatch):
     lat, gens, _ = spurred_fence_lattice(5)
     lat_path = tmp_path / "spurred.json"
-    formats.save_lattice(lat_path, lat.n, lat.leq_pairs(), gens)
+    save_lattice(lat_path, lat.n, lat.leq_pairs(), gens)
 
     def fail(*args):
         raise StructuralError("broken")
@@ -985,7 +959,7 @@ def test_lattice_fences_tree_budget_exits_2(tmp_path, capsys, monkeypatch):
     table = lattices.closure_and_rank(lat, gens)
     size = len(list(lattices.build_tree(lat, table).nodes()))
     lat_path = tmp_path / "spurred.json"
-    formats.save_lattice(lat_path, lat.n, lat.leq_pairs(), gens)
+    save_lattice(lat_path, lat.n, lat.leq_pairs(), gens)
     argv = ["lattice", "fences", "--lattice", str(lat_path), "--target", "5"]
     monkeypatch.setattr(lattices, "MAX_TREE_NODES", size)
     lattices.build_tree(lat, table)
@@ -1084,7 +1058,7 @@ K22_POSET = (
 
 
 def _lattice_doc(n, pairs, gens):
-    return formats.lattice_to_json(n, pairs, gens).encode()
+    return lattice_to_json(n, pairs, gens).encode()
 
 
 _FENCE3, _FENCE3_GENS = fence_lattice(3)
@@ -1119,7 +1093,7 @@ def _graph_documents():
         max_leaves=8,
     )
     texts = st.one_of(
-        graphs().map(formats.graph_to_json),
+        graphs().map(lambda g: "".join(formats.graph_json_parts(g))),
         st.one_of(graph_json_objects(), graph_json_objects(), anything).map(json.dumps),
         st.text(max_size=20),
     )
@@ -1127,7 +1101,7 @@ def _graph_documents():
 
 
 def _graph_doc(g):
-    return formats.graph_to_json(g).encode()
+    return "".join(formats.graph_json_parts(g)).encode()
 
 
 @settings(max_examples=300, deadline=None)

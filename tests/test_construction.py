@@ -29,14 +29,13 @@ from chordlab.errors import (
 from chordlab.graphs import (
     Embedding,
     Graph,
+    Pattern,
     check_traceable,
     embedding_is_valid,
     find_chordless_path,
     find_chordless_positions,
     is_chordless,
     is_cograph,
-    pattern_A,
-    pattern_Kkk,
 )
 
 from oracles import (
@@ -502,23 +501,23 @@ def test_stable_coding_matches_the_per_index_definition():
 
 def test_embed_via_coding():
     h = run(seeded_permutation(7, 20), 20)
-    emb = embed_via_coding(h, pattern_Kkk(3))
+    emb = embed_via_coding(h, Pattern("Kkk", 3))
     host = h.final_graph()
     assert embedding_is_valid(host, emb)
-    emb_a = embed_via_coding(h, pattern_A(3))
+    emb_a = embed_via_coding(h, Pattern("A", 3))
     assert embedding_is_valid(host, emb_a)
     with pytest.raises(CapacityError) as exc:
-        embed_via_coding(run([5, 0], 2), pattern_Kkk(2))
+        embed_via_coding(run([5, 0], 2), Pattern("Kkk", 2))
     assert exc.value.shortfall == 1
 
 
 def test_decode_range_examples():
     h = run([5, 0], 2)
-    ctx = build_decode_context(h, pattern_A(1))
+    ctx = build_decode_context(h, Pattern("A", 1))
     assert ctx.gprime[0] >= 2
     assert decode_range(ctx, h.f, 0) is True
     h2 = run([5, 0, 7, 1], 4)
-    ctx2 = build_decode_context(h2, pattern_A(2))
+    ctx2 = build_decode_context(h2, Pattern("A", 2))
     assert decode_range(ctx2, h2.f, 0) is True
     assert decode_range(ctx2, h2.f, 1) is True
     with pytest.raises(InvalidInputError):
@@ -527,7 +526,7 @@ def test_decode_range_examples():
 
 def test_decode_context_validates_its_embedding_once():
     h = run(seeded_permutation(4, 20), 20)
-    ctx = build_decode_context(h, pattern_A(3))
+    ctx = build_decode_context(h, Pattern("A", 3))
     # a vertex off the coding list misses an edge the pattern needs
     loner = next(v for v in range(h.final_k + 1) if v not in h.final_coding)
     broken = Embedding(ctx.embedding.pattern, (loner,) + ctx.embedding.image[1:])
@@ -539,7 +538,7 @@ def test_decode_context_validates_its_embedding_once():
 def test_decode_matches_range_membership():
     for seed in range(15):
         h = run(seeded_permutation(seed, 30), 30)
-        ctx = build_decode_context(h, pattern_A(6))
+        ctx = build_decode_context(h, Pattern("A", 6))
         assert all(a <= b for a, b in zip(ctx.gprime, ctx.gprime[1:]))
         for k in range(6):
             assert decode_range(ctx, h.f, k) == (k in h.consumed)
@@ -549,7 +548,7 @@ def test_decode_false_for_missing_values():
     # f skips small values entirely: decode must say no
     f = [10, 11, 12, 13, 14, 15, 16, 17, 2, 3]
     h = run(f, 10)
-    ctx = build_decode_context(h, pattern_A(2))
+    ctx = build_decode_context(h, Pattern("A", 2))
     assert decode_range(ctx, h.f, 0) is False
     assert decode_range(ctx, h.f, 1) is False
 

@@ -1,5 +1,6 @@
 """Lattices: validation, closure ranks, derivation tree, fence extraction."""
 
+import itertools
 import random
 
 import pytest
@@ -10,10 +11,12 @@ from chordlab.errors import (
     LatticeAxiomError,
     StructuralError,
 )
-from chordlab.graphs import check_traceable
+from chordlab.graphs import check_traceable, find_chordless_path, is_cograph
 from chordlab.lattices import (
     BoundedPoset,
     FiniteLattice,
+    GenTree,
+    RankTable,
     _missing_meet_or_join,
     _order_masks,
     build_tree,
@@ -21,10 +24,8 @@ from chordlab.lattices import (
     check_no_double_cover,
     closure_and_rank,
     comparability_graph,
-    fence_elements,
     fence_lattice,
     find_fences,
-    pipeline_capacity,
     spurred_fence_lattice,
     validate_fence,
 )
@@ -38,6 +39,7 @@ from oracles import (
     naive_lattice_axioms,
     naive_tree_levels,
     pairwise_fence,
+    pipeline_capacity,
     random_bounded_poset,
     random_closure_system,
     random_length3_lattice,
@@ -359,6 +361,17 @@ def test_closure_levels_monotone():
         assert len(table.levels) <= n + 1
 
 
+def _fence_through_find_chordless_path(lat, tree, target):
+    """``find_fences``' branch loop as it ran through ``find_chordless_path``."""
+    for branch in tree.branches_by_depth():
+        if len(branch) < target + 1:
+            return None
+        seq = find_chordless_path(comparability_graph(lat, branch), target + 1)
+        if seq is not None:
+            return seq if (lat.atom_mask >> seq[0]) & 1 else tuple(reversed(seq))
+    return None
+
+
 def test_closure_and_tree_match_naive_oracles():
     cases = [fence_lattice(n) for n in (1, 3, 7, 11)]
     cases += [spurred_fence_lattice(n)[:2] for n in (3, 5, 9, 15, 33, 45)]
@@ -369,12 +382,23 @@ def test_closure_and_tree_match_naive_oracles():
         gens = generating_set(lat)
         extra = [x for x in range(n) if x not in gens and rng.random() < 0.2]
         cases += [(lat, gens), (lat, sorted(gens + extra))]
+    long_branches = 0
     for lat, gens in cases:
         table = closure_and_rank(lat, gens)
         assert table.levels == naive_closure_and_rank(lat, gens)
         tree = build_tree(lat, table)
         assert_tree_properties(lat, table, tree)
         assert tree.levels == naive_tree_levels(lat, table, table.max_rank)
+        # no branch of four or more entries is a cograph, so find_fences,
+        # which skips the cotree pre-pass, finds what the old route found
+        for branch in tree.nodes():
+            if len(branch) >= 4:
+                assert not is_cograph(comparability_graph(lat, branch).rows)
+                long_branches += 1
+        for target in range(1, len(tree.levels) + 2, 2):
+            old = _fence_through_find_chordless_path(lat, tree, target)
+            assert find_fences(lat, gens, target) == old
+    assert long_branches > 600
 
 
 def test_closure_matches_naive_oracle_beyond_length_3():
@@ -438,7 +462,7 @@ def test_tree_reachability_matches_ranks():
 
 def test_comparability_graph():
     lat, gens = fence_lattice(5)
-    elems = fence_elements(5)
+    elems = tuple(range(1, 7))
     g = comparability_graph(lat, elems)
     assert check_traceable(g)
     assert g.edge_count() == 5  # exactly the fence comparabilities
@@ -451,14 +475,14 @@ def test_comparability_graph_of_antichain_and_chain():
     atoms = lat.atoms()
     g = comparability_graph(lat, atoms)
     assert g.edge_count() == 0
-    pair = (fence_elements(3)[0], fence_elements(3)[1])
+    pair = (1, 2)  # x0 < x1: fence element x_i has code i + 1
     g2 = comparability_graph(lat, pair)
     assert g2.edge_count() == 1
 
 
 def test_validate_fence():
     lat, _ = fence_lattice(5)
-    elems = fence_elements(5)
+    elems = tuple(range(1, 7))
     assert validate_fence(lat, elems)
     assert not validate_fence(lat, tuple(reversed(elems)))  # starts at a coatom
     assert not validate_fence(lat, elems[:3])  # even length
@@ -544,8 +568,6 @@ def test_fence_lattice_capacity_is_one():
 def test_fence_lattice_rank_cap_holds_for_every_generating_set():
     # brute-force confirmation on a small instance: all generating subsets
     lat, _ = fence_lattice(5)
-    import itertools
-
     best = 0
     for r in range(1, lat.n + 1):
         for gens in itertools.combinations(range(lat.n), r):
@@ -580,8 +602,6 @@ def test_find_fences_rejects_even_targets():
 
 
 def test_build_tree_structural_error_on_corrupt_ranks():
-    from chordlab.lattices import RankTable
-
     lat, _ = fence_lattice(3)
     # claims element 3 has rank 2; nothing of rank 1 exists to reach it from
     fake = RankTable(levels=(0b010110, 0b110111, 0b111111))
@@ -596,8 +616,6 @@ def test_build_tree_structural_error_on_corrupt_ranks():
 
 def test_tree_check_catches_a_bad_last_entry():
     # a node is checked whole, so a bad last entry is caught like any other
-    from chordlab.lattices import GenTree
-
     lat, gens, _ = spurred_fence_lattice(7)
     ranks = closure_and_rank(lat, gens)
     tree = build_tree(lat, ranks)
@@ -633,8 +651,6 @@ def test_find_fences_none_when_tree_too_shallow():
 def test_fence_from_chordless_path_property():
     # any chordless path in a branch comparability graph maps to a fence
     rng = random.Random(6)
-    from chordlab.graphs import find_chordless_path
-
     for n in (9, 13):
         lat, gens, _ = spurred_fence_lattice(n)
         table = closure_and_rank(lat, gens)

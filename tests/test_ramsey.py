@@ -24,7 +24,6 @@ from chordlab.graphs import (
     find_chordless_positions,
     find_k22,
     is_chordless,
-    path_graph,
 )
 from chordlab.ramsey import (
     RESIDUAL,
@@ -52,6 +51,7 @@ from oracles import (
     iter_traceable_masks,
     masks_to_graph,
     naive_four_coloring,
+    path_graph,
     quadwise_coloring,
     random_no_c5_host,
     random_traceable_graph,
