@@ -9,7 +9,6 @@ so results are reproducible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
@@ -282,26 +281,44 @@ def find_chordless_path(g: Graph, n: int):
     return tuple(g.vertices[i] for i in found)
 
 
-def find_k22(rows):
+def find_k22(rows, cols):
     """The least pair of positions ``r < s`` with two common neighbours, and
     the least two of those neighbours ``p < q``, as ``(p, q, r, s)``; or None.
 
     Such a pair is a K22 copy, with r and s on one side and p and q on the
     other.  ``rows`` need not be symmetric: the neighbours of r are the bits
-    of ``rows[r]`` other than r itself.  Only positions with two or more
-    neighbours can be r or s, so only those are paired, in order.
+    of ``rows[r]`` other than r itself.  ``cols[p]`` is a mask holding every
+    r whose row holds p, so a symmetric ``rows`` is its own ``cols``; extra
+    bits cost one check each and never change the answer.
+
+    Every later s that shares a neighbour p with r is a bit of ``cols[p]``,
+    so one OR per neighbour of r collects the s met once (``seen``) and
+    those met twice (``dup``): the wedge count of Chiba and Nishizeki
+    ("Arboricity and subgraph listing algorithms", 1985).  The candidates
+    in ``dup`` are checked in order, so the first that holds is the least s.
     """
-    live = []
-    for r, row in enumerate(rows):
-        row &= ~(1 << r)
-        if row & (row - 1):
-            live.append((r, row))
-    for (r, mr), (s, ms) in itertools.combinations(live, 2):
-        common = mr & ms
-        if common & (common - 1):
-            p = (common & -common).bit_length() - 1
-            common &= common - 1
-            return (p, (common & -common).bit_length() - 1, r, s)
+    for r, mr in enumerate(rows):
+        mr &= ~(1 << r)
+        if not mr & (mr - 1):
+            continue  # fewer than two neighbours
+        start = r + 1
+        seen = dup = 0
+        rest = mr
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            hit = cols[bit.bit_length() - 1] >> start
+            dup |= seen & hit
+            seen |= hit
+        while dup:
+            bit = dup & -dup
+            dup ^= bit
+            s = start + bit.bit_length() - 1
+            common = mr & rows[s] & ~(1 << s)
+            if common & (common - 1):
+                p = (common & -common).bit_length() - 1
+                common &= common - 1
+                return (p, (common & -common).bit_length() - 1, r, s)
     return None
 
 

@@ -129,7 +129,8 @@ def _length3_missing_meet_or_join(poset):
         return None
     atoms, coatoms = poset.atom_mask, poset.coatom_mask
     join = find_k22(
-        [a & coatoms if (atoms >> x) & 1 else 0 for x, a in enumerate(poset.above)]
+        [a & coatoms if (atoms >> x) & 1 else 0 for x, a in enumerate(poset.above)],
+        poset.below,
     )
     if join[2:] < meet[2:]:
         return "join", join[2:]
@@ -223,11 +224,13 @@ def check_no_double_cover(poset: BoundedPoset):
     None, so ``lattice verify`` reports that answer without a second call.
     It is the K22 kernel's answer on rows that hold, for
     each coatom, the atoms below it, and nothing for any other element: the
-    least coatom pair with two common atoms, and its least two.
+    least coatom pair with two common atoms, and its least two.  ``above``
+    serves as their transpose: its extra bits fall on elements with no row.
     """
     atoms, coatoms = poset.atom_mask, poset.coatom_mask
     return find_k22(
-        [b & atoms if (coatoms >> u) & 1 else 0 for u, b in enumerate(poset.below)]
+        [b & atoms if (coatoms >> u) & 1 else 0 for u, b in enumerate(poset.below)],
+        poset.above,
     )
 
 
@@ -252,48 +255,77 @@ class RankTable:
         return self.levels[r] & ~self.levels[r - 1] if r else self.levels[0]
 
 
+def _reach_bound(lows, highs, over, twice) -> bool:
+    """True when two members of a length-3 level meet in bottom.
+
+    ``lows`` and ``highs`` are the level's atoms and coatoms, ``over[a]``
+    the elements above a, and ``twice`` the atoms under two or more of
+    ``highs``.  Two inner elements meet in bottom unless they are
+    comparable or two coatoms over a common atom: so the level holds two
+    atoms, or an atom and a coatom not above it, or, with no atom, two
+    coatoms with no common atom.  Two coatoms share at most one atom, so
+    the coatom pairs that share one are counted atom by atom, and some pair
+    shares none exactly when the count falls short of all pairs.  With the
+    order reversed the same test tells when a level joins to top.
+    """
+    if lows & (lows - 1):
+        return True
+    if lows:
+        return highs & ~over[lows.bit_length() - 1] != 0
+    shared = 0
+    for a in iter_bits(twice):
+        k = (over[a] & highs).bit_count()
+        shared += k * (k - 1) // 2
+    m = highs.bit_count()
+    return shared < m * (m - 1) // 2
+
+
 def closure_and_rank(lat: FiniteLattice, generators) -> RankTable:
     """Iterate meets and joins from the generators until a fixpoint.
 
     Elements are ranked by the first level that contains them; reaching a
     fixpoint short of the whole lattice is a coverage error naming the
-    unreached elements.  Each round is semi-naive: it combines only pairs
-    with an element added in the previous round, since pairs of older
-    members were already combined when the current level was formed.
+    unreached elements.  Only length-3 lattices are accepted.
 
-    A meet is one dict lookup of the common lower bounds' mask, and only
-    partners that can give a new meet are tried: a meet of x and y missing
-    from the round's mask lies below x, outside that mask, and below y.
-    Joins are dual.
+    There two incomparable inner elements meet in their one common atom,
+    or else in bottom, and joins are dual; a comparable pair gives back its
+    own members.  So a round adds the atoms under two coatoms of the level,
+    the coatoms over two of its atoms, and each bound once ``_reach_bound``
+    finds a pair that gives it.  The atoms under one and under two or more
+    of the level's coatoms are kept as the masks ``once`` and ``twice``, and
+    each coatom is folded into them once, in the round that follows its
+    arrival; ``ups_once`` and ``ups_twice`` do the same for atoms.  An element
+    that is both an atom and a coatom folds in only itself, which no other
+    member shares, so it counts only towards the bounds.
     """
+    _require_length3(lat)
     gens = sorted(set(int(g) for g in generators))
     if not gens:
         raise InvalidInputError("generator set must be nonempty")
     if any(g < 0 or g >= lat.n for g in gens):
         raise InvalidInputError("generators outside the lattice: %r" % (gens,))
-    duals = (
-        (lat.below, lat.above, {b: g for g, b in enumerate(lat.below)}),
-        (lat.above, lat.below, {a: g for g, a in enumerate(lat.above)}),
-    )
+    below, above = lat.below, lat.above
+    atoms, coatoms = lat.atom_mask, lat.coatom_mask
+    bottom, top = 1 << lat.bottom, 1 << lat.top
+    once = twice = ups_once = ups_twice = 0
     current = added = sum(1 << g for g in gens)
     levels = [current]
     while True:
-        new = current
-        for x in iter_bits(added):
-            for down, up, extreme in duals:
-                partners = 0
-                gs = down[x] & ~new
-                while gs:
-                    bit = gs & -gs
-                    gs ^= bit
-                    partners |= up[bit.bit_length() - 1]
-                    if partners & current == current:
-                        break  # only partners & current is read
-                dx, ys = down[x], partners & current
-                while ys:
-                    bit = ys & -ys
-                    ys ^= bit
-                    new |= 1 << extreme[dx & down[bit.bit_length() - 1]]
+        for c in iter_bits(added & coatoms):
+            down = below[c] & atoms
+            twice |= once & down
+            once |= down
+        for a in iter_bits(added & atoms):
+            up = above[a] & coatoms
+            ups_twice |= ups_once & up
+            ups_once |= up
+        new = current | twice | ups_twice
+        if ~current & (bottom | top):
+            lows, highs = current & atoms, current & coatoms
+            if _reach_bound(lows, highs, above, twice):
+                new |= bottom
+            if _reach_bound(highs, lows, below, ups_twice):
+                new |= top
         if new == current:
             break
         added = new & ~current
@@ -310,18 +342,43 @@ def closure_and_rank(lat: FiniteLattice, generators) -> RankTable:
 
 @dataclass(frozen=True)
 class GenTree:
-    """Derivation tree: level i holds sequences ending in a rank-i element."""
+    """Derivation tree: level i holds sequences ending in a rank-i element.
 
-    levels: tuple  # levels[i] = tuple of node tuples, length i+1 each
+    A node is stored as its last entry and the index of its prefix in the
+    level before, and its tuple is built only when asked for.
+    """
+
+    lasts: tuple  # lasts[i][j] = last entry of node j of level i
+    parents: tuple  # parents[i][j] = index of its prefix in level i - 1 (i >= 1)
+
+    def node(self, i: int, j: int) -> tuple:
+        """Node j of level i, as the tuple of its i + 1 entries."""
+        entries = [self.lasts[i][j]]
+        for k in range(i, 0, -1):
+            j = self.parents[k][j]
+            entries.append(self.lasts[k - 1][j])
+        return tuple(reversed(entries))
+
+    @property
+    def levels(self) -> tuple:
+        """``levels[i]``: the nodes of level i as tuples, in order; every
+        node is built, so this takes memory in the total length of the nodes."""
+        levels = [tuple((x,) for x in self.lasts[0])]
+        for lasts, parents in zip(self.lasts[1:], self.parents[1:]):
+            prefixes = levels[-1]
+            levels.append(tuple(prefixes[j] + (x,) for x, j in zip(lasts, parents)))
+        return tuple(levels)
 
     def nodes(self):
-        for level in self.levels:
-            yield from level
+        for i, lasts in enumerate(self.lasts):
+            for j in range(len(lasts)):
+                yield self.node(i, j)
 
     def branches_by_depth(self):
         """All nodes, deepest level first, lexicographic within a level."""
-        for level in reversed(self.levels):
-            yield from level
+        for i in reversed(range(len(self.lasts))):
+            for j in range(len(self.lasts[i])):
+                yield self.node(i, j)
 
 
 MAX_TREE_NODES = 200_000
@@ -364,8 +421,9 @@ def build_tree(lat: FiniteLattice, ranks: RankTable) -> GenTree:
             )
     rows, inner = lat.rows, lat.atom_mask | lat.coatom_mask
     tails = ranks.rank_mask(0) & inner
-    levels = [tuple((x,) for x in iter_bits(tails))]
-    total = len(levels[0])
+    lasts = [tuple(iter_bits(tails))]
+    parents = [()]
+    total = len(lasts[0])
     for i in range(1, len(ranks.levels)):
         targets = ranks.rank_mask(i) & inner
         reached = 0
@@ -378,17 +436,20 @@ def build_tree(lat: FiniteLattice, ranks: RankTable) -> GenTree:
                 % ((missed & -missed).bit_length() - 1, i)
             )
         tails = targets
-        # prefixes are sorted and x ascends within each, so the level is too
-        nodes = [
-            node + (x,) for node in levels[i - 1] for x in iter_bits(rows[node[-1]] & targets)
-        ]
-        total += len(nodes)
+        # prefixes are in order and x ascends within each, so the level is too
+        level, links = [], []
+        for j, e in enumerate(lasts[i - 1]):
+            for x in iter_bits(rows[e] & targets):
+                level.append(x)
+                links.append(j)
+        total += len(level)
         if total > MAX_TREE_NODES:
             raise ResourceLimitError(
                 "derivation tree exceeds %d nodes" % MAX_TREE_NODES
             )
-        levels.append(tuple(nodes))
-    return GenTree(levels=tuple(levels))
+        lasts.append(tuple(level))
+        parents.append(tuple(links))
+    return GenTree(lasts=tuple(lasts), parents=tuple(parents))
 
 
 def _check_elements(lat: BoundedPoset, elems) -> None:
@@ -438,8 +499,8 @@ def find_fences(lat: FiniteLattice, generators, target_n: int):
     """Extract a fence x0 < x1 > x2 < ... with ``target_n + 1`` elements, as a
     tuple, through the tree pipeline.
 
-    Builds the derivation tree to its full depth (length 3 is checked before
-    the closure runs), then searches the comparability graph of each
+    Builds the derivation tree to its full depth (the closure checks length
+    3 before anything else), then searches the comparability graph of each
     sufficiently long branch, deepest first, for a chordless path; oriented
     to start at an atom and checked by ``validate_fence``, it is the fence.
     Returns None when no branch is long enough or none yields a chordless
@@ -458,7 +519,6 @@ def find_fences(lat: FiniteLattice, generators, target_n: int):
     """
     if target_n < 1 or target_n % 2 == 0:
         raise InvalidInputError("fence length must be odd and >= 1")
-    _require_length3(lat)
     tree = build_tree(lat, closure_and_rank(lat, generators))
     want = target_n + 1
     for branch in tree.branches_by_depth():

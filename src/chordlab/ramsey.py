@@ -391,7 +391,7 @@ def dichotomy(g: Graph, n: int) -> DichotomyWitness:
     p = find_chordless_path(g, n)
     if p is not None:
         return DichotomyWitness(kind="chordless_path", path=p)
-    found = find_k22(g.rows)
+    found = find_k22(g.rows, g.rows)
     if found is None:
         return DichotomyWitness(kind="neither")
     p, q, r, s = (g.vertices[i] for i in found)
@@ -592,7 +592,7 @@ def _verified_example(level, n: int):
     """
     size = len(level[0])
     best = min(level, key=lambda rows: [rows[i] >> (i + 2) for i in reversed(range(size))])
-    if find_chordless_positions(best, n) is not None or find_k22(best) is not None:
+    if find_chordless_positions(best, n) is not None or find_k22(best, best):
         raise StructuralError(
             "m(%d) example on %d vertices is not a neither instance" % (n, size)
         )

@@ -864,15 +864,13 @@ def save_lattice(path, n, leq_pairs, generators=None):
 
 def pipeline_capacity(lat, generators):
     """Largest odd fence length the derivation tree can structurally support:
-    a fence with ``t + 1`` elements needs a branch at least that long."""
+    a fence with ``t + 1`` elements needs a branch at least that long.  0 when
+    no branch has two entries."""
     if not check_length3(lat):
         raise InvalidInputError("fence extraction needs a length-3 lattice")
     tree = build_tree(lat, closure_and_rank(lat, generators))
-    deepest = next(tree.branches_by_depth(), None)
-    if deepest is None:
-        return 0
-    best = len(deepest) - 1
-    return best if best % 2 == 1 else best - 1
+    size = len(next(tree.branches_by_depth(), ()))  # entries on the deepest branch
+    return max(0, size - 1 if size % 2 == 0 else size - 2)
 
 
 def seeded_permutation(seed, length):

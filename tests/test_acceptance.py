@@ -175,7 +175,7 @@ def test_criterion_6_empirical_lower_bound():
     from chordlab.graphs import Graph, find_chordless_path, find_k22
 
     g = Graph(range(4), SIZE4_WITNESS)
-    ok = ok and find_chordless_path(g, 4) is None and find_k22(g.rows) is None
+    ok = ok and find_chordless_path(g, 4) is None and find_k22(g.rows, g.rows) is None
     _verdict(6, "empirical m(4) bound (sizes <= 8)", ok)
 
 
@@ -217,19 +217,21 @@ FENCE_LENGTHS = tuple(range(3, 38, 2))
 
 def test_criterion_9_lattice_pipeline():
     ok = True
-    for n in FENCE_LENGTHS:
+    for n in (1,) + FENCE_LENGTHS:
         lat, gens = fence_lattice(n)
         ok = ok and _is_lattice(lat.n, lat.leq_pairs())
         ok = ok and check_length3(lat)
         ok = ok and check_no_double_cover(lat) is None
         # structural maximum of the tree pipeline on this family: interior
-        # fence elements need both neighbours, so capacity is pinned at 1
+        # fence elements need both neighbours, so capacity is pinned at 1;
+        # fence_lattice(1) is a 4-chain of generators, whose branches hold
+        # one entry each, so there it is 0
         cap = pipeline_capacity(lat, gens)
-        ok = ok and cap == 1
+        ok = ok and cap == (0 if n == 1 else 1)
         for target in range(1, cap + 1, 2):
             fence = find_fences(lat, gens, target)
             ok = ok and fence is not None and validate_fence(lat, fence)
-        ok = ok and find_fences(lat, gens, cap + 2) is None
+        ok = ok and find_fences(lat, gens, cap + 2 if cap else 1) is None
         if not ok:
             break
     # the pendant-augmented family drives the same pipeline to full depth

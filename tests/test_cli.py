@@ -27,6 +27,7 @@ from oracles import (
     graph_json_objects,
     graphs,
     lattice_to_json,
+    naive_closure_and_rank,
     path_graph,
     pattern_graph,
     random_length3_lattice,
@@ -150,6 +151,40 @@ def test_lattice_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     # reports echo the lattice path, so it is relative and the same every run
     monkeypatch.chdir(tmp_path)
     assert _lattice_report_digests(capsys) == PINNED_LATTICE_REPORTS
+
+
+def _scale_lattice_digests(capsys):
+    """SHA-256 of ``lattice verify`` and ``lattice fences --target 799``, with
+    exit codes, on spurred_fence_lattice(801) and on a seeded relabelling of
+    it: fences long enough that the closure, the tree and the K22 check do
+    work far past the 13-element inputs above."""
+    lat, gens, _ = spurred_fence_lattice(801)
+    perm = seeded_permutation(801, lat.n)
+    inputs = [
+        ("spurred801.json", lat.leq_pairs(), gens),
+        ("spurred801p.json", [(perm[x], perm[y]) for x, y in lat.leq_pairs()],
+         [perm[g] for g in gens]),
+    ]
+    digests = {}
+    for name, pairs, gens in inputs:
+        save_lattice(name, lat.n, pairs, gens)
+        for sub, extra in (("verify", ()), ("fences", ("--target", "799"))):
+            code, out = run_cli(capsys, "lattice", sub, "--lattice", name, *extra)
+            digests[name, sub] = hashlib.sha256(b"%d\0%s" % (code, out.encode())).hexdigest()
+    return digests
+
+
+PINNED_SCALE_LATTICE_REPORTS = {
+    ('spurred801.json', 'verify'): "01da8050af827fdf533acd41af6b67d24aa92bb0f95a85a038e732bc5f421159",
+    ('spurred801.json', 'fences'): "dad89ada47637762d9bba9e8d24549346164a6d868e95e2aab26b353db4b8591",
+    ('spurred801p.json', 'verify'): "5f211d70bcf8f28cc56f45ed17ace5a430d4c8fb7e80acabb8a4b1b5fcbeaaec",
+    ('spurred801p.json', 'fences'): "ce6e579098060de9fd4e0eea1c8c64bf9fda52cdb2f1614b538a4838b81441db",
+}
+
+
+def test_lattice_reports_at_scale_are_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _scale_lattice_digests(capsys) == PINNED_SCALE_LATTICE_REPORTS
 
 
 def _pipeline_report_digests(capsys):
@@ -766,7 +801,11 @@ def test_dichotomy_refuses_a_witness_path_that_names_its_graph(tmp_path, capsys,
 
 def test_build_tree_rejects_a_lattice_longer_than_3():
     lat = lattices.FiniteLattice(7, TALL)
-    table = lattices.closure_and_rank(lat, [1, 2, 4, 5])  # generates all of TALL
+    with pytest.raises(InvalidInputError, match="length-3"):
+        lattices.closure_and_rank(lat, [1, 2, 4, 5])
+    # [1, 2, 4, 5] generates all of TALL, so the oracle's levels are a full table
+    table = lattices.RankTable(naive_closure_and_rank(lat, [1, 2, 4, 5]))
+    assert table.levels[-1] == (1 << 7) - 1
     with pytest.raises(InvalidInputError, match="length-3"):
         lattices.build_tree(lat, table)
 

@@ -19,7 +19,9 @@ from chordlab.graphs import (
     is_chordless,
     is_chordless_positions,
     is_cograph,
+    iter_bits,
 )
+from chordlab.lattices import BoundedPoset
 
 from oracles import (
     all_pairs_k22,
@@ -30,7 +32,9 @@ from oracles import (
     path_graph,
     pattern_graph,
     random_graph,
+    random_length3_lattice,
     relabel,
+    staged_pipeline_host,
     vertices_and_edges,
 )
 
@@ -155,12 +159,13 @@ def test_chordless_reversal_closure():
 
 def test_find_k22_examples():
     c4 = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert find_k22(c4.rows) == (1, 3, 0, 2)
+    assert find_k22(c4.rows, c4.rows) == (1, 3, 0, 2)
     g2 = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 2)])
-    assert find_k22(g2.rows) is None
-    assert find_k22(complete_graph(4).rows) == (2, 3, 0, 1)
-    assert find_k22(complete_graph(3).rows) is None
-    assert find_k22(()) is None
+    assert find_k22(g2.rows, g2.rows) is None
+    k4, k3 = complete_graph(4).rows, complete_graph(3).rows
+    assert find_k22(k4, k4) == (2, 3, 0, 1)
+    assert find_k22(k3, k3) is None
+    assert find_k22((), ()) is None
 
 
 def test_find_k22_is_the_least_brute_force_copy():
@@ -173,7 +178,7 @@ def test_find_k22_is_the_least_brute_force_copy():
         if trial % 2:
             g = relabel(g, rng.sample(range(50), size))
         brute = brute_embedding_exists(g, K22)
-        found = find_k22(g.rows)
+        found = find_k22(g.rows, g.rows)
         if brute is None:
             assert found is None
         else:
@@ -191,10 +196,63 @@ def test_find_k22_equals_the_all_pairs_scan():
         rows = [
             sum(1 << j for j in range(size) if rng.random() < p) for _ in range(size)
         ]
-        witness = find_k22(rows)
+        witness = find_k22(rows, _transpose(rows))
         assert witness == all_pairs_k22(rows)
         found += witness is not None
     assert 300 < found < 2700
+
+
+def _transpose(rows):
+    """``cols[p]``: the mask of the rows that hold p."""
+    return [
+        sum(1 << r for r, row in enumerate(rows) if (row >> p) & 1) for p in range(len(rows))
+    ]
+
+
+def test_find_k22_on_symmetric_rows_equals_the_all_pairs_scan():
+    # loop-free symmetric rows pass themselves as their columns
+    rng = random.Random(41)
+    found = 0
+    for _ in range(600):
+        size = rng.randint(0, 40)
+        g = random_graph(rng, size, rng.choice([0.03, 0.08, 0.3, 0.7, 0.95]))
+        witness = find_k22(g.rows, g.rows)
+        assert witness == all_pairs_k22(g.rows)
+        found += witness is not None
+    assert 100 < found < 500
+
+
+def test_find_k22_on_staged_hosts_equals_the_all_pairs_scan():
+    # staged hosts are dense cographs with a K22 among their first rows
+    for stages in range(12, 51, 2):
+        rows = staged_pipeline_host(stages).rows
+        witness = find_k22(rows, rows)
+        assert witness is not None and witness == all_pairs_k22(rows)
+
+
+def test_find_k22_on_length3_incidences_equals_the_all_pairs_scan():
+    # the lattice's coatom rows with ``above`` as columns, and its atom rows
+    # with ``below``, on lattices and on copies with a planted double cover
+    rng = random.Random(43)
+    planted = 0
+    for _ in range(300):
+        n, pairs = random_length3_lattice(rng, 30)
+        poset = BoundedPoset(n, pairs)
+        atoms, coatoms = poset.atom_mask, poset.coatom_mask
+        us = [u for u in iter_bits(coatoms) if (poset.below[u] & atoms).bit_count() >= 2]
+        if len(us) >= 2 and rng.random() < 0.5:
+            u, v = rng.sample(us, 2)
+            xs = rng.sample(list(iter_bits(poset.below[u] & atoms)), 2)
+            pairs = sorted(set(pairs) | {(x, v) for x in xs})
+            poset = BoundedPoset(n, pairs)
+            atoms, coatoms = poset.atom_mask, poset.coatom_mask
+        down = [b & atoms if (coatoms >> u) & 1 else 0 for u, b in enumerate(poset.below)]
+        up = [a & coatoms if (atoms >> x) & 1 else 0 for x, a in enumerate(poset.above)]
+        witness = find_k22(down, poset.above)
+        assert witness == all_pairs_k22(down)
+        assert find_k22(up, poset.below) == all_pairs_k22(up)
+        planted += witness is not None
+    assert 50 < planted < 250
 
 
 def test_pattern_graphs():

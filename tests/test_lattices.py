@@ -401,8 +401,72 @@ def test_closure_and_tree_match_naive_oracles():
     assert long_branches > 600
 
 
+def _assert_closure_matches_naive(lat, gens):
+    """``closure_and_rank`` gives the oracle's levels, or the CoverageError
+    naming the elements the oracle's last level misses; True when covered."""
+    levels = naive_closure_and_rank(lat, gens)
+    unreached = tuple(x for x in range(lat.n) if not (levels[-1] >> x) & 1)
+    if unreached:
+        with pytest.raises(CoverageError) as exc:
+            closure_and_rank(lat, gens)
+        assert exc.value.unreached == unreached
+        return False
+    assert closure_and_rank(lat, gens).levels == levels
+    return True
+
+
+def _order_of(n, inner_pairs):
+    """A bounded order on 0..n-1 with bottom 0, top n - 1 and ``inner_pairs``."""
+    return FiniteLattice(n, _with_bounds(n, set(inner_pairs)))
+
+
+def test_closure_matches_naive_oracle_on_every_generator_set():
+    # small length-3 lattices, each under all of its nonempty generator sets
+    cases = {
+        "diamond": FiniteLattice(4, DIAMOND),
+        "4-chain": fence_lattice(1)[0],
+        # 3 is an atom and a coatom; 1 < 2 is a chain beside it
+        "atom-coatom": _order_of(5, {(1, 2)}),
+        # coatoms 5, 6 share no atom, nor do 7, 8: from the four coatoms
+        # bottom comes only from such a pair
+        "disjoint coatoms": _order_of(
+            10, {(1, 5), (2, 5), (3, 6), (4, 6), (1, 7), (3, 7), (2, 8), (4, 8)}
+        ),
+        # coatoms 4, 5, 6 pairwise share one atom and no atom is under all three
+        "triangle": _order_of(8, {(1, 4), (2, 4), (1, 5), (3, 5), (2, 6), (3, 6)}),
+        # coatoms 4, 5, 6 all over atom 1, and atoms 1, 2, 3 under no common coatom
+        "star": _order_of(8, {(1, 4), (2, 4), (1, 5), (3, 5), (1, 6)}),
+    }
+    for name, lat in cases.items():
+        assert check_length3(lat), name
+        covered = 0
+        for size in range(1, lat.n + 1):
+            for gens in itertools.combinations(range(lat.n), size):
+                covered += _assert_closure_matches_naive(lat, gens)
+        assert covered > 0, name
+
+
+def test_closure_matches_naive_oracle_under_random_generator_sets():
+    # spurred fences to k = 201 under their own generators and random ones,
+    # and seeded random length-3 lattices under random generator sets
+    rng = random.Random(47)
+    for k in (3, 5, 9, 33, 101, 201):
+        lat, gens, _ = spurred_fence_lattice(k)
+        assert _assert_closure_matches_naive(lat, gens)
+        _assert_closure_matches_naive(lat, [x for x in range(lat.n) if rng.random() < 0.5])
+    covered = total = 0
+    for _ in range(150):
+        n, pairs = random_length3_lattice(rng, 30)
+        lat = FiniteLattice(n, pairs)
+        for _ in range(4):
+            gens = rng.sample(range(n), rng.randint(1, n))
+            covered += _assert_closure_matches_naive(lat, gens)
+            total += 1
+    assert 50 < covered < total - 50
+
+
 def test_closure_matches_naive_oracle_beyond_length_3():
-    # the closure's partner rule holds in every lattice, not only at length 3
+    # the closure takes length-3 lattices only, and refuses longer ones
     rng = random.Random(13)
     longer = covered = 0
     for n, pairs in _lattices_of_any_length(rng, 150):
@@ -412,7 +476,10 @@ def test_closure_matches_naive_oracle_beyond_length_3():
             gens = rng.sample(range(n), rng.randint(1, min(n, 5)))
             levels = naive_closure_and_rank(lat, gens)
             unreached = tuple(x for x in range(n) if not (levels[-1] >> x) & 1)
-            if unreached:
+            if not check_length3(lat):
+                with pytest.raises(InvalidInputError, match="length-3"):
+                    closure_and_rank(lat, gens)
+            elif unreached:
                 with pytest.raises(CoverageError) as exc:
                     closure_and_rank(lat, gens)
                 assert exc.value.unreached == unreached
@@ -636,10 +703,14 @@ def test_tree_check_catches_a_bad_last_entry():
         ),
     }
     for message, x in cases.items():
-        levels = list(tree.levels)
-        levels[i + 1] += (prefix + (x,),)
+        # the node prefix + (x,): last entry x, parent node 0 of level i
+        lasts, parents = list(tree.lasts), list(tree.parents)
+        lasts[i + 1] += (x,)
+        parents[i + 1] += (0,)
+        bad = GenTree(lasts=tuple(lasts), parents=tuple(parents))
+        assert bad.levels[i + 1][-1] == prefix + (x,)
         with pytest.raises(StructuralError, match=message):
-            assert_tree_properties(lat, ranks, GenTree(tuple(levels)))
+            assert_tree_properties(lat, ranks, bad)
 
 
 def test_find_fences_none_when_tree_too_shallow():

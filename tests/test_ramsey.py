@@ -591,7 +591,7 @@ def test_estimate_min_m_matches_gray_code_enumeration():
     brute = {}  # (n, size) -> (neither count, least chord bitmask)
     for size in range(1, max_size + 1):
         for masks, bits in iter_traceable_masks(size):
-            if find_k22(masks) is not None:
+            if find_k22(masks, masks) is not None:
                 continue
             for n in range(2, 7):
                 if find_chordless_positions(masks, n) is None:
@@ -647,7 +647,7 @@ def test_estimate_min_m_input_limits():
 
 
 def test_estimate_min_m_reverifies_its_examples(monkeypatch):
-    monkeypatch.setattr(ramsey, "find_k22", lambda rows: (0, 1, 2, 3))
+    monkeypatch.setattr(ramsey, "find_k22", lambda rows, cols: (0, 1, 2, 3))
     with pytest.raises(StructuralError):
         estimate_min_m(4, 4)
 
