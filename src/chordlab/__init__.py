@@ -8,14 +8,12 @@
 """
 
 from .construction import (
-    DecodeContext,
     StagedHistory,
     StageState,
     build_decode_context,
     check_history_lemmas,
     coding_change_law,
     decode_range,
-    embed_via_coding,
     history_has_no_chordless4,
     run,
     seeded_injective,
@@ -26,7 +24,6 @@ from .errors import (
     ChordlabError,
     CoverageError,
     ExtractionError,
-    InvalidContextError,
     InvalidInputError,
     LatticeAxiomError,
     ResourceLimitError,
@@ -41,7 +38,6 @@ from .graphs import (
     embedding_is_valid,
     find_chordless_path,
     find_k22,
-    is_chordless,
 )
 from .lattices import (
     BoundedPoset,

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 from .errors import (
     CapacityError,
-    InvalidContextError,
     InvalidInputError,
     ResourceLimitError,
     StructuralError,
@@ -371,11 +370,15 @@ def stable_coding_prefix(history: StagedHistory):
     return history.final_coding[:count]
 
 
-def embed_via_coding(history: StagedHistory, pattern: Pattern) -> Embedding:
+def build_decode_context(history: StagedHistory, pattern: Pattern) -> Embedding:
     """Embed A(k) or Kkk(k) with both sides on stable coding vertices.
 
     Stable coding vertices are pairwise adjacent, so every pattern edge is
-    present no matter how the 2k of them are split into sides.
+    present no matter how the 2k of them are split into sides.  They ascend,
+    so the a-side image ``image[:k]`` is its own running maximum: querying
+    whether a value n was ever consumed only requires scanning stages up to
+    ``image[n]``.  The embedding is checked before it is returned; a failed
+    check raises StructuralError.
     """
     if pattern.kind not in ("A", "Kkk"):
         raise InvalidInputError("embedding via coding supports A(k) and Kkk(k) only")
@@ -393,40 +396,11 @@ def embed_via_coding(history: StagedHistory, pattern: Pattern) -> Embedding:
     return emb
 
 
-@dataclass(frozen=True)
-class DecodeContext:
-    """An embedding through stable coding vertices plus its running-max table.
-
-    ``gprime[n]`` is the largest host vertex used by the first n+1 a-side
-    pattern vertices; querying whether some value k was ever consumed only
-    requires scanning stages up to ``gprime[k]``.  The embedding is validated
-    against ``host`` here too, so a hand-built context is checked: an invalid
-    one raises InvalidContextError.
-    """
-
-    embedding: Embedding
-    gprime: tuple
-    host: Graph
-
-    def __post_init__(self):
-        if not embedding_is_valid(self.host, self.embedding):
-            raise InvalidContextError("decode context embedding fails validation")
-
-
-def build_decode_context(history: StagedHistory, pattern: Pattern) -> DecodeContext:
-    """Decode context of ``pattern`` embedded through stable coding vertices;
-    these ascend, so the a-side image is its own running maximum."""
-    emb = embed_via_coding(history, pattern)
-    gprime = emb.image[: pattern.k]
-    return DecodeContext(embedding=emb, gprime=gprime, host=history.final_graph())
-
-
-def decode_range(ctx: DecodeContext, f, k: int) -> bool:
-    """True iff some stage x <= gprime[k] consumed the value k."""
-    if k < 0 or k >= len(ctx.gprime):
+def decode_range(emb: Embedding, f, k: int) -> bool:
+    """True iff some stage x <= image[k] consumed the value k."""
+    if k < 0 or k >= emb.pattern.k:
         raise InvalidInputError(
-            "query %d outside the context's table (holds 0..%d)"
-            % (k, len(ctx.gprime) - 1)
+            "query %d outside the context's table (holds 0..%d)" % (k, emb.pattern.k - 1)
         )
-    bound = min(ctx.gprime[k], len(f) - 1)
+    bound = min(emb.image[k], len(f) - 1)
     return any(f[x] == k for x in range(bound + 1))

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: input problems exit 2, failed
-invariant checks exit 1.
+The CLI maps these onto exit codes: input problems exit 2; a StructuralError,
+ExtractionError included, gives the ``internal`` report and exits 1.
 """
 
 
@@ -31,14 +31,6 @@ class CapacityError(ChordlabError):
         self.shortfall = shortfall
 
 
-class InvalidContextError(ChordlabError):
-    """Decode context built from an embedding that fails validation."""
-
-
-class ExtractionError(ChordlabError):
-    """A witness extraction failed; the message names the offending vertices."""
-
-
 class CoverageError(ChordlabError):
     """Generator set does not generate the lattice."""
 
@@ -48,7 +40,12 @@ class CoverageError(ChordlabError):
 
 
 class StructuralError(ChordlabError):
-    """An internal structural guarantee failed (bug indicator)."""
+    """An internal structural guarantee failed (bug indicator): a witness
+    failed the check of the function that made it."""
+
+
+class ExtractionError(StructuralError):
+    """A witness extraction failed; the message names the offending vertices."""
 
 
 class ResourceLimitError(ChordlabError):

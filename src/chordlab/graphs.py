@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, StructuralError
 
 
 def iter_bits(mask: int):
@@ -115,14 +115,6 @@ def check_traceable(g: Graph) -> bool:
     return all(rows[i] >> (i + 1) & 1 for i in range(len(rows) - 1))
 
 
-def _check_path_input(g: Graph, p) -> None:
-    if len(set(p)) != len(p):
-        raise InvalidInputError("path has duplicate vertices: %r" % (list(p),))
-    for v in p:
-        if v not in g:
-            raise InvalidInputError("path vertex %r not in graph" % (v,))
-
-
 def is_chordless_positions(rows, p) -> bool:
     """True iff positions ``p`` are distinct and form a path in ``rows`` with
     no edge between non-consecutive positions: each one's row meets ``p``
@@ -137,12 +129,6 @@ def is_chordless_positions(rows, p) -> bool:
         if rows[v] & members != links:
             return False
     return True
-
-
-def is_chordless(g: Graph, p) -> bool:
-    """True iff ``p`` is a path in ``g`` with no edges between non-consecutive vertices."""
-    _check_path_input(g, p)
-    return is_chordless_positions(g.rows, [g.position(v) for v in p])
 
 
 def find_chordless_positions(masks, n: int):
@@ -269,7 +255,8 @@ def find_chordless_path(g: Graph, n: int):
     does not have, so the cotree split of ``is_cograph`` proves the same
     negative the search would, and a host with a witness still goes to the
     search.  On the staged hosts, which are cographs, the split costs a
-    small fraction of the search.
+    small fraction of the search.  A found path is checked chordless before
+    it is returned; a failed check raises StructuralError.
     """
     if n < 1:
         raise InvalidInputError("path length must be >= 1, got %d" % n)
@@ -278,7 +265,10 @@ def find_chordless_path(g: Graph, n: int):
     found = find_chordless_positions(g.rows, n)
     if found is None:
         return None
-    return tuple(g.vertices[i] for i in found)
+    path = tuple(g.vertices[i] for i in found)
+    if not is_chordless_positions(g.rows, found):
+        raise StructuralError("path search produced a chorded path: %r" % (path,))
+    return path
 
 
 def find_k22(rows, cols):

@@ -24,6 +24,25 @@ from chordlab.errors import (
 )
 
 
+def _check_path_input(g, p) -> None:
+    if len(set(p)) != len(p):
+        raise InvalidInputError("path has duplicate vertices: %r" % (list(p),))
+    for v in p:
+        if v not in g:
+            raise InvalidInputError("path vertex %r not in graph" % (v,))
+
+
+def is_chordless(g, p):
+    """True iff ``p`` is a path in ``g`` with no edges between non-consecutive
+    vertices: two of its vertices are adjacent exactly when consecutive."""
+    _check_path_input(g, p)
+    return all(
+        g.has_edge(p[i], p[j]) == (j == i + 1)
+        for i in range(len(p))
+        for j in range(i + 1, len(p))
+    )
+
+
 def brute_chordless_path(g, n):
     """First chordless n-path by scanning every vertex permutation."""
     for p in itertools.permutations(g.vertices, n):

@@ -25,7 +25,6 @@ from chordlab.graphs import (
     K22,
     Pattern,
     embedding_is_valid,
-    is_chordless,
 )
 from chordlab.lattices import (
     FiniteLattice,
@@ -51,6 +50,7 @@ from oracles import (
     brute_chordless_path,
     brute_embedding_exists,
     generating_set,
+    is_chordless,
     iter_traceable_masks,
     masks_to_graph,
     naive_stage_lemmas,

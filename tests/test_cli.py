@@ -962,19 +962,39 @@ def _assert_internal_report(argv, message):
     assert message in check["witness"]
 
 
-def test_failed_witness_rechecks_give_an_internal_report(tmp_path, monkeypatch):
-    c4 = tmp_path / "c4.json"
-    formats.save_graph(Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)]), str(c4))
-    k9 = tmp_path / "k9.json"
-    formats.save_graph(complete_graph(9), str(k9))
-    monkeypatch.setattr(ramsey, "embedding_is_valid", lambda g, emb: False)
-    _assert_internal_report(
-        ["dichotomy", "--graph", str(c4), "--n", "4"], "invalid embedding"
-    )
-    monkeypatch.setattr(ramsey, "is_chordless_positions", lambda rows, p: False)
-    _assert_internal_report(
-        ["pipeline", "--graph", str(k9), "--n", "5"], "not chordless"
-    )
+@pytest.mark.parametrize("target, patch, argv, message", [
+    pytest.param(
+        "chordlab.graphs.is_chordless_positions", lambda rows, p: False,
+        ["dichotomy", "--graph", "p4.json", "--n", "4"], "chorded path",
+        id="dichotomy-path",
+    ),
+    pytest.param(
+        "chordlab.ramsey.embedding_is_valid", lambda g, emb: False,
+        ["dichotomy", "--graph", "c4.json", "--n", "4"], "invalid embedding",
+        id="dichotomy-k22",
+    ),
+    pytest.param(  # a certificate whose extracted K22 vertices collide
+        "chordlab.ramsey.find_homogeneous",
+        lambda coloring, q: ramsey.HomogeneousCertificate(subset=(0, 1) * 4, color=(0, 0)),
+        ["pipeline", "--graph", "k9.json", "--n", "5"], "extracted vertices collide",
+        id="pipeline-extraction",
+    ),
+    pytest.param(
+        "chordlab.construction.embedding_is_valid", lambda g, emb: False,
+        ["decode", "--f", "seed:2,len:30", "--stages", "30", "--pattern", "A:2",
+         "--query", "0"], "failed validation",
+        id="decode",
+    ),
+])
+def test_failed_witness_rechecks_give_an_internal_report(
+    tmp_path, monkeypatch, target, patch, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    formats.save_graph(path_graph(4), "p4.json")
+    formats.save_graph(Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)]), "c4.json")
+    formats.save_graph(complete_graph(9), "k9.json")
+    monkeypatch.setattr(target, patch)
+    _assert_internal_report(argv, message)
 
 
 def test_lattice_internal_reports_name_the_subcommand(tmp_path, monkeypatch):

@@ -8,13 +8,11 @@ from chordlab import construction, graphs
 from chordlab.construction import (
     LEMMA_NAMES,
     MAX_SEEDED_LENGTH,
-    DecodeContext,
     StageState,
     build_decode_context,
     check_history_lemmas,
     coding_change_law,
     decode_range,
-    embed_via_coding,
     history_has_no_chordless4,
     run,
     seeded_injective,
@@ -22,24 +20,22 @@ from chordlab.construction import (
 )
 from chordlab.errors import (
     CapacityError,
-    InvalidContextError,
     InvalidInputError,
     ResourceLimitError,
 )
 from chordlab.graphs import (
-    Embedding,
     Graph,
     Pattern,
     check_traceable,
     embedding_is_valid,
     find_chordless_path,
     find_chordless_positions,
-    is_chordless,
     is_cograph,
 )
 
 from oracles import (
     edges_from_rows,
+    is_chordless,
     least_failures,
     literal_stage_rule,
     middle_edge_4path,
@@ -501,56 +497,46 @@ def test_stable_coding_matches_the_per_index_definition():
 
 def test_embed_via_coding():
     h = run(seeded_permutation(7, 20), 20)
-    emb = embed_via_coding(h, Pattern("Kkk", 3))
+    emb = build_decode_context(h, Pattern("Kkk", 3))
     host = h.final_graph()
     assert embedding_is_valid(host, emb)
-    emb_a = embed_via_coding(h, Pattern("A", 3))
+    emb_a = build_decode_context(h, Pattern("A", 3))
     assert embedding_is_valid(host, emb_a)
     with pytest.raises(CapacityError) as exc:
-        embed_via_coding(run([5, 0], 2), Pattern("Kkk", 2))
+        build_decode_context(run([5, 0], 2), Pattern("Kkk", 2))
     assert exc.value.shortfall == 1
 
 
 def test_decode_range_examples():
     h = run([5, 0], 2)
-    ctx = build_decode_context(h, Pattern("A", 1))
-    assert ctx.gprime[0] >= 2
-    assert decode_range(ctx, h.f, 0) is True
+    emb = build_decode_context(h, Pattern("A", 1))
+    assert emb.image[0] >= 2  # gprime[0]
+    assert decode_range(emb, h.f, 0) is True
     h2 = run([5, 0, 7, 1], 4)
-    ctx2 = build_decode_context(h2, Pattern("A", 2))
-    assert decode_range(ctx2, h2.f, 0) is True
-    assert decode_range(ctx2, h2.f, 1) is True
+    emb2 = build_decode_context(h2, Pattern("A", 2))
+    assert decode_range(emb2, h2.f, 0) is True
+    assert decode_range(emb2, h2.f, 1) is True
     with pytest.raises(InvalidInputError):
-        decode_range(ctx2, h2.f, 3)  # outside the table
-
-
-def test_decode_context_validates_its_embedding_once():
-    h = run(seeded_permutation(4, 20), 20)
-    ctx = build_decode_context(h, Pattern("A", 3))
-    # a vertex off the coding list misses an edge the pattern needs
-    loner = next(v for v in range(h.final_k + 1) if v not in h.final_coding)
-    broken = Embedding(ctx.embedding.pattern, (loner,) + ctx.embedding.image[1:])
-    assert not embedding_is_valid(ctx.host, broken)
-    with pytest.raises(InvalidContextError):
-        DecodeContext(embedding=broken, gprime=ctx.gprime, host=ctx.host)
+        decode_range(emb2, h2.f, 3)  # outside the table
 
 
 def test_decode_matches_range_membership():
     for seed in range(15):
         h = run(seeded_permutation(seed, 30), 30)
-        ctx = build_decode_context(h, Pattern("A", 6))
-        assert all(a <= b for a, b in zip(ctx.gprime, ctx.gprime[1:]))
+        emb = build_decode_context(h, Pattern("A", 6))
+        gprime = emb.image[:6]
+        assert all(a <= b for a, b in zip(gprime, gprime[1:]))
         for k in range(6):
-            assert decode_range(ctx, h.f, k) == (k in h.consumed)
+            assert decode_range(emb, h.f, k) == (k in h.consumed)
 
 
 def test_decode_false_for_missing_values():
     # f skips small values entirely: decode must say no
     f = [10, 11, 12, 13, 14, 15, 16, 17, 2, 3]
     h = run(f, 10)
-    ctx = build_decode_context(h, Pattern("A", 2))
-    assert decode_range(ctx, h.f, 0) is False
-    assert decode_range(ctx, h.f, 1) is False
+    emb = build_decode_context(h, Pattern("A", 2))
+    assert decode_range(emb, h.f, 0) is False
+    assert decode_range(emb, h.f, 1) is False
 
 
 def test_stage_trace():

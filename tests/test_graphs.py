@@ -16,7 +16,6 @@ from chordlab.graphs import (
     find_chordless_path,
     find_chordless_positions,
     find_k22,
-    is_chordless,
     is_chordless_positions,
     is_cograph,
     iter_bits,
@@ -28,6 +27,7 @@ from oracles import (
     brute_chordless_path,
     brute_embedding_exists,
     complete_graph,
+    is_chordless,
     middle_edge_4path,
     path_graph,
     pattern_graph,

@@ -23,13 +23,11 @@ from chordlab.graphs import (
     find_chordless_path,
     find_chordless_positions,
     find_k22,
-    is_chordless,
 )
 from chordlab.ramsey import (
     RESIDUAL,
     HomogeneousCertificate,
     build_coloring,
-    build_increasing_paths,
     concatenated_path,
     dichotomy,
     estimate_min_m,
@@ -48,6 +46,7 @@ from oracles import (
     brute_homogeneous,
     coloring_from_assignment,
     dict_homogeneous_search,
+    is_chordless,
     iter_traceable_masks,
     masks_to_graph,
     naive_four_coloring,
@@ -58,6 +57,14 @@ from oracles import (
     relabel,
     staged_pipeline_host,
 )
+
+
+def build_increasing_paths(g):
+    """The library's fixed-path table, each path checked chordless by the
+    oracle: the library proves that and does not check it."""
+    table = ramsey.build_increasing_paths(g)
+    assert all(is_chordless(g, [g.vertices[i] for i in p]) for p in table.values())
+    return table
 
 
 def test_table_plain_path():
@@ -305,12 +312,6 @@ def test_find_homogeneous_constant_coloring():
     forced = coloring_from_assignment(col.n, len(g), {q: "X" for q in col.assignment})
     cert = find_homogeneous(forced, 5)
     assert cert.subset == (0, 1, 2, 3, 4)
-
-
-def test_table_recheck_raises_a_structural_error(monkeypatch):
-    monkeypatch.setattr(ramsey, "is_chordless_positions", lambda rows, p: False)
-    with pytest.raises(StructuralError, match="not chordless"):
-        build_increasing_paths(path_graph(3))
 
 
 def test_homogeneous_recheck_raises_a_structural_error():
