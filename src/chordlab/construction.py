@@ -67,17 +67,8 @@ class StageState:
         if len(self.rows) != self.k + 1:
             raise InvalidInputError("need one adjacency row per vertex")
 
-    def blocks(self):
-        """Blocks as ranges; block j spans (coding[j-1], coding[j]]."""
-        out = []
-        lo = 0
-        for c in self.coding:
-            out.append(range(lo, c + 1))
-            lo = c + 1
-        return out
-
     def graph(self) -> Graph:
-        return Graph.from_rows(self.rows)
+        return Graph(self.rows)
 
 
 def _advance(rows: list, coding: list, stage: int, n: int) -> None:
@@ -185,7 +176,7 @@ class StagedHistory:
 
     def final_graph(self) -> Graph:
         """The final graph, wrapping the history's own rows."""
-        return Graph.from_rows(self._rows)
+        return Graph(self._rows)
 
     def stage_trace(self, s: int) -> dict:
         """Stage summary: new vertex span, coding list, edges added at ``s``."""
@@ -377,8 +368,9 @@ def build_decode_context(history: StagedHistory, pattern: Pattern) -> Embedding:
     present no matter how the 2k of them are split into sides.  They ascend,
     so the a-side image ``image[:k]`` is its own running maximum: querying
     whether a value n was ever consumed only requires scanning stages up to
-    ``image[n]``.  The embedding is checked before it is returned; a failed
-    check raises StructuralError.
+    ``image[n]``.  A vertex of the final graph is its own position, so the
+    embedding is checked on the history's rows before it is returned; a
+    failed check raises StructuralError.
     """
     if pattern.kind not in ("A", "Kkk"):
         raise InvalidInputError("embedding via coding supports A(k) and Kkk(k) only")
@@ -391,7 +383,7 @@ def build_decode_context(history: StagedHistory, pattern: Pattern) -> Embedding:
             shortfall=need - len(stable),
         )
     emb = Embedding(pattern, stable[:need])
-    if not embedding_is_valid(history.final_graph(), emb):
+    if not embedding_is_valid(history._rows, emb):
         raise StructuralError("coding-vertex embedding failed validation")
     return emb
 

@@ -36,6 +36,12 @@ def _json_list(value) -> list:
     return value
 
 
+def _require_ascending(g: Graph) -> None:
+    verts = g.vertices
+    if any(a > b for a, b in zip(verts, verts[1:])):
+        raise InvalidInputError("a graph is written only with ascending vertices")
+
+
 def _edge_texts(g: Graph, close: str, head: str):
     """Yield the edge text of ``g``, one string per vertex with larger neighbours.
 
@@ -44,12 +50,9 @@ def _edge_texts(g: Graph, close: str, head: str):
     left to the caller.  The larger neighbours of row i come in a few runs of
     consecutive positions, bounded by the set bits of ``x ^ (x << 1)`` for ``x
     = row >> (i + 1)``: one ``bin`` string per row, one slice of names per run.
-    A graph whose vertices do not ascend is first rebuilt in ascending order.
+    The vertices must ascend, so that position order is name order.
     """
     verts = g.vertices
-    if any(a > b for a, b in zip(verts, verts[1:])):
-        g = Graph(sorted(verts), g.edges())
-        verts = g.vertices
     names = list(map(str, verts))
     sep = close + head
     cut = len(close)
@@ -69,15 +72,18 @@ def _edge_texts(g: Graph, close: str, head: str):
 
 def graph_json_parts(g: Graph):
     """Yield the text of ``json.dumps(obj, sort_keys=True, indent=2) + "\n"``
-    for ``obj = {"edges": g.edges() as lists, "vertices": sorted vertices}``,
-    in parts of at most one row's edges."""
+    for ``obj = {"edges": the (u, v) pairs with u < v, sorted, as lists,
+    "vertices": g.vertices}``, in parts of at most one row's edges.  The
+    vertices must ascend, as ``load_graph`` requires; else InvalidInputError.
+    """
+    _require_ascending(g)
     if any(g.rows):
         yield '{\n  "edges": ['
         yield from _edge_texts(g, "\n    ],", "\n    [\n      %d,\n      ")
         yield "\n    ]\n  ]"
     else:
         yield '{\n  "edges": []'
-    vertices = ",".join(map("\n    %d".__mod__, sorted(g.vertices)))
+    vertices = ",".join(map("\n    %d".__mod__, g.vertices))
     yield ',\n  "vertices": %s\n}\n' % ("[%s\n  ]" % vertices if vertices else "[]")
 
 
@@ -124,7 +130,7 @@ def graph_from_json_obj(obj) -> Graph:
         raise InvalidInputError(
             "edge endpoint outside vertex set: %r" % (next(iter(outside)),)
         )
-    return Graph.from_rows(rows, vertices)
+    return Graph(rows, vertices)
 
 
 def load_graph(path) -> Graph:
@@ -132,14 +138,15 @@ def load_graph(path) -> Graph:
 
 
 def write_parts(path, parts, *written) -> None:
-    """Write the strings ``parts`` to ``path`` as they come.  If that fails,
-    remove the ``written`` paths and, once opened, ``path``, but only regular
-    files: never a device such as /dev/full, nor a symlink."""
+    """Write the strings ``parts`` to ``path`` as they come.  If the write
+    fails, or the parts refuse their input, remove the ``written`` paths and,
+    once opened, ``path``, but only regular files: never a device such as
+    /dev/full, nor a symlink."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             written += (path,)
             fh.writelines(parts)
-    except OSError:
+    except (OSError, InvalidInputError):
         for done in written:
             if os.path.isfile(done) and not os.path.islink(done):
                 os.remove(done)
@@ -151,9 +158,11 @@ def save_graph(g: Graph, path) -> None:
 
 
 def graph_dot_parts(g: Graph):
-    """Yield the graph's DOT text in parts, at most one row's edges each."""
+    """Yield the graph's DOT text in parts, at most one row's edges each.
+    The vertices must ascend; else InvalidInputError."""
+    _require_ascending(g)
     yield "graph G {\n"
-    yield from map("  %d;\n".__mod__, sorted(g.vertices))
+    yield from map("  %d;\n".__mod__, g.vertices)
     yield from _edge_texts(g, ";\n", "  %d -- ")
     yield ";\n}\n" if any(g.rows) else "}\n"
 

@@ -25,85 +25,23 @@ def iter_bits(mask: int):
 class Graph:
     """Immutable undirected simple graph over integer vertices.
 
-    ``rows[i]`` is the neighbour bitmask of the vertex at position i.
+    ``rows[i]`` is the neighbour bitmask of ``vertices[i]``, by default the
+    vertex ``i``.  Unchecked precondition: the vertices are distinct naturals,
+    and the rows are symmetric and loop-free and set no bit at or above
+    ``len(rows)``.  A graph file is checked by ``formats.graph_from_json_obj``.
     """
 
-    __slots__ = ("vertices", "_pos", "rows")
+    __slots__ = ("vertices", "rows")
 
-    def __init__(self, vertices, edges):
-        verts = tuple(int(v) for v in vertices)
-        if len(set(verts)) != len(verts):
-            raise InvalidInputError("duplicate vertices: %r" % (verts,))
-        if any(v < 0 for v in verts):
-            raise InvalidInputError("vertices must be natural numbers")
-        pos = {v: i for i, v in enumerate(verts)}
-        rows = [0] * len(verts)
-        for u, v in edges:
-            if u == v:
-                raise InvalidInputError("self-loop at %r" % (u,))
-            if u not in pos or v not in pos:
-                raise InvalidInputError("edge endpoint outside vertex set: %r" % ((u, v),))
-            i, j = pos[u], pos[v]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        self.vertices = verts
-        self._pos = pos
+    def __init__(self, rows, vertices=None):
+        self.vertices = tuple(range(len(rows)) if vertices is None else vertices)
         self.rows = tuple(rows)
-
-    @classmethod
-    def from_rows(cls, rows, vertices=None) -> "Graph":
-        """Graph wrapping ``rows`` with no edge list; ``rows[i]`` belongs to
-        ``vertices[i]``, by default ``0..len(rows)-1``.
-
-        Unchecked precondition: the vertices are distinct naturals, and the
-        rows are symmetric and loop-free and set no bit at or above
-        ``len(rows)``.
-        """
-        g = cls.__new__(cls)
-        g.vertices = tuple(range(len(rows)) if vertices is None else vertices)
-        g._pos = {v: i for i, v in enumerate(g.vertices)}
-        g.rows = tuple(rows)
-        return g
 
     def __len__(self):
         return len(self.vertices)
 
-    def __contains__(self, v):
-        return v in self._pos
-
-    def has_edge(self, u, v) -> bool:
-        i = self._pos.get(u)
-        j = self._pos.get(v)
-        return i is not None and j is not None and (self.rows[i] >> j) & 1 == 1
-
-    def edges(self):
-        """Edge list as sorted (u, v) pairs with u < v.
-
-        Each row's higher bits are read from its reversed binary string, so
-        the walk allocates nothing per bit.  When the vertices ascend, the
-        pairs come out in sorted order and need no sort.
-        """
-        verts = self.vertices
-        out = []
-        append = out.append
-        for i, row in enumerate(self.rows):
-            u = verts[i]
-            base = i + 1
-            bits = bin(row >> base)[:1:-1]  # bits[j] is bit base + j of row
-            j = bits.find("1")
-            while j >= 0:
-                v = verts[base + j]
-                append((u, v) if u < v else (v, u))
-                j = bits.find("1", j + 1)
-        if any(a > b for a, b in zip(verts, verts[1:])):
-            out.sort()
-        return out
-
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2
-
-    def position(self, v) -> int:
-        return self._pos[v]
 
     def __repr__(self):
         return "Graph(%d vertices, %d edges)" % (len(self.vertices), self.edge_count())
@@ -337,10 +275,10 @@ class Pattern:
         )
 
     def edges(self):
-        """Pattern edges as (a-name, b-name) pairs."""
+        """Pattern edges as index pairs (n, m): a_n is joined to b_m."""
         if self.kind == "A":
-            return [("a%d" % n, "b%d" % m) for n in range(self.k) for m in range(n, self.k)]
-        return [("a%d" % n, "b%d" % m) for n in range(self.k) for m in range(self.k)]
+            return [(n, m) for n in range(self.k) for m in range(n, self.k)]
+        return [(n, m) for n in range(self.k) for m in range(self.k)]
 
     def __str__(self):
         return "K22" if self.kind == "K22" else "%s(%d)" % (self.kind, self.k)
@@ -363,13 +301,13 @@ class Embedding:
         return dict(zip(self.pattern.vertex_names, self.image))
 
 
-def embedding_is_valid(g: Graph, emb: Embedding) -> bool:
-    """True iff the image holds one distinct host vertex per pattern vertex
-    and every pattern edge is a host edge."""
+def embedding_is_valid(rows, emb: Embedding) -> bool:
+    """True iff the image holds 2k distinct positions of ``rows``, one per
+    pattern vertex, and ``rows`` joins the image of every pattern edge."""
     image = emb.image
-    if len(image) != 2 * emb.pattern.k or len(set(image)) != len(image):
+    k = emb.pattern.k
+    if len(image) != 2 * k or len(set(image)) != len(image):
         return False
-    if any(v not in g for v in image):
+    if not all(0 <= p < len(rows) for p in image):
         return False
-    place = emb.assignment
-    return all(g.has_edge(place[a], place[b]) for a, b in emb.pattern.edges())
+    return all(rows[image[n]] >> image[k + m] & 1 for n, m in emb.pattern.edges())

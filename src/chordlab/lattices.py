@@ -161,12 +161,6 @@ class BoundedPoset:
         self.atom_mask = inner & sum(1 << x for x in range(n) if below[x] == 1 << x | bottom)
         self.coatom_mask = inner & sum(1 << x for x in range(n) if above[x] == 1 << x | top)
 
-    def leq(self, x: int, y: int) -> bool:
-        return (self.below[y] >> x) & 1 == 1
-
-    def comparable(self, x: int, y: int) -> bool:
-        return x == y or (self.rows[x] >> y) & 1 == 1
-
     def is_bound(self, x: int) -> bool:
         return x == self.bottom or x == self.top
 
@@ -473,7 +467,7 @@ def comparability_graph(lat: FiniteLattice, elems) -> Graph:
     pos = {e: i for i, e in enumerate(elems)}
     members = sum(1 << e for e in elems)
     rows = [sum(1 << pos[f] for f in iter_bits(lat.rows[e] & members)) for e in elems]
-    return Graph.from_rows(rows, elems)
+    return Graph(rows, elems)
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,7 @@ def extract_k22(cert: HomogeneousCertificate, g: Graph, paths: dict) -> Embeddin
     def path_vertex(x, y, i):
         p = paths[x, y]
         if i >= len(p):
-            raise InvalidInputError(
+            raise ExtractionError(
                 "fixed path %r has only %d edges" % ((verts[x], verts[y]), len(p) - 1)
             )
         return p[i]
@@ -391,9 +391,9 @@ def dichotomy(g: Graph, n: int) -> DichotomyWitness:
     found = find_k22(g.rows, g.rows)
     if found is None:
         return DichotomyWitness(kind="neither")
-    p, q, r, s = (g.vertices[i] for i in found)
-    emb = Embedding(K22, (r, s, p, q))
-    if not embedding_is_valid(g, emb):
+    p, q, r, s = found
+    emb = Embedding(K22, tuple(g.vertices[i] for i in (r, s, p, q)))
+    if not embedding_is_valid(g.rows, Embedding(K22, (r, s, p, q))):
         raise StructuralError("K22 search produced an invalid embedding: %r" % (emb,))
     return DichotomyWitness(kind="k22", embedding=emb)
 
@@ -618,11 +618,7 @@ def tower(k: int):
 class TowerBound:
     n: int
     height: int
-    value: int | None
-
-    @property
-    def overflow(self) -> bool:
-        return self.value is None
+    value: int | None  # None above 64 bits
 
 
 def tower_bound(n: int) -> TowerBound:

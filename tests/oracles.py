@@ -5,6 +5,7 @@ scans, literal definition loops) so the optimized implementations have
 something honest to be compared against.
 """
 
+import functools
 import itertools
 import json
 import random
@@ -24,11 +25,85 @@ from chordlab.errors import (
 )
 
 
+def graph(vertices, edges):
+    """Graph with the stored order ``vertices`` and the edge list ``edges``,
+    each edge in either orientation; bad input raises InvalidInputError."""
+    verts = tuple(int(v) for v in vertices)
+    if len(set(verts)) != len(verts):
+        raise InvalidInputError("duplicate vertices: %r" % (verts,))
+    if any(v < 0 for v in verts):
+        raise InvalidInputError("vertices must be natural numbers")
+    pos = {v: i for i, v in enumerate(verts)}
+    rows = [0] * len(verts)
+    for u, v in edges:
+        if u == v:
+            raise InvalidInputError("self-loop at %r" % (u,))
+        if u not in pos or v not in pos:
+            raise InvalidInputError("edge endpoint outside vertex set: %r" % ((u, v),))
+        i, j = pos[u], pos[v]
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return Graph(rows, verts)
+
+
+@functools.lru_cache(maxsize=8)
+def _positions(g):
+    """``{vertex: position}`` of ``g``; a Graph hashes by identity."""
+    return {v: i for i, v in enumerate(g.vertices)}
+
+
+def position(g, v):
+    """The position of vertex ``v`` in the stored order of ``g``; KeyError if
+    ``v`` is not a vertex."""
+    return _positions(g)[v]
+
+
+def has_edge(g, u, v):
+    """True iff ``u`` and ``v`` are adjacent vertices of ``g``."""
+    try:
+        i, j = position(g, u), position(g, v)
+    except KeyError:
+        return False
+    return (g.rows[i] >> j) & 1 == 1
+
+
+def embedding_is_valid_by_names(g, emb):
+    """``graphs.embedding_is_valid`` on an image of vertex names: one distinct
+    vertex of ``g`` per pattern vertex, and every pattern edge an edge of ``g``."""
+    image = emb.image
+    if len(image) != 2 * emb.pattern.k or len(set(image)) != len(image):
+        return False
+    if any(v not in g.vertices for v in image):
+        return False
+    place = emb.assignment
+    return all(has_edge(g, place["a%d" % n], place["b%d" % m]) for n, m in emb.pattern.edges())
+
+
+def leq(lat, x, y):
+    """x <= y in the order of ``lat``."""
+    return (lat.below[y] >> x) & 1 == 1
+
+
+def comparable(lat, x, y):
+    """x <= y or y <= x in the order of ``lat``."""
+    return x == y or (lat.rows[x] >> y) & 1 == 1
+
+
+def blocks(state):
+    """The blocks of a stage as ranges; block j spans (coding[j-1], coding[j]]."""
+    out = []
+    lo = 0
+    for c in state.coding:
+        out.append(range(lo, c + 1))
+        lo = c + 1
+    return out
+
+
 def _check_path_input(g, p) -> None:
     if len(set(p)) != len(p):
         raise InvalidInputError("path has duplicate vertices: %r" % (list(p),))
     for v in p:
-        if v not in g:
+        if v not in g.vertices:
             raise InvalidInputError("path vertex %r not in graph" % (v,))
 
 
@@ -37,7 +112,7 @@ def is_chordless(g, p):
     vertices: two of its vertices are adjacent exactly when consecutive."""
     _check_path_input(g, p)
     return all(
-        g.has_edge(p[i], p[j]) == (j == i + 1)
+        has_edge(g, p[i], p[j]) == (j == i + 1)
         for i in range(len(p))
         for j in range(i + 1, len(p))
     )
@@ -46,10 +121,10 @@ def is_chordless(g, p):
 def brute_chordless_path(g, n):
     """First chordless n-path by scanning every vertex permutation."""
     for p in itertools.permutations(g.vertices, n):
-        if not all(g.has_edge(p[i], p[i + 1]) for i in range(n - 1)):
+        if not all(has_edge(g, p[i], p[i + 1]) for i in range(n - 1)):
             continue
         if any(
-            g.has_edge(p[i], p[j])
+            has_edge(g, p[i], p[j])
             for i in range(n)
             for j in range(i + 2, n)
         ):
@@ -61,11 +136,11 @@ def brute_chordless_path(g, n):
 def brute_embedding_exists(g, pattern):
     """Scan every injection of the pattern vertices into the host."""
     names = pattern.vertex_names
+    k = pattern.k
     edges = pattern.edges()
     for image in itertools.permutations(g.vertices, len(names)):
-        assign = dict(zip(names, image))
-        if all(g.has_edge(assign[a], assign[b]) for a, b in edges):
-            return assign
+        if all(has_edge(g, image[n], image[k + m]) for n, m in edges):
+            return dict(zip(names, image))
     return None
 
 
@@ -163,7 +238,7 @@ def naive_fixed_path(g, x, y):
     for k in range(len(inner) + 1):
         for mid in itertools.combinations(inner, k):
             p = (x,) + mid + (y,)
-            if all(g.has_edge(a, b) for a, b in zip(p, p[1:])):
+            if all(has_edge(g, a, b) for a, b in zip(p, p[1:])):
                 return p
     return None
 
@@ -183,7 +258,7 @@ def naive_four_coloring(g, n):
         colors[quad] = next(
             ((i, j) for i in range(min(n - 1, len(pxy)))
              for j in range(min(n - 1, len(puv)))
-             if g.has_edge(pxy[i], puv[j])),
+             if has_edge(g, pxy[i], puv[j])),
             "K",
         )
     return colors
@@ -233,30 +308,30 @@ def naive_stage_lemmas(state):
     Returns ``(lemma, witness)`` failures; every lemma that fails has its
     lexicographically least witness among them.
     """
-    blocks = [list(b) for b in state.blocks()]
+    block_list = [list(b) for b in blocks(state)]
     coding = state.coding
     k = state.k
     g = state.graph()
     failures = []
-    for j, block in enumerate(blocks):
+    for j, block in enumerate(block_list):
         c = coding[j]
         for x in block:
             if x > c:
                 failures.append(("greatest", (j, x, c)))
-            if x != c and not g.has_edge(x, c):
+            if x != c and not has_edge(g, x, c):
                 failures.append(("greatest", (j, x, c)))
     for i, j in itertools.combinations(range(len(coding)), 2):
-        if not g.has_edge(coding[i], coding[j]):
+        if not has_edge(g, coding[i], coding[j]):
             failures.append(("codeconnection", (coding[i], coding[j])))
     for d in range(k):
-        if not g.has_edge(d, d + 1):
+        if not has_edge(g, d, d + 1):
             failures.append(("tracing", (d, d + 1)))
     block_of = {}
-    for j, block in enumerate(blocks):
+    for j, block in enumerate(block_list):
         for x in block:
             block_of[x] = j
     coding_set = set(coding)
-    edges = g.edges()
+    edges = sorted_edge_pairs(g)
     for x, y in edges:
         if block_of[x] != block_of[y] and x not in coding_set:
             failures.append(("components", (x, y)))
@@ -268,8 +343,8 @@ def naive_stage_lemmas(state):
         if block_of[x] == j or (x, j) in scanned:
             continue
         scanned.add((x, j))
-        for z in blocks[j]:
-            if z != x and not g.has_edge(x, z):
+        for z in block_list[j]:
+            if z != x and not has_edge(g, x, z):
                 failures.append(("goup", (x, y, z)))
     return failures
 
@@ -336,22 +411,22 @@ def per_stage_no_chordless4(history):
 
 
 def edges_from_rows(rows):
-    """(x, y) pairs with x < y, read off the rows one bit at a time."""
-    return [
-        (x, y)
-        for x, row in enumerate(rows)
-        for y in range(x + 1, len(rows))
-        if (row >> y) & 1
-    ]
+    """(x, y) pairs with x < y, in order, read off each row's binary string."""
+    out = []
+    for x, row in enumerate(rows):
+        bits = bin(row)[:1:-1]  # bits[y] is bit y of row
+        y = bits.find("1", x + 1)
+        while y >= 0:
+            out.append((x, y))
+            y = bits.find("1", y + 1)
+    return out
 
 
 def sorted_edge_pairs(g):
-    """Edges (u, v) with u < v, sorted, read off ``g.rows`` one bit at a time."""
+    """Edges (u, v) with u < v, sorted, read off the set bits of ``g.rows``."""
     verts = g.vertices
-    return sorted(
-        (min(verts[i], verts[j]), max(verts[i], verts[j]))
-        for i, j in edges_from_rows(g.rows)
-    )
+    pairs = [(verts[i], verts[j]) for i, j in edges_from_rows(g.rows)]
+    return sorted((u, v) if u < v else (v, u) for u, v in pairs)
 
 
 def json_dumps_graph(g):
@@ -408,7 +483,7 @@ def graph_from_json_obj_by_edge_list(obj):
             raise InvalidInputError("duplicate edge %r" % (pair,))
         seen.add((u, v))
         edges.append((u, v))
-    return Graph(vertices, edges)
+    return graph(vertices, edges)
 
 
 def naive_lattice_axioms(n, leq_pairs):
@@ -603,22 +678,22 @@ def reference_order_masks(n, leq_pairs):
 
 def random_graph(rng, size, p=0.4):
     edges = [e for e in itertools.combinations(range(size), 2) if rng.random() < p]
-    return Graph(range(size), edges)
+    return graph(range(size), edges)
 
 
 def path_graph(n):
     """The plain path 0 - 1 - ... - (n-1)."""
-    return Graph(range(n), [(i, i + 1) for i in range(n - 1)])
+    return graph(range(n), [(i, i + 1) for i in range(n - 1)])
 
 
 def complete_graph(n):
-    return Graph(range(n), itertools.combinations(range(n), 2))
+    return graph(range(n), itertools.combinations(range(n), 2))
 
 
 def pattern_graph(pattern):
     """The pattern itself as a Graph (a-side on 0..k-1, b-side on k..2k-1)."""
-    names = {name: i for i, name in enumerate(pattern.vertex_names)}
-    return Graph(range(2 * pattern.k), [(names[a], names[b]) for a, b in pattern.edges()])
+    k = pattern.k
+    return graph(range(2 * k), [(n, k + m) for n, m in pattern.edges()])
 
 
 @st.composite
@@ -633,7 +708,9 @@ def vertices_and_edges(draw):
 
 
 def graphs():
-    return vertices_and_edges().map(lambda case: Graph(*case))
+    """Graphs over ``vertices_and_edges`` with the vertices sorted, since the
+    writers take ascending vertices only."""
+    return vertices_and_edges().map(lambda case: graph(sorted(case[0]), case[1]))
 
 
 @st.composite
@@ -704,7 +781,7 @@ def masks_to_graph(masks, size):
             bit = above & -above
             above ^= bit
             edges.append((u, u + 1 + bit.bit_length() - 1))
-    return Graph(range(size), edges)
+    return graph(range(size), edges)
 
 
 def random_traceable_graph(rng, size, p=0.3):
@@ -714,12 +791,12 @@ def random_traceable_graph(rng, size, p=0.3):
         for e in itertools.combinations(range(size), 2)
         if e[1] > e[0] + 1 and rng.random() < p
     )
-    return Graph(range(size), sorted(edges))
+    return graph(range(size), sorted(edges))
 
 
 def relabel(g, names):
     """``g`` with the vertex at position i renamed ``names[i]``, same stored order."""
-    return Graph(names, [(names[g.position(u)], names[g.position(v)]) for u, v in g.edges()])
+    return graph(names, [(names[i], names[j]) for i, j in edges_from_rows(g.rows)])
 
 
 def random_no_c5_host(rng, max_size=20, min_size=4):
@@ -817,7 +894,7 @@ def brute_double_cover(poset):
     atoms = poset.atoms()
     coatoms = poset.coatoms()
     for u, v in itertools.combinations(coatoms, 2):
-        common = [x for x in atoms if poset.leq(x, u) and poset.leq(x, v)]
+        common = [x for x in atoms if leq(poset, x, u) and leq(poset, x, v)]
         if len(common) >= 2:
             return (common[0], common[1], u, v)
     return None
@@ -835,10 +912,10 @@ def pairwise_fence(lat, seq):
         return False
     for i in range(len(seq) - 1):
         lo, hi = (seq[i], seq[i + 1]) if i % 2 == 0 else (seq[i + 1], seq[i])
-        if not (lat.leq(lo, hi) and lo != hi):
+        if not (leq(lat, lo, hi) and lo != hi):
             return False
     for i, j in itertools.combinations(range(len(seq)), 2):
-        if j - i >= 2 and (lat.leq(seq[i], seq[j]) or lat.leq(seq[j], seq[i])):
+        if j - i >= 2 and (leq(lat, seq[i], seq[j]) or leq(lat, seq[j], seq[i])):
             return False
     return True
 
@@ -854,10 +931,10 @@ def generating_set(lat: FiniteLattice):
     coatoms = set(lat.coatoms())
     gens = set()
     for a in atoms:
-        if len([c for c in coatoms if c != a and lat.leq(a, c)]) < 2:
+        if len([c for c in coatoms if c != a and leq(lat, a, c)]) < 2:
             gens.add(a)
     for c in coatoms:
-        if len([a for a in atoms if a != c and lat.leq(a, c)]) < 2:
+        if len([a for a in atoms if a != c and leq(lat, a, c)]) < 2:
             gens.add(c)
     if not gens:
         gens = {min(atoms | coatoms)} if (atoms | coatoms) else {lat.bottom}

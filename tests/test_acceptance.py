@@ -24,7 +24,6 @@ from chordlab.errors import ExtractionError, LatticeAxiomError, StructuralError
 from chordlab.graphs import (
     K22,
     Pattern,
-    embedding_is_valid,
 )
 from chordlab.lattices import (
     FiniteLattice,
@@ -49,9 +48,13 @@ from oracles import (
     assert_tree_properties,
     brute_chordless_path,
     brute_embedding_exists,
+    comparable,
+    embedding_is_valid_by_names,
     generating_set,
+    graph,
     is_chordless,
     iter_traceable_masks,
+    leq,
     masks_to_graph,
     naive_stage_lemmas,
     pipeline_capacity,
@@ -139,7 +142,7 @@ def test_criterion_5_dichotomy_oracle_equivalence():
                 good = (
                     brute_path is None
                     and brute_k22 is not None
-                    and embedding_is_valid(g, witness.embedding)
+                    and embedding_is_valid_by_names(g, witness.embedding)
                 )
             else:
                 good = brute_path is None and brute_k22 is None
@@ -172,9 +175,9 @@ def test_criterion_6_empirical_lower_bound():
     by_size = {c.size: c for c in report.sizes}
     ok = ok and by_size[4].example == SIZE4_WITNESS
     # the size-4 witness really is a neither instance
-    from chordlab.graphs import Graph, find_chordless_path, find_k22
+    from chordlab.graphs import find_chordless_path, find_k22
 
-    g = Graph(range(4), SIZE4_WITNESS)
+    g = graph(range(4), SIZE4_WITNESS)
     ok = ok and find_chordless_path(g, 4) is None and find_k22(g.rows, g.rows) is None
     _verdict(6, "empirical m(4) bound (sizes <= 8)", ok)
 
@@ -200,7 +203,7 @@ def test_criterion_7_pipeline_soundness():
             ok = ok and all(path[i] <= xs[i + 1] for i in range(len(path) - 1))
         else:
             ok = ok and trace.embedding is not None
-            ok = ok and embedding_is_valid(host, trace.embedding)
+            ok = ok and embedding_is_valid_by_names(host, trace.embedding)
         if not ok:
             break
     ok = ok and certificates > 100  # the trials must actually exercise extraction
@@ -276,8 +279,8 @@ def test_criterion_10_tree_properties():
                 good = good and (table.rank_mask(i) >> x) & 1 == 1
                 good = good and x < table.rank_mask(i).bit_length()
             for a, b in zip(node, node[1:]):
-                good = good and lat.comparable(a, b)
-                lo, hi = (a, b) if lat.leq(a, b) else (b, a)
+                good = good and comparable(lat, a, b)
+                lo, hi = (a, b) if leq(lat, a, b) else (b, a)
                 good = good and lo in atoms and hi in coatoms
         for x in range(lat.n):
             if not lat.is_bound(x):

@@ -24,6 +24,7 @@ from chordlab.lattices import fence_lattice, spurred_fence_lattice
 from oracles import (
     complete_graph,
     generating_set,
+    graph,
     graph_json_objects,
     graphs,
     lattice_to_json,
@@ -34,6 +35,7 @@ from oracles import (
     random_no_c5_host,
     save_lattice,
     seeded_permutation,
+    sorted_edge_pairs,
     staged_pipeline_host,
 )
 
@@ -64,7 +66,7 @@ def test_construct_and_verify(tmp_path, capsys):
     assert report["results"]["final_k"] == 4
     assert report["results"]["final_coding"] == [2, 3, 4]
     g = formats.load_graph(out_path)
-    assert g.edges() == [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
+    assert sorted_edge_pairs(g) == [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
 
     report = report_of(capsys, "verify", "--f", "5,0", "--stages", "2", "--exhaustive-chordless")
     names = {c["name"]: c["pass"] for c in report["checks"]}
@@ -239,12 +241,12 @@ def test_pipeline_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
 def _dichotomy_hosts():
     """Hosts with gaps in their vertex names, one per dichotomy witness kind
     at n = 4, written to the working directory."""
-    path = Graph([0, 2, 5, 7, 8, 11],
+    path = graph([0, 2, 5, 7, 8, 11],
                  [(0, 2), (2, 5), (5, 7), (7, 8), (8, 11), (2, 7), (0, 5)])
     staged = construction.run(seeded_injective(4, 10), 10).final_graph()
-    k22 = Graph.from_rows(staged.rows, [2 * v + 1 for v in staged.vertices])
+    k22 = Graph(staged.rows, [2 * v + 1 for v in staged.vertices])
     # the one 5-vertex host with no chordless 4-path and no K22
-    neither = Graph([1, 4, 6, 9, 10], [(1, 4), (1, 6), (4, 6), (6, 9), (6, 10), (9, 10)])
+    neither = graph([1, 4, 6, 9, 10], [(1, 4), (1, 6), (4, 6), (6, 9), (6, 10), (9, 10)])
     for name, g in (("path.json", path), ("k22.json", k22), ("neither.json", neither)):
         formats.save_graph(g, name)
 
@@ -358,7 +360,7 @@ def test_decode_command(capsys):
 
 def test_dichotomy_command(tmp_path, capsys):
     path = tmp_path / "c4.json"
-    formats.save_graph(Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)]), path)
+    formats.save_graph(graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)]), path)
     witness_path = tmp_path / "w.json"
     report = report_of(capsys, "dichotomy", "--graph", str(path), "--n", "4",
                        "--witness", str(witness_path))
@@ -716,7 +718,7 @@ def test_construct_removes_its_partial_files_when_a_write_fails(tmp_path, capsys
 
 def test_witness_and_report_writes_leave_no_partial_file(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    formats.save_graph(Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)]), "c4.json")
+    formats.save_graph(graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)]), "c4.json")
     write_parts = formats.write_parts
 
     def broken(path, parts, *written):  # the disk fills after the first line
@@ -979,6 +981,12 @@ def _assert_internal_report(argv, message):
         ["pipeline", "--graph", "k9.json", "--n", "5"], "extracted vertices collide",
         id="pipeline-extraction",
     ),
+    pytest.param(  # a certificate colour past the end of K9's one-edge fixed paths
+        "chordlab.ramsey.find_homogeneous",
+        lambda coloring, q: ramsey.HomogeneousCertificate(subset=tuple(range(8)), color=(3, 3)),
+        ["pipeline", "--graph", "k9.json", "--n", "5"], "has only",
+        id="pipeline-short-path",
+    ),
     pytest.param(
         "chordlab.construction.embedding_is_valid", lambda g, emb: False,
         ["decode", "--f", "seed:2,len:30", "--stages", "30", "--pattern", "A:2",
@@ -991,7 +999,7 @@ def test_failed_witness_rechecks_give_an_internal_report(
 ):
     monkeypatch.chdir(tmp_path)
     formats.save_graph(path_graph(4), "p4.json")
-    formats.save_graph(Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)]), "c4.json")
+    formats.save_graph(graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)]), "c4.json")
     formats.save_graph(complete_graph(9), "k9.json")
     monkeypatch.setattr(target, patch)
     _assert_internal_report(argv, message)
@@ -1167,7 +1175,7 @@ def _graph_doc(g):
 @given(doc=_graph_documents(), n=st.integers(-1, 7))
 @example(doc=_graph_doc(pattern_graph(K22)), n=4)
 @example(doc=_graph_doc(complete_graph(6)), n=5)
-@example(doc=_graph_doc(Graph([3, 8, 9, 12], [(3, 8), (8, 9), (9, 12)])), n=4)
+@example(doc=_graph_doc(graph([3, 8, 9, 12], [(3, 8), (8, 9), (9, 12)])), n=4)
 @example(doc=b'{"vertices": [0, 1], "edges": [[0, 5], [0, 1], [0, 1]]}', n=4)
 @example(doc=b'{"vertices": [-1, 0], "edges": [[0, 3]]}', n=4)
 @example(doc=b"\xff\xfe", n=4)  # not UTF-8

@@ -9,7 +9,6 @@ from chordlab.errors import InvalidInputError
 from chordlab.graphs import (
     K22,
     Embedding,
-    Graph,
     Pattern,
     check_traceable,
     embedding_is_valid,
@@ -27,13 +26,18 @@ from oracles import (
     brute_chordless_path,
     brute_embedding_exists,
     complete_graph,
+    embedding_is_valid_by_names,
+    graph,
+    has_edge,
     is_chordless,
     middle_edge_4path,
     path_graph,
     pattern_graph,
+    position,
     random_graph,
     random_length3_lattice,
     relabel,
+    sorted_edge_pairs,
     staged_pipeline_host,
     vertices_and_edges,
 )
@@ -41,11 +45,11 @@ from oracles import (
 
 def test_graph_rejects_bad_input():
     with pytest.raises(InvalidInputError):
-        Graph([0, 0, 1], [])
+        graph([0, 0, 1], [])
     with pytest.raises(InvalidInputError):
-        Graph([0, 1], [(0, 0)])
+        graph([0, 1], [(0, 0)])
     with pytest.raises(InvalidInputError):
-        Graph([0, 1], [(0, 2)])
+        graph([0, 1], [(0, 2)])
 
 
 def test_adjacency_is_symmetric_and_irreflexive():
@@ -60,34 +64,34 @@ def test_adjacency_is_symmetric_and_irreflexive():
 @given(vertices_and_edges())
 def test_rows_agree_with_brute_force_adjacency(case):
     verts, edges = case
-    g = Graph(verts, edges)
+    g = graph(verts, edges)
     adj = {frozenset(e) for e in edges}
     for u in verts + [41]:
         for v in verts + [41]:
-            assert g.has_edge(u, v) == (frozenset((u, v)) in adj)
+            assert has_edge(g, u, v) == (frozenset((u, v)) in adj)
     for u in verts:
-        assert g.rows[g.position(u)] == sum(
-            1 << g.position(v) for v in verts if frozenset((u, v)) in adj
+        assert g.rows[position(g, u)] == sum(
+            1 << position(g, v) for v in verts if frozenset((u, v)) in adj
         )
-    assert g.edges() == sorted((min(e), max(e)) for e in edges)
+    assert sorted_edge_pairs(g) == sorted((min(e), max(e)) for e in edges)
     assert g.edge_count() == len(edges)
     assert g.vertices == tuple(verts)
 
 
 def test_unsorted_vertex_order_keeps_edges_sorted_by_name():
-    g = Graph([5, 2, 9], [(5, 9), (2, 5)])
-    assert g.edges() == [(2, 5), (5, 9)]
+    g = graph([5, 2, 9], [(5, 9), (2, 5)])
+    assert sorted_edge_pairs(g) == [(2, 5), (5, 9)]
     assert g.rows == (0b110, 0b001, 0b001)
-    assert g.rows[g.position(5)] == 1 << g.position(2) | 1 << g.position(9)
-    assert not g.has_edge(2, 9)
+    assert g.rows[position(g, 5)] == 1 << position(g, 2) | 1 << position(g, 9)
+    assert not has_edge(g, 2, 9)
 
 
 def test_is_chordless_examples():
     g = path_graph(4)
     assert is_chordless(g, (0, 1, 2, 3))
-    c4 = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    c4 = graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert not is_chordless(c4, (0, 1, 2, 3))
-    g2 = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 2)])
+    g2 = graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 2)])
     assert not is_chordless(g2, (0, 1, 2, 3))
 
 
@@ -110,14 +114,14 @@ def test_is_chordless_positions_reads_the_rows():
     assert is_chordless_positions(rows, (2, 1))
     assert not is_chordless_positions(rows, (0, 1, 0))  # a repeat is no path
     assert not is_chordless_positions(rows, (0, 2))
-    c4 = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    c4 = graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert not is_chordless_positions(c4.rows, (0, 1, 2, 3))
 
 
 def test_find_chordless_path_examples():
     assert find_chordless_path(path_graph(5), 5) == (0, 1, 2, 3, 4)
     assert find_chordless_path(complete_graph(4), 3) is None
-    g2 = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 2)])
+    g2 = graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 2)])
     assert find_chordless_path(g2, 4) is None
     assert find_chordless_path(path_graph(3), 1) == (0,)
     with pytest.raises(InvalidInputError):
@@ -158,9 +162,9 @@ def test_chordless_reversal_closure():
 
 
 def test_find_k22_examples():
-    c4 = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
+    c4 = graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
     assert find_k22(c4.rows, c4.rows) == (1, 3, 0, 2)
-    g2 = Graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 2)])
+    g2 = graph(range(4), [(0, 1), (1, 2), (2, 3), (0, 2)])
     assert find_k22(g2.rows, g2.rows) is None
     k4, k3 = complete_graph(4).rows, complete_graph(3).rows
     assert find_k22(k4, k4) == (2, 3, 0, 1)
@@ -182,7 +186,7 @@ def test_find_k22_is_the_least_brute_force_copy():
         if brute is None:
             assert found is None
         else:
-            a0, a1, b0, b1 = (g.position(brute[name]) for name in K22.vertex_names)
+            a0, a1, b0, b1 = (position(g, brute[name]) for name in K22.vertex_names)
             assert found == (b0, b1, a0, a1)
 
 
@@ -282,22 +286,54 @@ def test_embedding_image_is_read_in_vertex_name_order():
         emb = Embedding(pattern, image)
         assert pattern.vertex_names == names
         assert list(emb.assignment.items()) == list(zip(names, image))
-        assert embedding_is_valid(host, emb)
-        assert not embedding_is_valid(host, Embedding(pattern, image[:-1]))
-        assert not embedding_is_valid(host, Embedding(pattern, image + (0,)))
+        assert embedding_is_valid(host.rows, emb)
+        assert not embedding_is_valid(host.rows, Embedding(pattern, image[:-1]))
+        assert not embedding_is_valid(host.rows, Embedding(pattern, image + (0,)))
         # a1 repeats a0: no pattern edge joins them, so every edge is kept
         repeated = image[:1] * 2 + image[2:]
         place = Embedding(pattern, repeated).assignment
-        assert all(host.has_edge(place[a], place[b]) for a, b in pattern.edges())
-        assert not embedding_is_valid(host, Embedding(pattern, repeated))
+        assert all(has_edge(host, place["a%d" % n], place["b%d" % m])
+                   for n, m in pattern.edges())
+        assert not embedding_is_valid(host.rows, Embedding(pattern, repeated))
+
+
+def test_embedding_check_on_positions_matches_the_name_oracle():
+    # hosts with gapped names, ascending or descending; position -1 and
+    # position size lie outside the host, and their names are no vertex
+    rng = random.Random(31)
+    kinds = set()
+    for trial in range(1500):
+        size = rng.randint(2, 8)
+        names = sorted(rng.sample(range(3 * size), size), reverse=trial % 2 == 1)
+        g = relabel(random_graph(rng, size, rng.choice([0.6, 0.9, 1.0])), names)
+        pattern = rng.choice([K22, Pattern("A", rng.randint(1, 3)),
+                              Pattern("Kkk", rng.randint(1, 3))])
+        length = 2 * pattern.k + rng.choice([-1, 0, 0, 0, 0, 1])
+        image = tuple(rng.randint(-1, size) if rng.random() < 0.05 else rng.randrange(size)
+                      for _ in range(length))
+        name = {**dict(enumerate(names)), -1: 3 * size, size: 3 * size + 1}
+        valid = embedding_is_valid(g.rows, Embedding(pattern, image))
+        assert valid == embedding_is_valid_by_names(
+            g, Embedding(pattern, tuple(name[p] for p in image)))
+        if length < 2 * pattern.k:
+            kinds.add("short")
+        elif length > 2 * pattern.k:
+            kinds.add("long")
+        elif len(set(image)) < length:
+            kinds.add("repeated")
+        elif not all(0 <= p < size for p in image):
+            kinds.add("outside")
+        else:
+            kinds.add("valid" if valid else "missing an edge")
+    assert kinds == {"short", "long", "repeated", "outside", "missing an edge", "valid"}
 
 
 def test_check_traceable():
     assert check_traceable(path_graph(4))
-    assert not check_traceable(Graph([0, 1], []))
-    assert check_traceable(Graph([0], []))
+    assert not check_traceable(graph([0, 1], []))
+    assert check_traceable(graph([0], []))
     # order matters: same edges, reordered vertex list
-    g = Graph([0, 2, 1], [(0, 1), (1, 2)])
+    g = graph([0, 2, 1], [(0, 1), (1, 2)])
     assert not check_traceable(g)
 
 

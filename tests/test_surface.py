@@ -1,5 +1,6 @@
-"""Each public function and class of a ``src/chordlab`` module is read by
-other code there (``__init__`` aside), or kept for a stated reason."""
+"""Each public function and class of a ``src/chordlab`` module, and each
+public method and property of a public class, is read by other code there
+(``__init__`` aside), or kept for a stated reason."""
 
 import ast
 import pathlib
@@ -9,28 +10,48 @@ KEPT = {
     "fence_lattice": "stock family: a fence with bounds, whose trees stay shallow",
     "spurred_fence_lattice": "stock family whose trees hold every odd fence length",
     "tower_bound": "the paper's tower bound on m(n), beside the exact thresholds",
+    "StagedHistory.state": "perfbench sizes its hosts with `run(f, T).state(T).rows`",
 }
+
+
+def _add_reads(node, where, reads):
+    reads.update(
+        (getattr(sub, "id", getattr(sub, "attr", None)), where)
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute)) and isinstance(sub.ctx, ast.Load)
+    )
 
 
 def test_every_public_name_is_read_inside_the_package():
     # a read is a loaded name or attribute, matched by name, outside the
-    # name's own definition; main dispatches the cli.cmd_* handlers by name
+    # name's own definition; a method's definition is its own, apart from
+    # its class; main dispatches the cli.cmd_* handlers by name
     defined, reads = set(), set()
     for path in PACKAGE.glob("*.py"):
         if path.name == "__init__.py":
             continue
         for top in ast.parse(path.read_text()).body:
-            where = (path.stem, getattr(top, "name", None))
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and where[1][0] != "_":
-                defined.add(where)
-            reads.update(
-                (getattr(node, "id", getattr(node, "attr", None)), where)
-                for node in ast.walk(top)
-                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-            )
+            name = getattr(top, "name", None)
+            public = isinstance(top, (ast.FunctionDef, ast.ClassDef)) and name[0] != "_"
+            if public:
+                defined.add((path.stem, name))
+            if not isinstance(top, ast.ClassDef):
+                _add_reads(top, (path.stem, name), reads)
+                continue
+            for node in top.decorator_list + top.bases + top.keywords:
+                _add_reads(node, (path.stem, name), reads)
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    method = "%s.%s" % (name, node.name)
+                    if public and node.name[0] != "_":
+                        defined.add((path.stem, method))
+                    _add_reads(node, (path.stem, method), reads)
+                else:
+                    _add_reads(node, (path.stem, name), reads)
     unread = {
-        name for module, name in defined
-        if not any(n == name and w != (module, name) for n, w in reads)
-        and not (module == "cli" and name.startswith("cmd_"))
+        qualified for module, qualified in defined
+        if not any(n == qualified.rsplit(".", 1)[-1] and w != (module, qualified)
+                   for n, w in reads)
+        and not (module == "cli" and qualified.startswith("cmd_"))
     }
     assert unread == set(KEPT)
