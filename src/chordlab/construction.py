@@ -285,7 +285,11 @@ def check_history_lemmas(history: StagedHistory) -> tuple:
     verdict reads only bits up to its coding vertex, where the final rows
     equal every later stage's rows.  So each block is decided once, at the
     stage that creates it; a merged block's meet and union fold those of the
-    blocks it absorbs with its new coding vertex's row.
+    blocks it absorbs with its new coding vertex's row.  Every other block a
+    stage creates is a singleton {c}, whose meet and union are ``rows[c]``:
+    greatest and goup hold by themselves, and codeconnection and components
+    both hold iff c's neighbours below it are exactly ``lower``, so that one
+    test decides it and the witnesses are sought only when it fails.
     """
     rows = history._rows
     consumed = history.consumed
@@ -310,7 +314,8 @@ def check_history_lemmas(history: StagedHistory) -> tuple:
             c = coding[j]
             if j > n:
                 lo, meet, union = c, rows[c], rows[c]
-            best = _least(best, _block_witnesses(rows, j, lo, c, lower, meet, union))
+            if j == n or union & _bits_below(c) != lower:
+                best = _least(best, _block_witnesses(rows, j, lo, c, lower, meet, union))
             meets.append(meet)
             unions.append(union)
             lowers.append(lower)

@@ -5,9 +5,15 @@ from __future__ import annotations
 import json
 import os
 
-from .errors import InvalidInputError
+from . import construction
+from .errors import InvalidInputError, ResourceLimitError
 from .graphs import Graph
 from .lattices import BoundedPoset
+
+# A loaded lattice keeps several n-bit masks per element, so its memory grows
+# as n squared: `lattice fences` on the 64,004-element spurred fence lattice
+# peaks at 1.75 GB, and 2**16 elements need about 1.84 GB, well under 3 GiB.
+MAX_LATTICE_ELEMENTS = 1 << 16
 
 
 def _int_entry(value, what: str) -> int:
@@ -48,8 +54,12 @@ def _edge_texts(g: Graph, close: str, head: str):
     Each edge (u, v) with u < v, in sorted order, is ``close + head % u`` and
     the name of v; the first edge's ``close`` is stripped and the last one's
     left to the caller.  The larger neighbours of row i come in a few runs of
-    consecutive positions, bounded by the set bits of ``x ^ (x << 1)`` for ``x
-    = row >> (i + 1)``: one ``bin`` string per row, one slice of names per run.
+    consecutive positions, and ``x = row >> (i + 1)`` is walked run by run:
+    shift out the zeros below the lowest set bit, take the run of ones there
+    as one slice of names, shift it out.  Each shift copies the rest of the
+    row, so a row costs its runs times its width: cheap on staged hosts (at
+    most 10 runs above the diagonal per row at T=400), but slower than one
+    ``bin`` string per row on dense random rows, which no command writes.
     The vertices must ascend, so that position order is name order.
     """
     verts = g.vertices
@@ -59,13 +69,16 @@ def _edge_texts(g: Graph, close: str, head: str):
     for i, row in enumerate(g.rows):
         x = row >> (i + 1)
         if x:
-            bounds = bin(x ^ (x << 1))[:1:-1]  # a run starts or ends at i + 1 + j
             row_names = [""]  # so that the join puts the lead before each name
-            s = bounds.find("1")
-            while s >= 0:
-                e = bounds.find("1", s + 1)
-                row_names += names[i + 1 + s:i + 1 + e]
-                s = bounds.find("1", e + 1)
+            pos = i + 1
+            while x:
+                s = (x & -x).bit_length() - 1  # zeros before the next run
+                x >>= s
+                pos += s
+                e = (x ^ (x + 1)).bit_length() - 1  # the run's length
+                row_names += names[pos:pos + e]
+                x >>= e
+                pos += e
             yield (sep % verts[i]).join(row_names)[cut:]
             cut = 0
 
@@ -92,11 +105,19 @@ def graph_from_json_obj(obj) -> Graph:
 
     Pair-shape, integer, ``u < v`` and duplicate errors come in file order;
     negative vertices, then the first edge with an endpoint outside the
-    vertex list, are reported only after the whole edge list.
+    vertex list, are reported only after the whole edge list.  More vertices
+    than the construction's cap raise ResourceLimitError before any row is
+    built: the rows take memory quadratic in the vertex count.
     """
     if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         raise InvalidInputError("graph JSON needs 'vertices' and 'edges'")
-    vertices = [_int_entry(v, "graph JSON vertex") for v in _json_list(obj["vertices"])]
+    listed = _json_list(obj["vertices"])
+    if len(listed) > construction.MAX_CONSTRUCTION_VERTICES:
+        raise ResourceLimitError(
+            "graph JSON has %d vertices, more than the limit of %d"
+            % (len(listed), construction.MAX_CONSTRUCTION_VERTICES)
+        )
+    vertices = [_int_entry(v, "graph JSON vertex") for v in listed]
     if vertices != sorted(set(vertices)):
         raise InvalidInputError("graph JSON vertices must be ascending, no duplicates")
     position = {v: i for i, v in enumerate(vertices)}.get
@@ -141,9 +162,10 @@ def write_parts(path, parts, *written) -> None:
     """Write the strings ``parts`` to ``path`` as they come.  If the write
     fails, or the parts refuse their input, remove the ``written`` paths and,
     once opened, ``path``, but only regular files: never a device such as
-    /dev/full, nor a symlink."""
+    /dev/full, nor a symlink.  The 64 KB buffer batches small parts; a
+    larger one was no faster and raises the writer's peak memory."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", buffering=1 << 16) as fh:
             written += (path,)
             fh.writelines(parts)
     except (OSError, InvalidInputError):
@@ -172,13 +194,21 @@ def lattice_from_json_obj(obj):
 
     The relation must list every holding pair, reflexive ones included;
     validation (and rejection of non-transitive input) happens when the
-    candidate is instantiated as a ``FiniteLattice``.
+    candidate is instantiated as a ``FiniteLattice``.  An ``n`` above
+    ``MAX_LATTICE_ELEMENTS`` raises ResourceLimitError before the pairs are
+    read, unless fewer than ``n`` pairs are listed: then the reflexive axiom
+    fails before any ``n``-sized table exists.
     """
     if not isinstance(obj, dict) or "n" not in obj or "leq" not in obj:
         raise InvalidInputError("lattice JSON needs 'n' and 'leq'")
     n = _int_entry(obj["n"], "lattice JSON n")
+    leq = _json_list(obj["leq"])
+    if n > MAX_LATTICE_ELEMENTS and len(leq) >= n:
+        raise ResourceLimitError(
+            "lattice JSON n %d exceeds the limit of %d" % (n, MAX_LATTICE_ELEMENTS)
+        )
     pairs = []
-    for pair in _json_list(obj["leq"]):
+    for pair in leq:
         # the exact-type tests pass every well-formed entry without isinstance
         if type(pair) is not list and not isinstance(pair, list) or len(pair) != 2:
             raise InvalidInputError("lattice JSON leq entry must be a pair: %r" % (pair,))

@@ -295,12 +295,14 @@ def extract_k22(cert: HomogeneousCertificate, g: Graph, paths: dict) -> Embeddin
 
     The four image vertices come from fixed paths inside four disjoint
     position intervals, so a collision indicates corrupt inputs; it is
-    reported rather than papered over.
+    reported rather than papered over.  So is a certificate that is not
+    pair-colored or has fewer than 8 elements: inside the pipeline it can only
+    come from ``find_homogeneous``.
     """
     if cert.color == RESIDUAL or not isinstance(cert.color, tuple):
-        raise InvalidInputError("certificate color must be a pair class")
+        raise ExtractionError("certificate color must be a pair class")
     if len(cert.subset) < 8:
-        raise InvalidInputError(
+        raise ExtractionError(
             "need at least 8 homogeneous elements, have %d" % len(cert.subset)
         )
     verts = g.vertices
@@ -342,12 +344,13 @@ def extract_chordless(cert: HomogeneousCertificate, g: Graph, paths: dict, n: in
     path vertex it sees: the highest bit of its row on the walk.  Skipping to
     the furthest neighbour is what makes the result chordless; a stalled or
     exhausted walk signals a certificate or table bug and is raised as an
-    extraction failure.
+    extraction failure, as is a certificate of another color or with fewer
+    than n + 1 elements.
     """
     if cert.color != RESIDUAL:
-        raise InvalidInputError("certificate color must be the residual class")
+        raise ExtractionError("certificate color must be the residual class")
     if len(cert.subset) < n + 1:
-        raise InvalidInputError(
+        raise ExtractionError(
             "need at least %d homogeneous elements, have %d" % (n + 1, len(cert.subset))
         )
     rows = g.rows

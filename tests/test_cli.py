@@ -987,6 +987,25 @@ def _assert_internal_report(argv, message):
         ["pipeline", "--graph", "k9.json", "--n", "5"], "has only",
         id="pipeline-short-path",
     ),
+    pytest.param(  # a pair-colored certificate with too few elements
+        "chordlab.ramsey.find_homogeneous",
+        lambda coloring, q: ramsey.HomogeneousCertificate(subset=tuple(range(7)), color=(0, 0)),
+        ["pipeline", "--graph", "k9.json", "--n", "5"], "need at least 8",
+        id="pipeline-k22-short",
+    ),
+    pytest.param(  # a certificate colour that is no pair class
+        "chordlab.ramsey.find_homogeneous",
+        lambda coloring, q: ramsey.HomogeneousCertificate(subset=tuple(range(8)), color=0),
+        ["pipeline", "--graph", "k9.json", "--n", "5"], "must be a pair class",
+        id="pipeline-k22-color",
+    ),
+    pytest.param(  # a residual certificate too short for a 5-path
+        "chordlab.ramsey.find_homogeneous",
+        lambda coloring, q: ramsey.HomogeneousCertificate(
+            subset=tuple(range(5)), color=ramsey.RESIDUAL),
+        ["pipeline", "--graph", "k9.json", "--n", "5"], "need at least 6",
+        id="pipeline-chordless-short",
+    ),
     pytest.param(
         "chordlab.construction.embedding_is_valid", lambda g, emb: False,
         ["decode", "--f", "seed:2,len:30", "--stages", "30", "--pattern", "A:2",
@@ -1035,6 +1054,32 @@ def test_lattice_fences_tree_budget_exits_2(tmp_path, capsys, monkeypatch):
     with pytest.raises(ResourceLimitError):
         lattices.build_tree(lat, table)
     assert_input_error(capsys, argv)
+
+
+def test_graph_loader_refuses_more_vertices_than_the_cap(tmp_path, capsys, monkeypatch):
+    # the edge list is not read past the cap: its last entry is malformed
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"vertices": [0, 1, 2, 3], "edges": [[0, 1], [1, 2], 7]}))
+    monkeypatch.setattr(construction, "MAX_CONSTRUCTION_VERTICES", 4)
+    with pytest.raises(InvalidInputError, match="must be a pair"):
+        formats.load_graph(path)
+    monkeypatch.setattr(construction, "MAX_CONSTRUCTION_VERTICES", 3)
+    with pytest.raises(ResourceLimitError, match="4 vertices, more than the limit of 3"):
+        formats.load_graph(path)
+    assert_input_error(capsys, ["dichotomy", "--graph", str(path), "--n", "4"])
+
+
+def test_lattice_loader_refuses_more_elements_than_the_cap(tmp_path, capsys, monkeypatch):
+    # the relation is not read past the cap: its last entry is malformed
+    path = tmp_path / "lat.json"
+    path.write_text(json.dumps({"n": 4, "leq": [[0, 0], [1, 1], [2, 2], 7]}))
+    monkeypatch.setattr(formats, "MAX_LATTICE_ELEMENTS", 4)
+    with pytest.raises(InvalidInputError, match="must be a pair"):
+        formats.load_lattice_candidate(path)
+    monkeypatch.setattr(formats, "MAX_LATTICE_ELEMENTS", 3)
+    with pytest.raises(ResourceLimitError, match="n 4 exceeds the limit of 3"):
+        formats.load_lattice_candidate(path)
+    assert_input_error(capsys, ["lattice", "verify", "--lattice", str(path)])
 
 
 def _run_isolated(argv):

@@ -148,6 +148,12 @@ def test_history_checker_reports_the_least_witness_per_lemma():
         ([(2, 4)], [("goup", (2, 3, 4))]),
         # 0 sees 4, 5 and 6 of block 1 but not 3
         ([(0, 4), (0, 5), (0, 6)], [("components", (0, 4)), ("goup", (0, 4, 3))]),
+        # stage 4 merges into block 1 and creates the singletons [7], [8], [9],
+        # which pass iff their lower neighbours are exactly the coding vertices
+        ([(2, 7)], [("codeconnection", (2, 7))]),
+        ([(3, 8)], [("components", (3, 8))]),
+        # 9 loses coding vertex 6 and gains 4: both clauses fail on one block
+        ([(6, 9), (4, 9)], [("codeconnection", (6, 9)), ("components", (4, 9))]),
     ]
     for toggles, failures in planted:
         h = run([5, 0, 7, 1], 4)

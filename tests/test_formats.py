@@ -118,6 +118,8 @@ def test_the_graph_writer_holds_one_row_at_a_time(tmp_path):
 @example(g=complete_graph(7))  # each row is one run up to the top vertex
 # rows of alternating bits: every run has length 1
 @example(g=graph(range(9), [(u, v) for u in range(9) for v in range(u + 1, 9, 2)]))
+@example(g=graph(range(120), [(u, v) for u in range(120) for v in range(u + 1, 120, 2)]))
+@example(g=random_graph(random.Random(31), 300, 0.5))  # dense rows of many runs
 @example(g=graph(range(6), [(0, 1), (0, 4), (0, 5), (2, 5)]))  # gap, then a run to the end
 # gapped names, with runs in the rows
 @example(g=graph([1, 3, 5, 7, 9], [(1, 3), (1, 5), (1, 9), (3, 7), (3, 9), (5, 7)]))

@@ -440,8 +440,17 @@ def test_extract_k22_requires_eight_elements():
     g = path_graph(8)
     t = build_increasing_paths(g)
     cert = HomogeneousCertificate(subset=tuple(range(7)), color=(0, 0))
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(ExtractionError):
         extract_k22(cert, g, t)
+
+
+def test_extractions_refuse_a_certificate_of_the_other_class():
+    g = path_graph(9)
+    t = build_increasing_paths(g)
+    with pytest.raises(ExtractionError, match="pair class"):
+        extract_k22(HomogeneousCertificate(subset=tuple(range(8)), color=RESIDUAL), g, t)
+    with pytest.raises(ExtractionError, match="residual class"):
+        extract_chordless(HomogeneousCertificate(subset=tuple(range(8)), color=(0, 0)), g, t, 5)
 
 
 def test_extract_k22_reports_missing_edges():
