@@ -10,9 +10,9 @@ from .errors import InvalidInputError, ResourceLimitError
 from .graphs import Graph
 from .lattices import BoundedPoset
 
-# A loaded lattice keeps several n-bit masks per element, so its memory grows
-# as n squared: `lattice fences` on the 64,004-element spurred fence lattice
-# peaks at 1.75 GB, and 2**16 elements need about 1.84 GB, well under 3 GiB.
+# A loaded lattice keeps two n-bit masks per element, so its memory grows as
+# n squared: `lattice fences` on the 64,004-element spurred fence lattice
+# peaks at 1.23 GB, and 2**16 elements need about 1.29 GB, well under 3 GiB.
 MAX_LATTICE_ELEMENTS = 1 << 16
 
 

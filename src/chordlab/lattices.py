@@ -141,10 +141,10 @@ class BoundedPoset:
     """Validated partial order with bottom and top over elements 0..n-1."""
 
     def __init__(self, n: int, leq_pairs):
-        """Decide the order axioms, then store the order masks and what every
-        later question reads from them: the bounds, ``rows[x]`` (the elements
-        comparable to x, x itself excluded), and the masks of the atoms and of
-        the coatoms.  A failed axiom raises LatticeAxiomError.
+        """Decide the order axioms, then store ``below`` and ``above``, the
+        bounds, and the masks of the atoms and of the coatoms; the elements
+        comparable to x are ``below[x] | above[x]``.  A failed axiom raises
+        LatticeAxiomError.
 
         ``leq_pairs`` holds ``(x, y)`` 2-tuples of ints, one per ``x <= y``;
         they are used as given.  The CLI's loader,
@@ -157,7 +157,6 @@ class BoundedPoset:
         self.top = next(x for x in range(n) if below[x] == full)
         bottom, top = 1 << self.bottom, 1 << self.top
         inner = full & ~(bottom | top)
-        self.rows = [(b | a) & ~(1 << x) for x, (b, a) in enumerate(zip(below, above))]
         self.atom_mask = inner & sum(1 << x for x in range(n) if below[x] == 1 << x | bottom)
         self.coatom_mask = inner & sum(1 << x for x in range(n) if above[x] == 1 << x | top)
 
@@ -188,13 +187,30 @@ class BoundedPoset:
         )
 
 
+# The pairwise meet/join scan of an order that is not length 3 grows as n
+# cubed: on spurred_fence_lattice(k) under one new least element (length 4)
+# it took 0.10, 0.64, 4.7 and 45.4 s at 1,005, 2,005, 4,005 and 8,005
+# elements (2-CPU Xeon, Python 3.11.7; other runs there took up to 1.7 times
+# as long), so this bound allows about 5 s of scan.
+MAX_GENERAL_SCAN_ELEMENTS = 4096
+
+
 class FiniteLattice(BoundedPoset):
-    """Bounded poset whose meets and joins all exist."""
+    """Bounded poset whose meets and joins all exist.
+
+    An order that is not length 3 and has more than
+    ``MAX_GENERAL_SCAN_ELEMENTS`` elements raises ResourceLimitError once the
+    order axioms pass, before its meets and joins are scanned."""
 
     def __init__(self, n: int, leq_pairs):
         super().__init__(n, leq_pairs)
         if check_length3(self):
             missing = _length3_missing_meet_or_join(self)
+        elif n > MAX_GENERAL_SCAN_ELEMENTS:
+            raise ResourceLimitError(
+                "meet/join scan of %d elements (not length 3) exceeds the limit of %d"
+                % (n, MAX_GENERAL_SCAN_ELEMENTS)
+            )
         else:
             missing = _missing_meet_or_join(self.below, self.above)
         if missing is not None:
@@ -363,11 +379,6 @@ class GenTree:
             levels.append(tuple(prefixes[j] + (x,) for x, j in zip(lasts, parents)))
         return tuple(levels)
 
-    def nodes(self):
-        for i, lasts in enumerate(self.lasts):
-            for j in range(len(lasts)):
-                yield self.node(i, j)
-
     def branches_by_depth(self):
         """All nodes, deepest level first, lexicographic within a level."""
         for i in reversed(range(len(self.lasts))):
@@ -403,9 +414,9 @@ def build_tree(lat: FiniteLattice, ranks: RankTable) -> GenTree:
     structural error in the rank table.  With nested levels the rank masks
     are disjoint, so the per-node properties hold by construction: entries
     are distinct and each lies within its rank's bound, consecutive entries
-    are comparable (taken from ``rows``), and two distinct comparable inner
-    elements of a length-3 lattice are one atom and one coatom, so entries
-    alternate.
+    are comparable (taken from ``below | above``), and two distinct
+    comparable inner elements of a length-3 lattice are one atom and one
+    coatom, so entries alternate.
     """
     _require_length3(lat)
     for i, (lower, upper) in enumerate(zip(ranks.levels, ranks.levels[1:])):
@@ -413,7 +424,7 @@ def build_tree(lat: FiniteLattice, ranks: RankTable) -> GenTree:
             raise StructuralError(
                 "rank table level %d is not contained in level %d" % (i, i + 1)
             )
-    rows, inner = lat.rows, lat.atom_mask | lat.coatom_mask
+    below, above, inner = lat.below, lat.above, lat.atom_mask | lat.coatom_mask
     tails = ranks.rank_mask(0) & inner
     lasts = [tuple(iter_bits(tails))]
     parents = [()]
@@ -422,7 +433,7 @@ def build_tree(lat: FiniteLattice, ranks: RankTable) -> GenTree:
         targets = ranks.rank_mask(i) & inner
         reached = 0
         for e in iter_bits(tails):
-            reached |= rows[e]
+            reached |= below[e] | above[e]
         missed = targets & ~reached
         if missed:
             raise StructuralError(
@@ -433,7 +444,7 @@ def build_tree(lat: FiniteLattice, ranks: RankTable) -> GenTree:
         # prefixes are in order and x ascends within each, so the level is too
         level, links = [], []
         for j, e in enumerate(lasts[i - 1]):
-            for x in iter_bits(rows[e] & targets):
+            for x in iter_bits((below[e] | above[e]) & targets):
                 level.append(x)
                 links.append(j)
         total += len(level)
@@ -466,7 +477,8 @@ def comparability_graph(lat: FiniteLattice, elems) -> Graph:
             raise InvalidInputError("element %d is a lattice bound" % e)
     pos = {e: i for i, e in enumerate(elems)}
     members = sum(1 << e for e in elems)
-    rows = [sum(1 << pos[f] for f in iter_bits(lat.rows[e] & members)) for e in elems]
+    comps = [(lat.below[e] | lat.above[e]) & members & ~(1 << e) for e in elems]
+    rows = [sum(1 << pos[f] for f in iter_bits(c)) for c in comps]
     return Graph(rows, elems)
 
 
@@ -480,10 +492,11 @@ def validate_fence(lat: FiniteLattice, seq) -> bool:
     neighbours: x0 < x1 > x2 < ... > x_{2k} < x_{2k+1}."""
     seq = tuple(seq)
     _check_elements(lat, seq)
-    if not seq or len(seq) % 2 or not is_chordless_positions(lat.rows, seq):
+    below, above = lat.below, lat.above
+    rows = {x: (below[x] | above[x]) & ~(1 << x) for x in seq}
+    if not seq or len(seq) % 2 or not is_chordless_positions(rows, seq):
         return False
     evens, odds = seq[::2], seq[1::2]
-    above = lat.above
     return all((above[x] >> y) & 1 for x, y in zip(evens, odds)) and all(
         (above[x] >> y) & 1 for x, y in zip(evens[1:], odds)
     )

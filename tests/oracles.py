@@ -86,7 +86,7 @@ def leq(lat, x, y):
 
 def comparable(lat, x, y):
     """x <= y or y <= x in the order of ``lat``."""
-    return x == y or (lat.rows[x] >> y) & 1 == 1
+    return leq(lat, x, y) or leq(lat, y, x)
 
 
 def blocks(state):
@@ -589,6 +589,13 @@ def naive_tree_levels(lat, ranks, depth):
     return tuple(levels)
 
 
+def tree_nodes(tree):
+    """Every node of a derivation tree as a tuple, level by level, in order."""
+    for i, lasts in enumerate(tree.lasts):
+        for j in range(len(lasts)):
+            yield tree.node(i, j)
+
+
 def assert_tree_properties(lat, ranks, tree):
     """Raise StructuralError unless every node of ``tree`` has distinct
     entries, consecutive entries comparable and alternating atom/coatom, and
@@ -598,11 +605,11 @@ def assert_tree_properties(lat, ranks, tree):
     atoms, coatoms = lat.atom_mask, lat.coatom_mask
     bounds = [ranks.rank_mask(i).bit_length() - 1 for i in range(len(tree.levels))]
     reached = 0
-    for node in tree.nodes():
+    for node in tree_nodes(tree):
         if len(set(node)) != len(node):
             raise StructuralError("tree node has repeated entries: %r" % (node,))
         for a, b in zip(node, node[1:]):
-            if not (lat.rows[a] >> b) & 1:
+            if not comparable(lat, a, b):
                 raise StructuralError(
                     "consecutive tree entries incomparable: %r in %r" % ((a, b), node)
                 )

@@ -60,6 +60,7 @@ from oracles import (
     pipeline_capacity,
     random_length3_lattice,
     random_no_c5_host,
+    tree_nodes,
 )
 
 
@@ -272,7 +273,7 @@ def test_criterion_10_tree_properties():
         except StructuralError:
             good = False
         tails = set()
-        for node in tree.nodes():
+        for node in tree_nodes(tree):
             tails.add(node[-1])
             good = good and len(set(node)) == len(node)
             for i, x in enumerate(node):

@@ -37,6 +37,7 @@ from oracles import (
     seeded_permutation,
     sorted_edge_pairs,
     staged_pipeline_host,
+    tree_nodes,
 )
 
 
@@ -643,6 +644,31 @@ def test_lattice_fences_rejects_a_lattice_longer_than_3(tmp_path, capsys):
     assert_input_error(capsys, ["lattice", "fences", "--lattice", str(lat_path), "--target", "3"])
 
 
+def test_the_meet_join_scan_of_a_lattice_longer_than_3_is_budgeted(tmp_path, capsys,
+                                                                   monkeypatch):
+    def scan(below, above):
+        raise AssertionError("the pairwise meet/join scan ran")
+
+    monkeypatch.setattr(lattices, "MAX_GENERAL_SCAN_ELEMENTS", 4)
+    monkeypatch.setattr(lattices, "_missing_meet_or_join", scan)
+    chain = [(x, y) for x in range(5) for y in range(x, 5)]  # 0 < 1 < 2 < 3 < 4
+    path = tmp_path / "chain.json"
+    save_lattice(path, 5, chain, [0, 4])
+    assert main(["lattice", "verify", "--lattice", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err) == {
+        "error": "meet/join scan of 5 elements (not length 3) exceeds the limit of 4"
+    }
+    assert_input_error(capsys, ["lattice", "fences", "--lattice", str(path), "--target", "1"])
+    # the order axioms are decided first
+    save_lattice(path, 5, [p for p in chain if p != (0, 2)], [0, 4])
+    report = report_of(capsys, "lattice", "verify", "--lattice", str(path), code=1)
+    assert report["checks"][0]["witness"]["axiom"] == "transitive"
+    # length-3 lattices of any size never reach the scan or the bound
+    monkeypatch.chdir(tmp_path)
+    assert _lattice_report_digests(capsys) == PINNED_LATTICE_REPORTS
+
+
 # SHA-256 of the Hasse diagram DOT of fence_lattice(5)
 FENCE5_DOT = "f7f4f179ac542d7943b7350e2312221d8432a4b8704e164425b8935930610473"
 
@@ -1043,7 +1069,7 @@ def test_lattice_internal_reports_name_the_subcommand(tmp_path, monkeypatch):
 def test_lattice_fences_tree_budget_exits_2(tmp_path, capsys, monkeypatch):
     lat, gens, _ = spurred_fence_lattice(7)
     table = lattices.closure_and_rank(lat, gens)
-    size = len(list(lattices.build_tree(lat, table).nodes()))
+    size = len(list(tree_nodes(lattices.build_tree(lat, table))))
     lat_path = tmp_path / "spurred.json"
     save_lattice(lat_path, lat.n, lat.leq_pairs(), gens)
     argv = ["lattice", "fences", "--lattice", str(lat_path), "--target", "5"]

@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -46,6 +48,7 @@ from oracles import (
     random_closure_system,
     random_length3_lattice,
     reference_order_masks,
+    tree_nodes,
 )
 
 DIAMOND = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]
@@ -393,7 +396,7 @@ def test_closure_and_tree_match_naive_oracles():
         assert tree.levels == naive_tree_levels(lat, table, table.max_rank)
         # no branch of four or more entries is a cograph, so find_fences,
         # which skips the cotree pre-pass, finds what the old route found
-        for branch in tree.nodes():
+        for branch in tree_nodes(tree):
             if len(branch) >= 4:
                 assert not is_cograph(comparability_graph(lat, branch).rows)
                 long_branches += 1
@@ -508,7 +511,7 @@ def test_build_tree_fence_roots():
     assert tree.levels[0] == tuple((g,) for g in gens)
     # every branch alternates atoms and coatoms and stays comparable
     atoms, coatoms = set(lat.atoms()), set(lat.coatoms())
-    for node in tree.nodes():
+    for node in tree_nodes(tree):
         for a, b in zip(node, node[1:]):
             assert comparable(lat, a, b)
             assert (a in atoms) != (b in atoms)
@@ -523,7 +526,7 @@ def test_tree_reachability_matches_ranks():
         table = closure_and_rank(lat, gens)
         tree = build_tree(lat, table)
         assert_tree_properties(lat, table, tree)
-        tails = {node[-1] for node in tree.nodes()}
+        tails = {node[-1] for node in tree_nodes(tree)}
         for x in range(lat.n):
             if not lat.is_bound(x):
                 assert x in tails
@@ -556,6 +559,11 @@ def test_validate_fence():
     assert not validate_fence(lat, tuple(reversed(elems)))  # starts at a coatom
     assert not validate_fence(lat, elems[:3])  # even length
     assert not validate_fence(lat, elems[:2] + elems[1:2])  # repeats
+    # bounds and repeats get the pairwise scan's verdict; bottom < top is one
+    bottom, top = lat.bottom, lat.top
+    assert validate_fence(lat, (bottom, top))
+    for seq in [(bottom, 1), (2, top), (bottom, 2, 3, top), (1, 2, 1, 2), (top, bottom)]:
+        assert validate_fence(lat, seq) == pairwise_fence(lat, seq), seq
 
 
 def _fence_candidates(rng, lat):
@@ -646,6 +654,23 @@ def test_fence_lattice_rank_cap_holds_for_every_generating_set():
                 continue
             best = max(best, table.max_rank)
     assert best == 1
+
+
+def test_a_lattice_keeps_one_order_relation():
+    # below and above are the whole order; nothing derived from them, such as
+    # a comparability table of n n-bit ints, stays behind
+    lat, _, _ = spurred_fence_lattice(801)
+    n, pairs = lat.n, lat.leq_pairs()
+    del lat
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lat = FiniteLattice(n, pairs)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    masks = sum(sys.getsizeof(m) for m in lat.below + lat.above)
+    assert kept <= 1.25 * masks, kept / masks
 
 
 def test_spurred_fence_pipeline_reaches_every_target():
