@@ -20,7 +20,6 @@ per-stage ``(k, coding)`` snapshots.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import (
     CapacityError,
@@ -46,29 +45,6 @@ def _bits_below(m: int) -> int:
 def _bits_through(v: int) -> int:
     """Mask with bits 0..v set."""
     return (1 << (v + 1)) - 1
-
-
-@dataclass(frozen=True)
-class StageState:
-    """One stage: largest vertex ``k``, coding vertices, adjacency bitmasks."""
-
-    stage: int
-    k: int
-    coding: tuple
-    rows: tuple  # rows[x] = neighbour bitmask of vertex x
-
-    def __post_init__(self):
-        if len(self.coding) != self.stage + 1:
-            raise InvalidInputError("coding list must have stage+1 entries")
-        if self.coding[-1] != self.k:
-            raise InvalidInputError("last coding vertex must equal k")
-        if any(a >= b for a, b in zip(self.coding, self.coding[1:])):
-            raise InvalidInputError("coding vertices must be strictly increasing")
-        if len(self.rows) != self.k + 1:
-            raise InvalidInputError("need one adjacency row per vertex")
-
-    def graph(self) -> Graph:
-        return Graph(self.rows)
 
 
 def _advance(rows: list, coding: list, stage: int, n: int) -> None:
@@ -163,16 +139,11 @@ class StagedHistory:
     def coding_at(self, s: int):
         return self._snapshot(s)[1]
 
-    def state(self, s: int) -> StageState:
-        """Materialize stage ``s``; the final table restricted to ``0..k_s``."""
-        k, coding = self._snapshot(s)
+    def state(self, s: int) -> Graph:
+        """The stage-``s`` graph: the final table restricted to ``0..k_s``."""
+        k = self._snapshot(s)[0]
         mask = _bits_through(k)
-        return StageState(
-            stage=s,
-            k=k,
-            coding=coding,
-            rows=tuple(self._rows[x] & mask for x in range(k + 1)),
-        )
+        return Graph(tuple(row & mask for row in self._rows[: k + 1]))
 
     def final_graph(self) -> Graph:
         """The final graph, wrapping the history's own rows."""

@@ -89,11 +89,11 @@ def comparable(lat, x, y):
     return leq(lat, x, y) or leq(lat, y, x)
 
 
-def blocks(state):
-    """The blocks of a stage as ranges; block j spans (coding[j-1], coding[j]]."""
+def blocks(history, s):
+    """The blocks of stage ``s`` as ranges; block j spans (coding[j-1], coding[j]]."""
     out = []
     lo = 0
-    for c in state.coding:
+    for c in history.coding_at(s):
         out.append(range(lo, c + 1))
         lo = c + 1
     return out
@@ -302,16 +302,16 @@ def literal_stage_rule(f, stages):
     return rows, snapshots
 
 
-def naive_stage_lemmas(state):
-    """The five stage invariants, written as literal loops.
+def naive_stage_lemmas(history, s):
+    """The five stage invariants of stage ``s``, written as literal loops.
 
     Returns ``(lemma, witness)`` failures; every lemma that fails has its
     lexicographically least witness among them.
     """
-    block_list = [list(b) for b in blocks(state)]
-    coding = state.coding
-    k = state.k
-    g = state.graph()
+    block_list = [list(b) for b in blocks(history, s)]
+    coding = history.coding_at(s)
+    k = coding[-1]
+    g = history.state(s)
     failures = []
     for j, block in enumerate(block_list):
         c = coding[j]
@@ -821,7 +821,7 @@ def staged_pipeline_host(stages=12):
     0..T-1: a traceable cograph, so every fixed path has at most 2 edges.
     At the default T=12 it is the benchmark's fixed 43-vertex host."""
     f = random.Random(0).sample(range(stages), stages)
-    return run(f, stages).state(stages).graph()
+    return run(f, stages).state(stages)
 
 
 def random_length3_lattice(rng, max_elements=30):

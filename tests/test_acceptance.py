@@ -87,7 +87,7 @@ def test_criterion_1_stage_lemma_suite():
         ok = ok and all(w is None for stage in witnesses for w in stage)
         if seed < 5:  # literal per-state oracle, sampled for cross-validation
             for s in (0, 100, 200):
-                ok = ok and naive_stage_lemmas(history.state(s)) == []
+                ok = ok and naive_stage_lemmas(history, s) == []
         if not ok:
             break
     _verdict(1, "stage lemma suite (100 x T=200)", ok)

@@ -70,7 +70,7 @@ def test_traced_pipeline_counts_every_colored_quad(monkeypatch, capsys, tmp_path
     # A staged host is a cograph, so it has no chordless 5-path and the
     # pipeline colours all of its 4-subsets.
     spans = _load_spans(monkeypatch)
-    g = run(seeded_injective(3, 8), 8).state(8).graph()
+    g = run(seeded_injective(3, 8), 8).state(8)
     host = str(tmp_path / "host.json")
     chordlab.formats.save_graph(g, host)
     tracer = spans.Tracer()

@@ -465,6 +465,17 @@ def test_mn_search_budget_exits_2(tmp_path, capsys, monkeypatch):
     ])
 
 
+def test_chordless_path_search_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # On the plain 8-path the search takes one extension step per path edge.
+    path = tmp_path / "p8.json"
+    formats.save_graph(path_graph(8), path)
+    argv = ["dichotomy", "--graph", str(path), "--n", "8"]
+    monkeypatch.setattr("chordlab.graphs.MAX_CHORDLESS_STEPS", 7)
+    assert report_of(capsys, *argv)["results"]["path"] == list(range(8))
+    monkeypatch.setattr("chordlab.graphs.MAX_CHORDLESS_STEPS", 6)
+    assert_input_error(capsys, argv)
+
+
 @pytest.mark.parametrize("text", [
     '{"vertices": ["a"], "edges": []}',
     '{"vertices": [0, 1], "edges": [["0", 1]]}',

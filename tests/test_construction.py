@@ -8,7 +8,6 @@ from chordlab import construction, graphs
 from chordlab.construction import (
     LEMMA_NAMES,
     MAX_SEEDED_LENGTH,
-    StageState,
     build_decode_context,
     check_history_lemmas,
     coding_change_law,
@@ -50,23 +49,23 @@ from oracles import (
 
 
 def test_init():
-    s = run([], 0).state(0)
-    assert (s.stage, s.k, s.coding) == (0, 0, (0,))
-    assert [list(b) for b in blocks(s)] == [[0]]
-    assert check_traceable(s.graph())
+    h = run([], 0)
+    assert h.coding_at(0) == (0,) and len(h.state(0)) == 1
+    assert [list(b) for b in blocks(h, 0)] == [[0]]
+    assert check_traceable(h.state(0))
 
 
 def test_step_large_case():
-    s1 = run([5], 1).state(1)
-    assert (s1.stage, s1.k, s1.coding) == (1, 1, (0, 1))
-    assert sorted_edge_pairs(s1.graph()) == [(0, 1)]
+    h = run([5], 1)
+    assert h.coding_at(1) == (0, 1) and len(h.state(1)) == 2
+    assert sorted_edge_pairs(h.state(1)) == [(0, 1)]
 
 
 def test_step_small_case_dumps():
-    s2 = run([5, 0], 2).state(2)
-    assert (s2.stage, s2.k, s2.coding) == (2, 4, (2, 3, 4))
-    assert sorted_edge_pairs(s2.graph()) == [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
-    assert [list(b) for b in blocks(s2)] == [[0, 1, 2], [3], [4]]
+    h = run([5, 0], 2)
+    assert h.coding_at(2) == (2, 3, 4) and len(h.state(2)) == 5
+    assert sorted_edge_pairs(h.state(2)) == [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]
+    assert [list(b) for b in blocks(h, 2)] == [[0, 1, 2], [3], [4]]
 
 
 def test_run_examples():
@@ -76,7 +75,7 @@ def test_run_examples():
     h = run(range(8), 8)
     assert h.final_k == 16
     for s in range(8):
-        assert h.state(s + 1).k == h.state(s).k + 2
+        assert h.coding_at(s + 1)[-1] == h.coding_at(s)[-1] + 2
 
 
 def test_run_rejects_bad_f():
@@ -91,7 +90,7 @@ def test_run_rejects_bad_f():
 def test_every_stage_is_traceable():
     h = run(seeded_injective(9, 12), 12)
     for s in range(13):
-        assert check_traceable(h.state(s).graph())
+        assert check_traceable(h.state(s))
 
 
 def _failed(witnesses):
@@ -107,7 +106,7 @@ def test_stage_lemmas_match_naive_oracle():
         assert len(witnesses) == 15
         for s in range(15):
             assert _failed(witnesses[s]) == {}
-            assert naive_stage_lemmas(h.state(s)) == []
+            assert naive_stage_lemmas(h, s) == []
 
 
 def _toggle_pairs(rows, rng, count):
@@ -130,7 +129,7 @@ def test_history_checker_equals_per_stage_checker():
         assert len(witnesses) == T + 1
         for s, stage in enumerate(witnesses):
             failed = _failed(stage)
-            assert failed == least_failures(naive_stage_lemmas(h.state(s)))
+            assert failed == least_failures(naive_stage_lemmas(h, s))
             failing += bool(failed)
         if seed < 10:
             assert all(w is None for stage in witnesses for w in stage)
@@ -157,13 +156,13 @@ def test_history_checker_reports_the_least_witness_per_lemma():
     ]
     for toggles, failures in planted:
         h = run([5, 0, 7, 1], 4)
-        assert [list(b) for b in blocks(h.state(4))] == [
+        assert [list(b) for b in blocks(h, 4)] == [
             [0, 1, 2], [3, 4, 5, 6], [7], [8], [9]]
         for x, y in toggles:
             h._rows[x] ^= 1 << y
             h._rows[y] ^= 1 << x
         assert list(_failed(check_history_lemmas(h)[4]).items()) == failures
-        assert least_failures(naive_stage_lemmas(h.state(4))) == dict(failures)
+        assert least_failures(naive_stage_lemmas(h, 4)) == dict(failures)
 
 
 def test_run_matches_literal_stage_rule():
@@ -203,15 +202,15 @@ def test_adversarial_state_fails_codeconnection():
     h._rows[c1] &= ~(1 << c0)
     failed = _failed(check_history_lemmas(h)[2])
     assert failed["codeconnection"] == (c0, c1)
-    assert failed == least_failures(naive_stage_lemmas(h.state(2)))
+    assert failed == least_failures(naive_stage_lemmas(h, 2))
 
 
 def test_stage2_components_cross_block_edges_only_from_coding():
-    s2 = run([5, 0], 2).state(2)
-    block_list = [list(b) for b in blocks(s2)]
-    coding = set(s2.coding)
+    h = run([5, 0], 2)
+    block_list = [list(b) for b in blocks(h, 2)]
+    coding = set(h.coding_at(2))
     block_of = {x: j for j, b in enumerate(block_list) for x in b}
-    cross = [(x, y) for x, y in sorted_edge_pairs(s2.graph()) if block_of[x] != block_of[y]]
+    cross = [(x, y) for x, y in sorted_edge_pairs(h.state(2)) if block_of[x] != block_of[y]]
     assert cross and all(x in coding for x, y in cross)
 
 
@@ -346,26 +345,8 @@ def test_kernel_agrees_with_middle_edge_scan():
 
 
 def test_chordless4_found_on_plain_path():
-    s = StageState(
-        stage=0,
-        k=3,
-        coding=(3,),
-        rows=(0b0010, 0b0101, 0b1010, 0b0100),
-    )
-    assert find_chordless_positions(s.rows, 4) == (0, 1, 2, 3)
-
-
-def test_stage_state_refuses_inconsistent_fields():
-    fields = dict(stage=1, k=3, coding=(1, 3), rows=(0b0010, 0b0101, 0b1010, 0b0100))
-    StageState(**fields)
-    for change, message in (
-        (dict(stage=0), "stage\\+1 entries"),
-        (dict(coding=(1, 2)), "must equal k"),
-        (dict(coding=(3, 3)), "strictly increasing"),
-        (dict(rows=fields["rows"][:3]), "one adjacency row per vertex"),
-    ):
-        with pytest.raises(InvalidInputError, match=message):
-            StageState(**fields | change)
+    rows = (0b0010, 0b0101, 0b1010, 0b0100)
+    assert find_chordless_positions(rows, 4) == (0, 1, 2, 3)
 
 
 def test_find_chordless_4path_direct():
@@ -377,20 +358,23 @@ def test_find_chordless_4path_direct():
 def test_stage_graph_edges_match_rows():
     for seed in range(4):
         h = run(seeded_injective(seed, 15), 15)
+        final = sorted_edge_pairs(h.final_graph())
         for s in range(16):
-            rows = h.state(s).rows
-            g = Graph(rows)
-            assert g.edge_count() == len(edges_from_rows(rows))
-            assert g.rows == rows
+            g = h.state(s)
+            k = h.coding_at(s)[-1]
+            assert isinstance(g, Graph) and g.vertices == tuple(range(k + 1))
+            assert g.edge_count() == len(edges_from_rows(g.rows))
+            # the final graph restricted to 0..k
+            assert sorted_edge_pairs(g) == [(x, y) for x, y in final if y <= k]
 
 
 def test_monotone_growth_and_restriction():
     h = run(seeded_injective(4, 12), 12)
     for s in range(12):
-        k = h.state(s).k
-        assert h.state(s + 1).k > k
-        prev = set(sorted_edge_pairs(h.state(s).graph()))
-        cur = set(sorted_edge_pairs(h.state(s + 1).graph()))
+        k = h.coding_at(s)[-1]
+        assert h.coding_at(s + 1)[-1] > k
+        prev = set(sorted_edge_pairs(h.state(s)))
+        cur = set(sorted_edge_pairs(h.state(s + 1)))
         assert prev <= cur
         # restriction: no new edges among old vertices
         assert all(v > k or u > k for u, v in cur - prev)
@@ -414,7 +398,7 @@ def test_degree_growth_only_through_coding_vertices():
 
     T = 30
     h = run(seeded_injective(12, T), T)
-    k_at = [h.state(s).k for s in range(T + 1)]
+    k_at = [h.coding_at(s)[-1] for s in range(T + 1)]
     degs = [
         [bin(h.state(s).rows[x]).count("1") if x <= k_at[s] else 0
          for x in range(h.final_k + 1)]
@@ -432,7 +416,7 @@ def test_degree_growth_only_through_coding_vertices():
                 continue
             # non-coding growth: exactly the one edge to the dump's coding vertex
             assert dumped and grew == 1
-            assert has_edge(h.state(s + 1).graph(), x, new_coding)
+            assert has_edge(h.state(s + 1), x, new_coding)
     # freeze: a non-coding vertex whose block no remaining value can reach
     # gains nothing more (stable coding vertices keep acquiring edges instead)
     for x in range(h.final_k + 1):
@@ -560,7 +544,7 @@ def test_stage_accessors_reject_stages_outside_the_run():
         for accessor in (h.coding_at, h.state, h.stage_trace):
             with pytest.raises(InvalidInputError):
                 accessor(s)
-    assert h.coding_at(4) == h.final_coding == h.state(4).coding
+    assert h.coding_at(4) == h.final_coding and len(h.state(4)) == h.final_k + 1
     assert h.coding_at(0) == (0,) and h.stage_trace(4)["k"] == h.final_k
 
 
@@ -569,7 +553,7 @@ def test_final_graph_shares_the_history_rows():
     g = h.final_graph()
     assert min(h._rows) > 256  # past the small-int cache, so a copy is a new object
     assert all(a is b for a, b in zip(g.rows, h._rows, strict=True))
-    assert sorted_edge_pairs(g) == sorted_edge_pairs(h.state(20).graph())
+    assert sorted_edge_pairs(g) == sorted_edge_pairs(h.state(20))
 
 
 def test_seeded_injective_is_deterministic_permutation():

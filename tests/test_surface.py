@@ -60,3 +60,15 @@ def test_every_public_name_is_read_inside_the_package():
         and not (module == "cli" and qualified.startswith("cmd_"))
     }
     assert unread == set(KEPT)
+
+
+def test_each_public_name_has_one_import_path():
+    # the package module re-exports nothing: every name is imported from
+    # the module that defines it
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imports = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("chordlab"))
+        or isinstance(node, ast.Import) and any(a.name.startswith("chordlab") for a in node.names)
+    ]
+    assert imports == []
