@@ -14,7 +14,7 @@ of chordless 4-paths.
 Because edges are only ever added, and every added edge touches a vertex
 created at that stage, the stage-``s`` graph equals the final graph restricted
 to ``0..k_s``.  Histories exploit that: they store one adjacency table plus
-per-stage ``(k, coding)`` snapshots.
+each stage's coding, whose last vertex is ``k_s``.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ MAX_CONSTRUCTION_VERTICES = 100_000
 
 
 class StagedHistory:
-    """All stages of one run: snapshots plus the final adjacency table.
+    """All stages of one run: each stage's coding plus the final adjacency table.
 
     ``f`` is kept in full even if only the first ``T`` entries were consumed;
     the unconsumed tail determines which coding vertices are stable.  A run
@@ -111,12 +111,12 @@ class StagedHistory:
         self.stages = stages
         rows: list = [0]
         coding: list = [0]
-        snap = [(0, (0,))]
+        codings = [(0,)]
         for s in range(stages):
             _advance(rows, coding, s, consumed[s])
-            snap.append((len(rows) - 1, tuple(coding)))
+            codings.append(tuple(coding))
         self._rows = rows
-        self._snapshots = snap
+        self._codings = codings
 
     @property
     def consumed(self):
@@ -124,24 +124,22 @@ class StagedHistory:
 
     @property
     def final_k(self) -> int:
-        return self._snapshots[-1][0]
+        return self._codings[-1][-1]
 
     @property
     def final_coding(self):
-        return self._snapshots[-1][1]
-
-    def _snapshot(self, s: int):
-        """``(k, coding)`` of stage ``s``; InvalidInputError unless 0 <= s <= stages."""
-        if not 0 <= s <= self.stages:
-            raise InvalidInputError("stage %d outside 0..%d" % (s, self.stages))
-        return self._snapshots[s]
+        return self._codings[-1]
 
     def coding_at(self, s: int):
-        return self._snapshot(s)[1]
+        """Stage ``s``'s coding vertices, the last being ``k_s``;
+        InvalidInputError unless 0 <= s <= stages."""
+        if not 0 <= s <= self.stages:
+            raise InvalidInputError("stage %d outside 0..%d" % (s, self.stages))
+        return self._codings[s]
 
     def state(self, s: int) -> Graph:
         """The stage-``s`` graph: the final table restricted to ``0..k_s``."""
-        k = self._snapshot(s)[0]
+        k = self.coding_at(s)[-1]
         mask = _bits_through(k)
         return Graph(tuple(row & mask for row in self._rows[: k + 1]))
 
@@ -151,14 +149,14 @@ class StagedHistory:
 
     def stage_trace(self, s: int) -> dict:
         """Stage summary: new vertex span, coding list, edges added at ``s``."""
-        k, coding = self._snapshot(s)
-        prev_k = self._snapshots[s - 1][0] if s else -1
+        coding = self.coding_at(s)
+        prev_k = self._codings[s - 1][-1] if s else -1
         new_edges = []
-        for v in range(prev_k + 1, k + 1):
+        for v in range(prev_k + 1, coding[-1] + 1):
             for x in iter_bits(self._rows[v] & _bits_below(v)):
                 new_edges.append([x, v])
         new_edges.sort()
-        return {"stage": s, "k": k, "coding": list(coding), "new_edges": new_edges}
+        return {"stage": s, "k": coding[-1], "coding": list(coding), "new_edges": new_edges}
 
 
 def run(f, stages: int) -> StagedHistory:
@@ -270,7 +268,7 @@ def check_history_lemmas(history: StagedHistory) -> tuple:
     meets, unions, lowers, least = [], [], [], []  # per live block
     witnesses = []
     first_new = 0
-    for s, (k, coding) in enumerate(history._snapshots):
+    for s, coding in enumerate(history._codings):
         # Blocks n..s are new at stage s; block n absorbs the old blocks n..s-1.
         n = min(consumed[s - 1], s) if s else 0
         meet = union = rows[first_new]
@@ -292,9 +290,9 @@ def check_history_lemmas(history: StagedHistory) -> tuple:
             lowers.append(lower)
             least.append(best)
             lower |= 1 << c
-        tracing = (gap, gap + 1) if gap < k else None
+        tracing = (gap, gap + 1) if gap < coding[-1] else None
         witnesses.append(best[:2] + (tracing,) + best[2:])
-        first_new = k + 1
+        first_new = coding[-1] + 1
     return tuple(witnesses)
 
 

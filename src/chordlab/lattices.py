@@ -13,7 +13,6 @@ chordless paths.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import (
@@ -43,8 +42,10 @@ def _order_masks(n: int, leq_pairs):
     bitmask of {z : z <= x} and ``above[x]`` that of {z : x <= z}, both
     including x.  Raises LatticeAxiomError for the first violated axiom.
 
-    Each axiom is decided in bulk on the rows; only a failed one walks the
-    pairs or rows again, to name the witness.
+    Reflexivity is decided from the pairs alone, before any table is built,
+    so a huge n fails before anything n-sized is allocated.  Each other axiom
+    is decided in bulk on the rows; only a failed one walks the pairs or rows
+    again, to name the witness.
     """
     if n < 1:
         raise _order_error("nonempty", ())
@@ -52,20 +53,15 @@ def _order_masks(n: int, leq_pairs):
     for x, y in pairs:
         if not (0 <= x < n and 0 <= y < n):
             raise InvalidInputError("relation pair %r outside 0..%d" % ((x, y), n - 1))
-    # Decided from the pairs alone, so a huge n fails here before any n-sized
-    # table exists: fewer than n pairs means some element misses its loop.
-    if len(pairs) < n:
-        loops = set(x for x, y in pairs if x == y)
-        x = next(x for x in itertools.count() if x not in loops)
+    loops = {x for x, y in pairs if x == y}
+    if len(loops) < n:
+        x = next(x for x in range(n) if x not in loops)
         raise _order_error("reflexive", (x,))
     below = [0] * n
     above = [0] * n
     for x, y in pairs:
         below[y] |= 1 << x
         above[x] |= 1 << y
-    if not all((b >> x) & 1 for x, b in enumerate(below)):
-        x = next(x for x, b in enumerate(below) if not (b >> x) & 1)
-        raise _order_error("reflexive", (x,))
     if not all(b & a == 1 << x for x, (b, a) in enumerate(zip(below, above))):
         x, y = next((x, y) for x, y in pairs if x != y and (below[x] >> y) & 1)
         raise _order_error("antisymmetric", (x, y))
@@ -252,17 +248,7 @@ def check_no_double_cover(poset: BoundedPoset):
 class RankTable:
     """An element's rank is the first closure round that generates it."""
 
-    levels: tuple  # levels[k] = bitmask of elements generated within k steps
-
-    @property
-    def max_rank(self) -> int:
-        return len(self.levels) - 1
-
-    def rank_mask(self, r: int) -> int:
-        """Bitmask of the elements of rank r (empty past the last round)."""
-        if r > self.max_rank:
-            return 0
-        return self.levels[r] & ~self.levels[r - 1] if r else self.levels[0]
+    levels: tuple  # levels[k] = bitmask of the elements of rank k
 
 
 def _reach_bound(lows, highs, over, twice) -> bool:
@@ -319,7 +305,7 @@ def closure_and_rank(lat: FiniteLattice, generators) -> RankTable:
     bottom, top = 1 << lat.bottom, 1 << lat.top
     once = twice = ups_once = ups_twice = 0
     current = added = sum(1 << g for g in gens)
-    levels = [current]
+    levels = [added]
     while True:
         for c in iter_bits(added & coatoms):
             down = below[c] & atoms
@@ -339,7 +325,7 @@ def closure_and_rank(lat: FiniteLattice, generators) -> RankTable:
         if new == current:
             break
         added = new & ~current
-        levels.append(new)
+        levels.append(added)
         current = new
     if current != (1 << lat.n) - 1:
         unreached = [x for x in range(lat.n) if not (current >> x) & 1]
@@ -358,31 +344,21 @@ class GenTree:
     level before, and its tuple is built only when asked for.
     """
 
-    lasts: tuple  # lasts[i][j] = last entry of node j of level i
+    levels: tuple  # levels[i][j] = last entry of node j of level i
     parents: tuple  # parents[i][j] = index of its prefix in level i - 1 (i >= 1)
 
     def node(self, i: int, j: int) -> tuple:
         """Node j of level i, as the tuple of its i + 1 entries."""
-        entries = [self.lasts[i][j]]
+        entries = [self.levels[i][j]]
         for k in range(i, 0, -1):
             j = self.parents[k][j]
-            entries.append(self.lasts[k - 1][j])
+            entries.append(self.levels[k - 1][j])
         return tuple(reversed(entries))
-
-    @property
-    def levels(self) -> tuple:
-        """``levels[i]``: the nodes of level i as tuples, in order; every
-        node is built, so this takes memory in the total length of the nodes."""
-        levels = [tuple((x,) for x in self.lasts[0])]
-        for lasts, parents in zip(self.lasts[1:], self.parents[1:]):
-            prefixes = levels[-1]
-            levels.append(tuple(prefixes[j] + (x,) for x, j in zip(lasts, parents)))
-        return tuple(levels)
 
     def branches_by_depth(self):
         """All nodes, deepest level first, lexicographic within a level."""
-        for i in reversed(range(len(self.lasts))):
-            for j in range(len(self.lasts[i])):
+        for i in reversed(range(len(self.levels))):
+            for j in range(len(self.levels[i])):
                 yield self.node(i, j)
 
 
@@ -411,31 +387,33 @@ def build_tree(lat: FiniteLattice, ranks: RankTable) -> GenTree:
     gives x again, since nothing lies strictly between x and e.  So the node
     extends by exactly the elements of rank i comparable to e.
 
-    The table is checked in O(levels): each level lies inside the next, and
+    The table is checked in O(levels): no element sits at two ranks, and
     every non-bound element of rank i ends some node of level i, found by
     one OR of the rows of level i - 1's last entries.  A failure is a
-    structural error in the rank table.  With nested levels the rank masks
-    are disjoint, so the per-node properties hold by construction: entries
-    are distinct and each lies within its rank's bound, consecutive entries
-    are comparable (taken from ``below | above``), and two distinct
-    comparable inner elements of a length-3 lattice are one atom and one
-    coatom, so entries alternate.
+    structural error in the rank table.  With disjoint rank masks the
+    per-node properties hold by construction: entries are distinct and each
+    lies within its rank's bound, consecutive entries are comparable (taken
+    from ``below | above``), and two distinct comparable inner elements of a
+    length-3 lattice are one atom and one coatom, so entries alternate.
     """
     _require_length3(lat)
-    for i, (lower, upper) in enumerate(zip(ranks.levels, ranks.levels[1:])):
-        if lower & ~upper:
+    seen = 0
+    for i, mask in enumerate(ranks.levels):
+        twice = seen & mask
+        if twice:
             raise StructuralError(
-                "rank table level %d is not contained in level %d" % (i, i + 1)
+                "rank table puts element %d at two ranks, again at rank %d"
+                % ((twice & -twice).bit_length() - 1, i)
             )
+        seen |= mask
     below, above, inner = lat.below, lat.above, lat.atom_mask | lat.coatom_mask
-    tails = ranks.rank_mask(0) & inner
-    lasts = [tuple(iter_bits(tails))]
+    levels = [tuple(iter_bits(ranks.levels[0] & inner))]
     parents = [()]
-    total = len(lasts[0])
+    total = len(levels[0])
     for i in range(1, len(ranks.levels)):
-        targets = ranks.rank_mask(i) & inner
+        targets = ranks.levels[i] & inner
         reached = 0
-        for e in iter_bits(tails):
+        for e in iter_bits(ranks.levels[i - 1] & inner):
             reached |= below[e] | above[e]
         missed = targets & ~reached
         if missed:
@@ -443,19 +421,18 @@ def build_tree(lat: FiniteLattice, ranks: RankTable) -> GenTree:
                 "element %d (rank %d) is not reachable in the tree"
                 % ((missed & -missed).bit_length() - 1, i)
             )
-        tails = targets
         # prefixes are in order and x ascends within each, so the level is too
         level, links = [], []
-        for j, e in enumerate(lasts[i - 1]):
+        for j, e in enumerate(levels[i - 1]):
             for x in iter_bits((below[e] | above[e]) & targets):
                 level.append(x)
                 links.append(j)
         total += len(level)
         if total > MAX_TREE_NODES:
             raise ResourceLimitError("derivation tree exceeds %d nodes" % MAX_TREE_NODES)
-        lasts.append(tuple(level))
+        levels.append(tuple(level))
         parents.append(tuple(links))
-    return GenTree(lasts=tuple(lasts), parents=tuple(parents))
+    return GenTree(levels=tuple(levels), parents=tuple(parents))
 
 
 def _check_elements(lat: BoundedPoset, elems) -> None:

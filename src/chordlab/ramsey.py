@@ -92,8 +92,8 @@ class FourColoring:
 
     A 4-subset (x, y, u, v) carries (i, j) when the fixed paths are long
     enough (``N(x,y) >= i``, ``N(u,v) >= j``) and the host joins the i-th
-    vertex of path(x, y) to the j-th vertex of path(u, v).  The color count
-    is (n-1)^2 + 1.
+    vertex of path(x, y) to the j-th vertex of path(u, v).  For the n given
+    to ``build_coloring`` the color count is (n-1)^2 + 1.
 
     ``masks[a, b, u]``, for exactly the ascending triples with
     ``u < size - 1``, maps each color present to the nonzero bitmask of the
@@ -105,7 +105,6 @@ class FourColoring:
     colored 4-subsets.
     """
 
-    n: int
     size: int
     masks: dict
 
@@ -214,7 +213,7 @@ def build_coloring(rows, paths, n: int) -> FourColoring:
                             break
                 if left:
                     by_color[RESIDUAL] = left
-    return FourColoring(n=n, size=size, masks=masks)
+    return FourColoring(size=size, masks=masks)
 
 
 # Search nodes one homogeneous search may visit.  At q = 8 the staged hosts of

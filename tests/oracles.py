@@ -153,14 +153,14 @@ def brute_homogeneous(coloring, vertices, q):
     return None
 
 
-def coloring_from_assignment(n, size, assignment):
+def coloring_from_assignment(size, assignment):
     """A ``FourColoring`` holding ``assignment``, a ``{4-subset: color}`` dict
     over positions ``0..size-1``."""
     masks = {}
     for (a, b, u, v), color in assignment.items():
         by_color = masks.setdefault((a, b, u), {})
         by_color[color] = by_color.get(color, 0) | 1 << v
-    return FourColoring(n=n, size=size, masks=masks)
+    return FourColoring(size=size, masks=masks)
 
 
 def dict_homogeneous_search(assignment, size, q):
@@ -227,7 +227,7 @@ def quadwise_coloring(rows, paths, n):
                         color = (i, index[(hit & -hit).bit_length() - 1])
                         break
                 by_color[color] = by_color.get(color, 0) | 1 << v
-    return FourColoring(n=n, size=size, masks=masks)
+    return FourColoring(size=size, masks=masks)
 
 
 def naive_fixed_path(g, x, y):
@@ -267,13 +267,13 @@ def naive_four_coloring(g, n):
 def literal_stage_rule(f, stages):
     """The construction kept as block lists and an edge set, both cases spelled out.
 
-    Returns ``(rows, snapshots)``: neighbour bitmask rows of the final graph
-    and one ``(k, coding)`` pair per stage, as ``StagedHistory`` keeps them.
+    Returns ``(rows, codings)``: neighbour bitmask rows of the final graph
+    and one coding tuple per stage, as ``StagedHistory`` keeps them.
     """
     blocks = [[0]]
     edges = set()
     k = 0
-    snapshots = [(0, (0,))]
+    codings = [(0,)]
     for s in range(stages):
         n = f[s]
         coding = [block[-1] for block in blocks]
@@ -294,12 +294,12 @@ def literal_stage_rule(f, stages):
             k = top + s + 1 - n
             edges.update((x, top) for x in merged[:-1])
             edges.update(itertools.combinations([block[-1] for block in blocks], 2))
-        snapshots.append((k, tuple(block[-1] for block in blocks)))
+        codings.append(tuple(block[-1] for block in blocks))
     rows = [0] * (k + 1)
     for x, y in edges:
         rows[x] |= 1 << y
         rows[y] |= 1 << x
-    return rows, snapshots
+    return rows, codings
 
 
 def naive_stage_lemmas(history, s):
@@ -403,7 +403,8 @@ def all_pairs_k22(rows):
 def per_stage_no_chordless4(history):
     """"No chordless 4-path at any stage", scanning every stage on its own."""
     rows = history._rows
-    for k, _ in history._snapshots:
+    for coding in history._codings:
+        k = coding[-1]
         mask = (1 << (k + 1)) - 1
         if middle_edge_4path([r & mask for r in rows[: k + 1]], k) is not None:
             return False
@@ -555,10 +556,18 @@ def naive_closure_and_rank(lat, generators):
     return tuple(levels)
 
 
-def naive_tree_levels(lat, ranks, depth):
-    """Derivation-tree levels, with producer sets from a literal triple loop.
+def rank_masks(levels):
+    """Cumulative closure levels, as ``naive_closure_and_rank`` gives them,
+    turned into the mask of each round's new elements, as ``RankTable`` keeps
+    them."""
+    return tuple(level & ~prev for level, prev in zip(levels, (0,) + levels[:-1]))
 
-    An element's rank is the index of the first level mask holding it.
+
+def naive_tree_levels(lat, ranks, depth):
+    """Derivation-tree levels as node tuples, with producer sets from a
+    literal triple loop.
+
+    An element's rank is the index of the rank mask holding it.
     """
     meet, join = meet_join_tables(lat)
     rank = [
@@ -589,9 +598,19 @@ def naive_tree_levels(lat, ranks, depth):
     return tuple(levels)
 
 
+def tree_levels(tree):
+    """``tree_levels(tree)[i]``: the nodes of level i as tuples, in order; every
+    node is built, so this takes memory in the total length of the nodes."""
+    levels = [tuple((x,) for x in tree.levels[0])]
+    for lasts, parents in zip(tree.levels[1:], tree.parents[1:]):
+        prefixes = levels[-1]
+        levels.append(tuple(prefixes[j] + (x,) for x, j in zip(lasts, parents)))
+    return tuple(levels)
+
+
 def tree_nodes(tree):
     """Every node of a derivation tree as a tuple, level by level, in order."""
-    for i, lasts in enumerate(tree.lasts):
+    for i, lasts in enumerate(tree.levels):
         for j in range(len(lasts)):
             yield tree.node(i, j)
 
@@ -603,7 +622,7 @@ def assert_tree_properties(lat, ranks, tree):
     non-bound element of some rank ends a node.  Every node is checked whole,
     without trusting that its prefix is a checked node."""
     atoms, coatoms = lat.atom_mask, lat.coatom_mask
-    bounds = [ranks.rank_mask(i).bit_length() - 1 for i in range(len(tree.levels))]
+    bounds = [ranks.levels[i].bit_length() - 1 for i in range(len(tree.levels))]
     reached = 0
     for node in tree_nodes(tree):
         if len(set(node)) != len(node):
@@ -624,7 +643,7 @@ def assert_tree_properties(lat, ranks, tree):
                 )
         reached |= 1 << node[-1]
     for i in range(len(ranks.levels)):
-        missed = ranks.rank_mask(i) & (atoms | coatoms) & ~reached
+        missed = ranks.levels[i] & (atoms | coatoms) & ~reached
         if missed:
             raise StructuralError(
                 "element %d (rank %d) is not reachable in the tree"

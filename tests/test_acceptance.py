@@ -277,8 +277,8 @@ def test_criterion_10_tree_properties():
             tails.add(node[-1])
             good = good and len(set(node)) == len(node)
             for i, x in enumerate(node):
-                good = good and (table.rank_mask(i) >> x) & 1 == 1
-                good = good and x < table.rank_mask(i).bit_length()
+                good = good and (table.levels[i] >> x) & 1 == 1
+                good = good and x < table.levels[i].bit_length()
             for a, b in zip(node, node[1:]):
                 good = good and comparable(lat, a, b)
                 lo, hi = (a, b) if leq(lat, a, b) else (b, a)

@@ -5,7 +5,9 @@ and relabels the order pairs of ``spurred_fence_lattice(k)[0].leq_pairs()``.
 For its traced passes ``perfbench/spans.Tracer`` wraps every public function
 and class constructor of the layer modules, and ``StagedHistory.final_graph``
 by name, and reads work counters off their results, such as
-``ramsey.quads_colored`` from ``len(build_coloring(...).assignment)``.
+``ramsey.quads_colored`` from ``len(build_coloring(...).assignment)``, and
+``lattices.closure_rounds`` and ``lattices.tree_nodes`` from the lengths of
+the ``.levels`` of ``closure_and_rank`` and ``build_tree``.
 Removing or reshaping any of them breaks the benchmark; these tests fail first.
 The harness files are only read: its module is loaded without bytecode.
 """
@@ -18,6 +20,7 @@ import sys
 import chordlab
 import chordlab.cli
 from chordlab.construction import StagedHistory, run, seeded_injective
+from oracles import save_lattice, tree_nodes
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -86,3 +89,28 @@ def test_traced_pipeline_counts_every_colored_quad(monkeypatch, capsys, tmp_path
     metrics = tracer.metrics()
     assert len(g) == 24 and metrics["ramsey.quads_colored"] == math.comb(24, 4)
     assert all(metrics[layer + ".errors"] == 0 for layer in spans.LAYERS)
+
+
+def test_traced_lattice_fences_counts_rounds_and_tree_nodes(monkeypatch, capsys, tmp_path):
+    spans = _load_spans(monkeypatch)
+    lattices = chordlab.lattices
+    lat, gens, _ = lattices.spurred_fence_lattice(9)
+    table = lattices.closure_and_rank(lat, gens)
+    rounds = len(table.levels)
+    nodes = len(list(tree_nodes(lattices.build_tree(lat, table))))
+    path = str(tmp_path / "spurred.json")
+    save_lattice(path, lat.n, lat.leq_pairs(), gens)
+    tracer = spans.Tracer()
+    tracer.install(chordlab)
+    try:
+        code = chordlab.cli.main(["lattice", "fences", "--lattice", path, "--target", "7"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    metrics = tracer.metrics()
+    assert metrics["lattices.closure_and_rank.calls"] == metrics["lattices.build_tree.calls"] == 1
+    assert (rounds, nodes) == (9, 26)
+    assert metrics["lattices.closure_rounds"] == rounds
+    assert metrics["lattices.tree_nodes"] == nodes
+    assert metrics["lattices.errors"] == 0

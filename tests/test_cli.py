@@ -33,6 +33,7 @@ from oracles import (
     pattern_graph,
     random_length3_lattice,
     random_no_c5_host,
+    rank_masks,
     save_lattice,
     seeded_permutation,
     sorted_edge_pairs,
@@ -843,8 +844,9 @@ def test_build_tree_rejects_a_lattice_longer_than_3():
     with pytest.raises(InvalidInputError, match="length-3"):
         lattices.closure_and_rank(lat, [1, 2, 4, 5])
     # [1, 2, 4, 5] generates all of TALL, so the oracle's levels are a full table
-    table = lattices.RankTable(naive_closure_and_rank(lat, [1, 2, 4, 5]))
-    assert table.levels[-1] == (1 << 7) - 1
+    levels = naive_closure_and_rank(lat, [1, 2, 4, 5])
+    assert levels[-1] == (1 << 7) - 1
+    table = lattices.RankTable(rank_masks(levels))
     with pytest.raises(InvalidInputError, match="length-3"):
         lattices.build_tree(lat, table)
 

@@ -179,7 +179,7 @@ def test_run_matches_literal_stage_rule():
             kinds["far"] += n > 10**9
             f.append(n)
         h = run(f, T)
-        assert (h._rows, h._snapshots) == literal_stage_rule(f, T)
+        assert (h._rows, h._codings) == literal_stage_rule(f, T)
     assert min(kinds.values()) > 100
 
 
@@ -439,8 +439,8 @@ def test_coding_change_law():
 
 def test_coding_change_law_rejects_tampered_history():
     h = run([5, 0, 7], 3)
-    k, coding = h._snapshots[2]
-    h._snapshots[2] = (k, (coding[0] + 1,) + coding[1:])
+    coding = h._codings[2]
+    h._codings[2] = (coding[0] + 1,) + coding[1:]
     assert not coding_change_law(h)
 
 

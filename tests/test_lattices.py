@@ -47,7 +47,9 @@ from oracles import (
     random_bounded_poset,
     random_closure_system,
     random_length3_lattice,
+    rank_masks,
     reference_order_masks,
+    tree_levels,
     tree_nodes,
 )
 
@@ -336,9 +338,7 @@ def test_random_length3_lattices_have_no_double_cover():
 def test_closure_and_rank_boolean_square():
     lat = FiniteLattice(4, DIAMOND)
     table = closure_and_rank(lat, [1, 2])
-    assert table.levels == (0b0110, 0b1111)
-    assert (table.rank_mask(0), table.rank_mask(1)) == (0b0110, 0b1001)
-    assert (table.max_rank, table.rank_mask(2)) == (1, 0)
+    assert table.levels == (0b0110, 0b1001)
 
 
 def test_closure_coverage_error():
@@ -361,8 +361,11 @@ def test_closure_levels_monotone():
         lat = FiniteLattice(n, pairs)
         gens = generating_set(lat)
         table = closure_and_rank(lat, gens)
-        for a, b in zip(table.levels, table.levels[1:]):
-            assert a & ~b == 0
+        # nonempty, disjoint rank masks: their running unions grow strictly
+        seen = 0
+        for level in table.levels:
+            assert level and seen & level == 0
+            seen |= level
         assert len(table.levels) <= n + 1
 
 
@@ -390,10 +393,10 @@ def test_closure_and_tree_match_naive_oracles():
     long_branches = 0
     for lat, gens in cases:
         table = closure_and_rank(lat, gens)
-        assert table.levels == naive_closure_and_rank(lat, gens)
+        assert table.levels == rank_masks(naive_closure_and_rank(lat, gens))
         tree = build_tree(lat, table)
         assert_tree_properties(lat, table, tree)
-        assert tree.levels == naive_tree_levels(lat, table, table.max_rank)
+        assert tree_levels(tree) == naive_tree_levels(lat, table, len(table.levels) - 1)
         # no branch of four or more entries is a cograph, so find_fences,
         # which skips the cotree pre-pass, finds what the old route found
         for branch in tree_nodes(tree):
@@ -416,7 +419,7 @@ def _assert_closure_matches_naive(lat, gens):
             closure_and_rank(lat, gens)
         assert exc.value.unreached == unreached
         return False
-    assert closure_and_rank(lat, gens).levels == levels
+    assert closure_and_rank(lat, gens).levels == rank_masks(levels)
     return True
 
 
@@ -489,7 +492,7 @@ def test_closure_matches_naive_oracle_beyond_length_3():
                     closure_and_rank(lat, gens)
                 assert exc.value.unreached == unreached
             else:
-                assert closure_and_rank(lat, gens).levels == levels
+                assert closure_and_rank(lat, gens).levels == rank_masks(levels)
                 covered += 1
     assert longer > 30 and 100 < covered < 400
 
@@ -499,7 +502,7 @@ def test_build_tree_boolean_square():
     table = closure_and_rank(lat, [1, 2])
     tree = build_tree(lat, table)
     assert_tree_properties(lat, table, tree)
-    assert tree.levels[0] == ((1,), (2,))
+    assert tree.levels[0] == (1, 2)
     assert tree.levels[1] == ()  # rank-1 elements are the bounds, excluded
 
 
@@ -508,7 +511,7 @@ def test_build_tree_fence_roots():
     table = closure_and_rank(lat, gens)
     tree = build_tree(lat, table)
     assert_tree_properties(lat, table, tree)
-    assert tree.levels[0] == tuple((g,) for g in gens)
+    assert tree.levels[0] == tuple(gens)
     # every branch alternates atoms and coatoms and stays comparable
     atoms, coatoms = set(lat.atoms()), set(lat.coatoms())
     for node in tree_nodes(tree):
@@ -635,7 +638,7 @@ def test_fence_lattice_capacity_is_one():
     for n in (3, 5, 9, 13):
         lat, gens = fence_lattice(n)
         table = closure_and_rank(lat, gens)
-        assert table.max_rank <= 1
+        assert len(table.levels) <= 2
         assert pipeline_capacity(lat, gens) == 1
         fence = find_fences(lat, gens, 1)
         assert fence is not None and validate_fence(lat, fence)
@@ -652,7 +655,7 @@ def test_fence_lattice_rank_cap_holds_for_every_generating_set():
                 table = closure_and_rank(lat, gens)
             except CoverageError:
                 continue
-            best = max(best, table.max_rank)
+            best = max(best, len(table.levels) - 1)
     assert best == 1
 
 
@@ -680,7 +683,7 @@ def test_spurred_fence_pipeline_reaches_every_target():
         assert check_length3(lat)
         assert check_no_double_cover(lat) is None
         table = closure_and_rank(lat, gens)
-        assert table.max_rank == n - 1
+        assert len(table.levels) == n
         assert pipeline_capacity(lat, gens) == n - 2
         for target in range(1, n - 1, 2):
             result = find_fences(lat, gens, target)
@@ -698,13 +701,13 @@ def test_find_fences_rejects_even_targets():
 def test_build_tree_structural_error_on_corrupt_ranks():
     lat, _ = fence_lattice(3)
     # claims element 3 has rank 2; nothing of rank 1 exists to reach it from
-    fake = RankTable(levels=(0b010110, 0b110111, 0b111111))
-    with pytest.raises(StructuralError):
+    fake = RankTable(levels=(0b010110, 0b100001, 0b001000))
+    with pytest.raises(StructuralError, match="not reachable"):
         build_tree(lat, fake)
-    # levels not nested: 1, 2 and 3 are rank 0 and again rank 2, which would
-    # grow the node (3, 4, 3); the table check rejects it before any node
-    fake = RankTable(levels=(0b001110, 0b110001, 0b111111))
-    with pytest.raises(StructuralError, match="not contained"):
+    # 1, 2 and 3 are rank 0 and again rank 2, which would grow the node
+    # (3, 4, 3); the table check rejects it before any node
+    fake = RankTable(levels=(0b001110, 0b110001, 0b001110))
+    with pytest.raises(StructuralError, match="element 1 at two ranks"):
         build_tree(lat, fake)
 
 
@@ -715,8 +718,8 @@ def test_tree_check_catches_a_bad_last_entry():
     tree = build_tree(lat, ranks)
     assert_tree_properties(lat, ranks, tree)
     atoms, coatoms = set(lat.atoms()), set(lat.coatoms())
-    i = ranks.max_rank - 1
-    prefix = tree.levels[i][0]
+    i = len(ranks.levels) - 2
+    prefix = tree.node(i, 0)
     last = prefix[-1]
     other = sorted(coatoms if last in atoms else atoms)
     fresh = [x for x in other if x not in prefix]
@@ -726,16 +729,16 @@ def test_tree_check_catches_a_bad_last_entry():
         "do not alternate": lat.top,
         "exceeds the rank-%d bound" % (i + 1): next(
             x for x in fresh
-            if comparable(lat, last, x) and x >= ranks.rank_mask(i + 1).bit_length()
+            if comparable(lat, last, x) and x >= ranks.levels[i + 1].bit_length()
         ),
     }
     for message, x in cases.items():
         # the node prefix + (x,): last entry x, parent node 0 of level i
-        lasts, parents = list(tree.lasts), list(tree.parents)
-        lasts[i + 1] += (x,)
+        levels, parents = list(tree.levels), list(tree.parents)
+        levels[i + 1] += (x,)
         parents[i + 1] += (0,)
-        bad = GenTree(lasts=tuple(lasts), parents=tuple(parents))
-        assert bad.levels[i + 1][-1] == prefix + (x,)
+        bad = GenTree(levels=tuple(levels), parents=tuple(parents))
+        assert tree_levels(bad)[i + 1][-1] == prefix + (x,)
         with pytest.raises(StructuralError, match=message):
             assert_tree_properties(lat, ranks, bad)
 
@@ -755,7 +758,7 @@ def test_fence_from_chordless_path_property():
         tree = build_tree(lat, table)
         assert_tree_properties(lat, table, tree)
         atoms = set(lat.atoms())
-        deepest = next(level for level in reversed(tree.levels) if level)
+        deepest = next(level for level in reversed(tree_levels(tree)) if level)
         for branch in deepest[:3]:
             g = comparability_graph(lat, branch)
             for want in range(2, len(branch) + 1, 2):

@@ -312,7 +312,7 @@ def test_find_homogeneous_constant_coloring():
     g = path_graph(8)
     t = build_increasing_paths(g)
     col = build_coloring(g.rows, t, 9)
-    forced = coloring_from_assignment(col.n, len(g), {q: "X" for q in col.assignment})
+    forced = coloring_from_assignment(len(g), {q: "X" for q in col.assignment})
     cert = find_homogeneous(forced, 5)
     assert cert.subset == (0, 1, 2, 3, 4)
 
@@ -334,8 +334,8 @@ def test_homogeneous_recheck_raises_a_structural_error():
 
     g = path_graph(4)
     col = build_coloring(g.rows, build_increasing_paths(g), 9)
-    forced = coloring_from_assignment(col.n, len(g), {q: "X" for q in col.assignment})
-    fickle = type(col)(n=col.n, size=len(g), masks=Fickle(forced.masks))
+    forced = coloring_from_assignment(len(g), {q: "X" for q in col.assignment})
+    fickle = type(col)(size=len(g), masks=Fickle(forced.masks))
     with pytest.raises(StructuralError, match="invalid certificate"):
         find_homogeneous(fickle, 4)
 
@@ -353,7 +353,7 @@ def test_find_homogeneous_single_deviation():
     col = build_coloring(g.rows, t, 9)
     assignment = {q: "X" for q in col.assignment}
     assignment[(0, 1, 2, 3)] = "Y"
-    forced = coloring_from_assignment(col.n, len(g), assignment)
+    forced = coloring_from_assignment(len(g), assignment)
     assert find_homogeneous(forced, 7) is None
     assert find_homogeneous(forced, 6) is not None
 
@@ -384,7 +384,7 @@ def test_find_homogeneous_agrees_with_brute_force():
     base = build_coloring(g.rows, t, 11)
     for _ in range(25):
         assignment = {q: rng.choice(["A", "B"]) for q in base.assignment}
-        col = coloring_from_assignment(base.n, len(g), assignment)
+        col = coloring_from_assignment(len(g), assignment)
         mine = find_homogeneous(col, 5)
         brute = brute_homogeneous(col, g.vertices, 5)
         assert (mine is None) == (brute is None)
@@ -405,7 +405,7 @@ def test_find_homogeneous_matches_the_dict_search_and_its_budget(monkeypatch):
         assignment = {quad: rng.choice(colors)
                       for quad in itertools.combinations(range(size), 4)}
         q = rng.randint(4, min(8, size))
-        cases.append((coloring_from_assignment(5, size, assignment), assignment, size, q))
+        cases.append((coloring_from_assignment(size, assignment), assignment, size, q))
     g = staged_pipeline_host()
     cases.append((build_coloring(g.rows, build_increasing_paths(g), 5),
                   dict(_oracle_items(g, 5)), len(g), 8))
