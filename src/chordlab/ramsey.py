@@ -492,8 +492,8 @@ class MnReport:
         return (self.largest_neither or 0) + 1
 
 
-# Candidate extensions one search may examine: about twice the 26,387 that
-# m(7) needs.  An n = 8 search runs out of it at size 11, within seconds.
+# Join candidates one search may examine: m(7) needs 6,101 of them, and an
+# n = 8 search runs out of it at size 11, within seconds.
 EXTENSION_BUDGET = 50_000
 # The report prints 2^((s-1)(s-2)/2) for every size s up to the bound.
 MAX_SIZE_BOUND = 64
@@ -503,12 +503,11 @@ def estimate_min_m(n: int, size_bound: int) -> MnReport:
     """Count, per size, the traceable hosts with neither witness for ``n``.
 
     Hosts are labelled: the path 0 - 1 - ... - size-1 plus any chord set, so
-    there are 2^((size-1)(size-2)/2) of them.  Deleting the last vertex of a
-    neither instance leaves a neither instance, so those on s+1 vertices are
-    exactly the extensions of those on s vertices by a vertex s, joined to
-    s-1 and to a subset of 0..s-2, that stay K22-free and close no chordless
-    n-path.  Once a level is empty every larger one is, which makes the
-    threshold exact.
+    there are 2^((size-1)(size-2)/2) of them.  Deleting either end vertex of
+    a neither instance leaves a neither instance, so level s+1 is exactly the
+    K22-free joins of level s with itself (:func:`_k22_free_joins`) that close
+    no chordless n-path.  Once a level is empty every larger one is, which
+    makes the threshold exact.
     """
     if n < 1:
         raise InvalidInputError("path length must be >= 1, got %d" % n)
@@ -526,16 +525,15 @@ def estimate_min_m(n: int, size_bound: int) -> MnReport:
     for size in range(1, size_bound + 1):
         if size > 1:
             grown = []
-            for rows in level:
-                for ext in _k22_free_extensions(rows):
-                    budget -= 1
-                    if budget < 0:
-                        raise ResourceLimitError(
-                            "m(%d) search passed its budget of %d candidate "
-                            "extensions at size %d" % (n, EXTENSION_BUDGET, size)
-                        )
-                    if find_chordless_positions(ext, n) is None:
-                        grown.append(ext)
+            for rows in _k22_free_joins(level):
+                budget -= 1
+                if budget < 0:
+                    raise ResourceLimitError(
+                        "m(%d) search passed its budget of %d candidate "
+                        "extensions at size %d" % (n, EXTENSION_BUDGET, size)
+                    )
+                if find_chordless_positions(rows, n) is None:
+                    grown.append(rows)
             level = grown
         example = None
         if level:
@@ -552,34 +550,35 @@ def estimate_min_m(n: int, size_bound: int) -> MnReport:
     return MnReport(n=n, sizes=tuple(counts), largest_neither=largest)
 
 
-def _k22_free_extensions(rows):
-    """Rows of every K22-free host adding vertex s = len(rows) to ``rows``.
+def _k22_free_joins(level):
+    """Rows of every K22-free host on s+1 vertices whose prefix (drop s) and
+    shifted suffix (drop 0) are both in ``level``, a list of s-vertex hosts.
 
-    The new vertex is joined to s-1 and to a subset of 0..s-2.  A C4 through
-    it pairs it with a vertex holding two of its neighbours, so on a K22-free
-    host the extension stays K22-free exactly when no two of its neighbours
-    share a neighbour.  Neighbours are added in increasing order, each one
-    banning every vertex it shares a neighbour with.
+    A is joined with each B whose first s-1 rows, on bits 0..s-2, are A's
+    last s-1 rows shifted down; vertex s takes B's last row shifted up, and
+    the chord (0, s) is tried both ways (at s = 1 it is the path edge).  A
+    new K22 copy holds both 0 and s: opposite, they share two neighbours;
+    adjacent, a neighbour of s other than 0 is adjacent to one of 0.
     """
-    s = len(rows)
-    reach = []  # reach[v]: every vertex sharing a neighbour with v
-    for row in rows:
-        shared = 0
-        while row:
-            bit = row & -row
-            row ^= bit
-            shared |= rows[bit.bit_length() - 1]
-        reach.append(shared)
+    if not level:
+        return
+    s = len(level[0])
+    low = (1 << (s - 1)) - 1
+    suffixes = {}
+    for b in level:
+        suffixes.setdefault(tuple(r & low for r in b[:-1]), []).append(b)
     new_bit = 1 << s
-    stack = [(0, 1 << (s - 1), reach[s - 1])]
-    while stack:
-        start, nbrs, banned = stack.pop()
-        yield tuple(
-            row | new_bit if nbrs >> v & 1 else row for v, row in enumerate(rows)
-        ) + (nbrs,)
-        for v in range(start, s - 1):
-            if not banned >> v & 1:
-                stack.append((v + 1, nbrs | 1 << v, banned | reach[v]))
+    for a in level:
+        for b in suffixes.get(tuple(r >> 1 for r in a[1:]), ()):
+            last = b[-1] << 1
+            common = a[0] & last
+            if common & (common - 1):
+                continue
+            rows = tuple(row | new_bit if last >> v & 1 else row for v, row in enumerate(a))
+            if s > 1:
+                yield rows + (last,)
+            if not any(a[0] & a[p] for p in iter_bits(last)):
+                yield (a[0] | new_bit,) + rows[1:] + (last | 1,)
 
 
 def _verified_example(level, n: int):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from chordlab.construction import run
 from chordlab.formats import write_parts
-from chordlab.graphs import Graph, find_chordless_path
+from chordlab.graphs import Graph, find_chordless_path, find_chordless_positions
 from chordlab.lattices import FiniteLattice, build_tree, check_length3, closure_and_rank
 from chordlab.ramsey import FourColoring
 from chordlab.errors import (
@@ -398,6 +398,52 @@ def all_pairs_k22(rows):
                     common &= common - 1
                     return (p, (common & -common).bit_length() - 1, r, s)
     return None
+
+
+def extension_levels(n, size_bound):
+    """``levels[s - 1]``: every neither instance for ``n`` on s vertices, for
+    s = 1..size_bound, each grown from the level below one host at a time.
+
+    Deleting the last vertex of a neither instance leaves one, so level s+1
+    is the K22-free extensions of level s by a vertex s, joined to s-1 and a
+    subset of 0..s-2, that close no chordless n-path.
+    """
+    level = [(0,)] if n > 1 else []  # one vertex holds only a 1-path
+    levels = [level]
+    for _ in range(1, size_bound):
+        level = [
+            ext
+            for rows in level
+            for ext in _k22_free_extensions(rows)
+            if find_chordless_positions(ext, n) is None
+        ]
+        levels.append(level)
+    return levels
+
+
+def _k22_free_extensions(rows):
+    """Rows of every K22-free host adding vertex s = len(rows) to ``rows``.
+
+    A C4 through the new vertex pairs it with a vertex holding two of its
+    neighbours, so the extension stays K22-free exactly when no two of its
+    neighbours share a neighbour.  Neighbours are added in increasing order,
+    each one banning every vertex it shares a neighbour with.
+    """
+    s = len(rows)
+    reach = [0] * s  # reach[v]: every vertex sharing a neighbour with v
+    for v, row in enumerate(rows):
+        for w in _bits(row):
+            reach[v] |= rows[w]
+    new_bit = 1 << s
+    stack = [(0, 1 << (s - 1), reach[s - 1])]
+    while stack:
+        start, nbrs, banned = stack.pop()
+        yield tuple(
+            row | new_bit if nbrs >> v & 1 else row for v, row in enumerate(rows)
+        ) + (nbrs,)
+        for v in range(start, s - 1):
+            if not banned >> v & 1:
+                stack.append((v + 1, nbrs | 1 << v, banned | reach[v]))
 
 
 def per_stage_no_chordless4(history):

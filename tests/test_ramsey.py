@@ -45,6 +45,7 @@ from oracles import (
     coloring_from_assignment,
     dict_homogeneous_search,
     embedding_is_valid_by_names,
+    extension_levels,
     graph,
     has_edge,
     is_chordless,
@@ -663,6 +664,61 @@ def test_estimate_min_m_reverifies_its_examples(monkeypatch):
     monkeypatch.setattr(ramsey, "find_k22", lambda rows, cols: (0, 1, 2, 3))
     with pytest.raises(StructuralError):
         estimate_min_m(4, 4)
+
+
+def _least_chord_example(level):
+    """Edge list of the host in ``level`` whose chord bitmask, bit b for the
+    b-th pair (i, j), j > i + 1, in lexicographic order, is least."""
+    if not level:
+        return None
+    size = len(level[0])
+    slots = [(i, j) for i in range(size) for j in range(i + 2, size)]
+    best = min(
+        level,
+        key=lambda rows: sum(1 << b for b, (i, j) in enumerate(slots) if rows[i] >> j & 1),
+    )
+    return tuple((i, j) for i in range(size) for j in range(i + 1, size) if best[i] >> j & 1)
+
+
+@pytest.mark.parametrize("n, size_bound", [(2, 5), (3, 6), (4, 8), (5, 10), (6, 13), (7, 16)])
+def test_joined_levels_equal_the_extension_levels(n, size_bound):
+    levels = extension_levels(n, size_bound)
+    level = levels[0]
+    for expected in levels[1:]:
+        joined = list(ramsey._k22_free_joins(level))
+        assert len(set(joined)) == len(joined)  # each host arises once
+        level = [rows for rows in joined if find_chordless_positions(rows, n) is None]
+        assert set(level) == set(expected)
+    report = estimate_min_m(n, size_bound)
+    assert [c.neither for c in report.sizes] == [len(lv) for lv in levels]
+    assert [c.example for c in report.sizes] == [_least_chord_example(lv) for lv in levels]
+
+
+def _unpruned_joins(level):
+    """Every traceable host on s+1 vertices whose prefix (drop s) and shifted
+    suffix (drop 0) are in ``level``, K22 copies included, by an all-pairs scan."""
+    s = len(level[0])
+    low = (1 << (s - 1)) - 1
+    for a in level:
+        for b in level:
+            if any(a[i + 1] >> 1 != b[i] & low for i in range(s - 1)):
+                continue
+            last = b[-1] << 1
+            rows = [row | (last >> v & 1) << s for v, row in enumerate(a)] + [last]
+            if s > 1:  # at s = 1 the chord (0, s) is the path edge
+                yield tuple(rows)
+            rows[0] |= 1 << s
+            rows[-1] |= 1
+            yield tuple(rows)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_k22_free_joins_prune_exactly_the_k22_hosts(n):
+    for level in extension_levels(n, 12):
+        if not level:
+            break
+        kernel = {rows for rows in _unpruned_joins(level) if find_k22(rows, rows) is None}
+        assert set(ramsey._k22_free_joins(level)) == kernel
 
 
 def test_tower_values():
