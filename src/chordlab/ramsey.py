@@ -93,7 +93,7 @@ class FourColoring:
     A 4-subset (x, y, u, v) carries (i, j) when the fixed paths are long
     enough (``N(x,y) >= i``, ``N(u,v) >= j``) and the host joins the i-th
     vertex of path(x, y) to the j-th vertex of path(u, v).  For the n given
-    to ``build_coloring`` the color count is (n-1)^2 + 1.
+    to ``build_coloring`` the color count is min(n-1, size)^2 + 1.
 
     ``masks[a, b, u]``, for exactly the ascending triples with
     ``u < size - 1``, maps each color present to the nonzero bitmask of the
@@ -600,7 +600,7 @@ def _verified_example(level, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Tower bound
+# Tower function
 
 
 def tower(k: int):
@@ -613,18 +613,3 @@ def tower(k: int):
             return None
         value = 1 << value
     return value
-
-
-@dataclass(frozen=True)
-class TowerBound:
-    n: int
-    height: int
-    value: int | None  # None above 64 bits
-
-
-def tower_bound(n: int) -> TowerBound:
-    """Tower-of-twos threshold bound: height is ``ceil(log2 n)``."""
-    if n < 2:
-        raise InvalidInputError("bound is defined for n >= 2")
-    height = (n - 1).bit_length()
-    return TowerBound(n=n, height=height, value=tower(height))

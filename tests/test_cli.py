@@ -557,10 +557,17 @@ def test_negative_stages_exit_2(tmp_path, capsys, monkeypatch, argv):
     assert not (tmp_path / "never.json").exists()
 
 
-def test_decode_rejects_non_integer_query(capsys):
+# a non-integer query, then a pattern with no size, a non-integer size, an
+# unknown kind, a K22 of size other than 2, a size below 1, and the K22 kind
+# that coding embedding does not support
+@pytest.mark.parametrize("pattern, query", [
+    ("A:4", "0,a"), ("A", "0"), ("A:x", "0"), ("X:3", "0"),
+    ("K22:3", "0"), ("A:0", "0"), ("K22:2", "0"),
+])
+def test_decode_rejects_a_bad_query_or_pattern(capsys, pattern, query):
     assert_input_error(capsys, [
         "decode", "--f", "seed:2,len:30", "--stages", "30",
-        "--pattern", "A:4", "--query", "0,a",
+        "--pattern", pattern, "--query", query,
     ])
 
 

@@ -380,9 +380,22 @@ def _fence_through_find_chordless_path(lat, tree, target):
     return None
 
 
+def _chorded_spurred_fence():
+    """``spurred_fence_lattice(9)`` without the pendant atom 17 under x7, codes
+    18 and 19 moved down to 17 and 18, and x2 put below x7 (x_i has code
+    i + 1).  The chord x2 < x7 leaves no branch of the tree a chordless
+    8-path, so ``find_fences`` at target 7 skips every long branch."""
+    lat, gens, _ = spurred_fence_lattice(9)
+    code = {x: x - (x > 17) for x in range(lat.n) if x != 17}
+    pairs = {(code[x], code[y]) for x, y in lat.leq_pairs() if 17 not in (x, y)}
+    pairs.add((3, 8))
+    return FiniteLattice(lat.n - 1, pairs), [code[g] for g in gens if g != 17]
+
+
 def test_closure_and_tree_match_naive_oracles():
     cases = [fence_lattice(n) for n in (1, 3, 7, 11)]
     cases += [spurred_fence_lattice(n)[:2] for n in (3, 5, 9, 15, 33, 45)]
+    cases.append(_chorded_spurred_fence())
     rng = random.Random(8)
     for _ in range(40):
         n, pairs = random_length3_lattice(rng, 42)  # up to 40 inner elements

@@ -35,7 +35,6 @@ from chordlab.ramsey import (
     homogeneous_size_for,
     proof_pipeline,
     tower,
-    tower_bound,
 )
 
 from oracles import (
@@ -726,12 +725,5 @@ def test_tower_values():
     assert tower(3) == 16
     assert tower(4) == 65536
     assert tower(5) is None
-
-
-def test_tower_bound():
-    tb = tower_bound(4)
-    assert (tb.height, tb.value) == (2, 4)
-    assert tower_bound(2).height == 1
-    assert tower_bound(5).height == 3
-    # ceil(log2 100) = 7 and t_7(2) is astronomically large
-    assert tower_bound(100).value is None
+    with pytest.raises(InvalidInputError, match="tower height must be >= 1"):
+        tower(0)

@@ -11,7 +11,7 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "chordlab"
 KEPT = {
     "fence_lattice": "stock family: a fence with bounds, whose trees stay shallow",
     "spurred_fence_lattice": "stock family whose trees hold every odd fence length",
-    "tower_bound": "the paper's tower bound on m(n), beside the exact thresholds",
+    "tower": "the tower function t_k, whose values acceptance criterion 8 pins",
     "StagedHistory.state": "perfbench sizes its hosts with `run(f, T).state(T).rows`",
     "BoundedPoset.leq_pairs": "perfbench writes its lattice files from `lat.leq_pairs()`",
 }
